@@ -21,7 +21,6 @@ from .core import (
     LabelTrack,
     Profile,
     Region,
-    SubsequenceSpec,
     TimeSeries,
     validate_series,
 )

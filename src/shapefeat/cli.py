@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
 import yaml
 
 from . import data as dataio
@@ -19,18 +18,15 @@ from .core import (
     NB_STANDARD,
     SHAPE,
     BadParamsError,
-    ClassModel,
     ClassifierConfig,
     DataError,
     FeatureSpec,
-    LabelTrack,
     ModelError,
     ShapefeatError,
     TimeSeries,
-    UnsatisfiableError,
 )
-from .evaluate import detection_frequency, metrics, mil_confusion, roc_sweep
-from .model import ClassSpec, PredictionTrack, classify, train
+from .evaluate import compare_variants, detection_frequency, metrics, mil_confusion, roc_sweep
+from .model import ClassSpec, classify, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -297,69 +293,6 @@ def cmd_eval(args) -> int:
     _write_csv(args.out, "class,tp,fp,fn,tn,precision,recall,accuracy", rows)
     print(f"wrote {args.out}")
     return 0
-
-
-def _variant_models(models: Sequence[ClassModel], keep_shape: bool) -> List[ClassModel]:
-    out = []
-    for mo in models:
-        feats = tuple(
-            (spec, pos_h, neg_h)
-            for spec, pos_h, neg_h in mo.features
-            if (spec.kind == SHAPE) == keep_shape
-        )
-        if feats:
-            out.append(
-                ClassModel(
-                    class_id=mo.class_id,
-                    m=mo.m,
-                    exclusion_zone=mo.exclusion_zone,
-                    features=feats,
-                    prior=mo.prior,
-                )
-            )
-    return out
-
-
-def compare_variants(
-    models: Sequence[ClassModel],
-    test: TimeSeries,
-    bags: LabelTrack,
-    cfg: ClassifierConfig,
-) -> List[Tuple[str, str, object, float, float, float]]:
-    """(variant, class, confusion, precision, recall, accuracy) rows.
-
-    shape-only and feature-only runs keep only features of that kind; a
-    class with no feature of the kind drops out of that run (and scores
-    recall 0 on its own bags). A run left with no classes at all predicts
-    nothing, so a single-modality model degenerates to that modality's run.
-    """
-    if not models:
-        raise UnsatisfiableError("no models to compare")
-    variants = [
-        ("shape", _variant_models(models, keep_shape=True)),
-        ("feature", _variant_models(models, keep_shape=False)),
-        ("combined", list(models)),
-    ]
-    rows = []
-    for name, variant in variants:
-        if variant:
-            track = classify(variant, test, cfg)
-        else:
-            length = len(test) - models[0].m + 1
-            track = PredictionTrack(
-                class_ids=tuple(mo.class_id for mo in models),
-                label_codes=np.full(length, -1, dtype=np.int32),
-                scores=np.zeros(length),
-                m=models[0].m,
-                series_length=len(test),
-                stride=cfg.stride,
-                sample_rate_hz=test.sample_rate_hz,
-            )
-        for mo in models:
-            cm = mil_confusion(track, bags, mo.class_id)
-            precision, recall, accuracy = metrics(cm)
-            rows.append((name, mo.class_id, cm, precision, recall, accuracy))
-    return rows
 
 
 def cmd_compare(args) -> int:

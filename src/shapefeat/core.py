@@ -181,30 +181,6 @@ def validate_series(ts: TimeSeries) -> None:
 
 
 @dataclass(frozen=True)
-class SubsequenceSpec:
-    """A window of `length` samples starting at index `start`."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise BadParamsError(f"subsequence length must be >= 1, got {self.length}")
-        if self.start < 0:
-            raise BadParamsError(f"subsequence start must be >= 0, got {self.start}")
-
-    def check_within(self, n: int) -> None:
-        if self.length > n:
-            raise WindowTooLongError(f"length {self.length} exceeds series length {n}")
-        if self.start > n - self.length:
-            raise OutOfBoundsError(0, f"start {self.start} exceeds {n - self.length}")
-
-    def extract(self, ts: TimeSeries) -> np.ndarray:
-        self.check_within(len(ts))
-        return ts.values[self.start:self.start + self.length]
-
-
-@dataclass(frozen=True)
 class Region:
     """One weakly labeled region (bag): [start, end) of a single class."""
 
@@ -352,20 +328,6 @@ class Histogram:
     def range_width(self) -> float:
         return float(self.edges[-1] - self.edges[0])
 
-    def bin_of(self, value: float) -> int:
-        """Bin index containing `value`, or -1 outside the range.
-
-        The final bin is closed on the right, matching numpy.histogram.
-        """
-        if value < self.edges[0] or value > self.edges[-1]:
-            return -1
-        idx = int(np.searchsorted(self.edges, value, side="right")) - 1
-        return min(idx, self.counts.size - 1)
-
-    def density(self, bin_index: int) -> float:
-        width = float(self.edges[bin_index + 1] - self.edges[bin_index])
-        return float(self.counts[bin_index]) / (self.total * width)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
@@ -395,9 +357,6 @@ class ClassModel:
                 raise BadParamsError(f"feature {spec.id!r} has an empty histogram")
             if spec.kind == SHAPE and (spec.query is None or spec.query.size != self.m):
                 raise BadParamsError(f"shape feature {spec.id!r} needs a length-{self.m} query")
-
-    def feature_kinds(self) -> tuple:
-        return tuple(spec.kind for spec, _, _ in self.features)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassModel):

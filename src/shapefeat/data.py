@@ -683,7 +683,3 @@ def save_instances(instances: Sequence[Tuple[np.ndarray, str]], path: str) -> No
     for values, class_id in instances:
         lines.append(class_id + "," + ",".join(repr(float(v)) for v in values))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_instances(path: str) -> List[Tuple[np.ndarray, str]]:
-    return [(values, label) for label, values in load_ucr_instances(path)]

@@ -1,5 +1,9 @@
-"""Bag-level MIL scoring, summary metrics, ROC sweeps, and the
-leave-one-out 1NN machinery used by the motivating experiments.
+"""Bag-level MIL scoring, summary metrics, the modality comparison grid,
+ROC sweeps, and the leave-one-out 1NN machinery used by the motivating
+experiments.
+
+The comparison grid and the ROC sweep score the test series once
+(`score_locals`) and re-combine those scores per variant or weight.
 """
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    SHAPE,
     AllZeroError,
     BadParamsError,
     ClassifierConfig,
@@ -18,8 +23,9 @@ from .core import (
     LengthMismatchError,
     TimeSeries,
     TooFewError,
+    UnsatisfiableError,
 )
-from .model import PredictionTrack, classify
+from .model import PredictionTrack, score_locals, sweep, weighted_table
 from .profiles import znormalize
 
 #: Whole-instance metrics for the leave-one-out 1NN classifier.
@@ -86,6 +92,38 @@ def metrics(cm: ConfusionMatrix) -> Tuple[float, float, float]:
     return precision, recall, accuracy
 
 
+def compare_variants(
+    models: Sequence[ClassModel],
+    test: TimeSeries,
+    bags: LabelTrack,
+    cfg: ClassifierConfig,
+) -> List[Tuple[str, str, ConfusionMatrix, float, float, float]]:
+    """(variant, class, confusion, precision, recall, accuracy) rows.
+
+    shape-only and feature-only runs keep only features of that kind; a
+    class with no feature of the kind drops out of that run (and scores
+    recall 0 on its own bags). A run left with no classes at all predicts
+    nothing, so a single-modality model degenerates to that modality's run.
+    All three runs re-combine one scoring pass.
+    """
+    if not models:
+        raise UnsatisfiableError("no models to compare")
+    scores = score_locals(models, test, cfg.small_value_mode)
+    buffer = np.empty((len(models), scores.values.shape[1]))
+    variants = [
+        ("shape", lambda spec: spec.kind == SHAPE),
+        ("feature", lambda spec: spec.kind != SHAPE),
+        ("combined", None),
+    ]
+    rows = []
+    for name, keep in variants:
+        track = sweep(scores, *weighted_table(scores, cfg, keep, out=buffer), cfg)
+        for mo in models:
+            cm = mil_confusion(track, bags, mo.class_id)
+            rows.append((name, mo.class_id, cm, *metrics(cm)))
+    return rows
+
+
 def roc_sweep(
     models: Sequence[ClassModel],
     test: TimeSeries,
@@ -94,7 +132,11 @@ def roc_sweep(
     class_id: str,
     weights: Sequence[float],
 ) -> List[RocPoint]:
-    """Classify once per threshold weight for `class_id`, score with MIL."""
+    """One operating point per threshold weight of `class_id`, scored with MIL.
+
+    The series is scored once; each weight re-weights that class's row of
+    the combined table and re-runs the sweep.
+    """
     if not weights:
         raise BadParamsError("need at least one weight")
     prev = None
@@ -104,22 +146,19 @@ def roc_sweep(
         if prev is not None and w < prev:
             raise BadParamsError("weights must be sorted ascending")
         prev = w
+    scores = score_locals(models, test, cfg.small_value_mode)
+    # At weight 1 the swept row is the class's unweighted combined probability.
+    ids, table = weighted_table(scores, cfg.replace_threshold(class_id, 1.0))
+    # A class without a model has no row, and every weight gives one track.
+    swept = table[ids.index(class_id)] if class_id in ids else np.empty(0)
+    base = swept.copy()
     points = []
     for w in weights:
-        track = classify(models, test, cfg.replace_threshold(class_id, float(w)))
+        np.multiply(base, float(w), out=swept)
+        track = sweep(scores, ids, table, cfg)
         cm = mil_confusion(track, bags, class_id)
         precision, recall, _ = metrics(cm)
-        points.append(
-            RocPoint(
-                threshold_weight=float(w),
-                precision=precision,
-                recall=recall,
-                tp=cm.tp,
-                fp=cm.fp,
-                fn=cm.fn,
-                tn=cm.tn,
-            )
-        )
+        points.append(RocPoint(float(w), precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
     return points
 
 

@@ -1,15 +1,16 @@
 """Per-class local models: training, probability profiles, and classification.
 
 Training turns each feature profile into a pair of value histograms (class /
-non-class); classification turns test profiles into per-position
-probabilities, combines them per class with a Naive Bayes product, weights
+non-class). Classification scores a test series once (`score_locals`: every
+(class, feature) local probability, with the per-series state shared by all
+profiles), combines the locals per class with a Naive Bayes product, weights
 by per-class thresholds, and sweeps left to right with exclusion-zone
-suppression.
+suppression. Variant and threshold sweeps re-combine the same scores.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     Profile,
     TimeSeries,
 )
-from .profiles import generate_profile, znormalize
+from .profiles import generate_profile, series_spectrum, sliding_stats, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -79,9 +80,6 @@ class PredictionTrack:
     def label_at(self, position: int) -> str:
         code = int(self.label_codes[position])
         return OTHER_CLASS if code < 0 else self.class_ids[code]
-
-    def labels_list(self) -> list:
-        return [self.label_at(i) for i in range(len(self))]
 
     def detections(self) -> list:
         """(position, class_id, score) for every non-Other position."""
@@ -160,12 +158,13 @@ def compute_probability(
 
 
 def combine_naive_bayes(
-    locals_: Sequence[ProbabilityProfile],
+    locals_: Sequence,
     prior: float,
     mode: str = NB_STANDARD,
 ) -> ProbabilityProfile:
     """Multiply local probabilities and divide by the class prior.
 
+    Locals are ProbabilityProfiles or 1-D arrays of probabilities.
     standard: divide by prior^(k-1) for k locals (exact Bayes form; the
     identity for k=1). paper-literal: divide by the prior exactly once
     regardless of k. Locals are floored at 1e-12 before multiplying and the
@@ -175,20 +174,21 @@ def combine_naive_bayes(
         raise EmptyLocalsError("need at least one local probability profile")
     if not (0.0 < prior < 1.0):
         raise BadParamsError(f"prior must be in (0,1), got {prior}")
-    length = len(locals_[0])
-    for loc in locals_[1:]:
-        if len(loc) != length:
+    values = [getattr(loc, "values", loc) for loc in locals_]
+    length = len(values[0])
+    for v in values[1:]:
+        if len(v) != length:
             raise BadParamsError("local profiles must share one length")
     prod = np.ones(length)
-    for loc in locals_:
-        prod *= np.maximum(loc.values, EPS_PROB)
+    for v in values:
+        prod *= np.maximum(v, EPS_PROB)
     k = len(locals_)
     denom = prior ** (k - 1) if mode == NB_STANDARD else prior
     if mode not in (NB_STANDARD, NB_PAPER_LITERAL):
         raise BadParamsError(f"unknown nb_denominator {mode!r}")
     combined = np.clip(prod / denom, 0.0, 1.0)
     return ProbabilityProfile(
-        values=combined, class_id=locals_[0].class_id, feature_id="combined"
+        values=combined, class_id=getattr(locals_[0], "class_id", ""), feature_id="combined"
     )
 
 
@@ -372,36 +372,81 @@ def _check_models(models: Sequence[ClassModel]) -> int:
     return m
 
 
+@dataclass(frozen=True, eq=False)
+class LocalScores:
+    """Every (class, feature) local probability over one test series: one
+    [local, position] array, rows in model order, then feature order."""
+
+    models: tuple
+    values: np.ndarray
+    test: TimeSeries
+
+
+def score_locals(
+    models: Sequence[ClassModel], test: TimeSeries, small_value_mode: str = FLOOR_UNION
+) -> LocalScores:
+    """One scoring pass: every local probability of every class.
+
+    `sliding_stats` and the series spectrum are computed once and shared by
+    every profile. Shape features are scored first, so the spectrum is
+    released before the other profiles are built.
+    """
+    m = _check_models(models)
+    if len(test) < m:
+        raise ModelMismatchError(f"test series of length {len(test)} is shorter than m={m}")
+    locals_ = [feature for mo in models for feature in mo.features]
+    values = np.empty((len(locals_), len(test) - m + 1))
+    stats = sliding_stats(test, m)
+    spectrum = None
+    for r in sorted(range(len(locals_)), key=lambda r: locals_[r][0].kind != SHAPE):
+        spec, pos_h, neg_h = locals_[r]
+        if spec.kind != SHAPE:
+            spectrum = None
+        elif spectrum is None:
+            spectrum = series_spectrum(test)
+        prof = generate_profile(test, spec, m, stats, spectrum)
+        values[r] = compute_probability(pos_h, neg_h, prof, small_value_mode).values
+    return LocalScores(models=tuple(models), values=values, test=test)
+
+
+def weighted_table(
+    scores: LocalScores,
+    cfg: ClassifierConfig,
+    keep: Optional[Callable[[FeatureSpec], bool]] = None,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[tuple, np.ndarray]:
+    """(class_ids, [class, position] table): each class's Naive Bayes
+    combination of its locals whose spec passes `keep` (all when None),
+    times its threshold weight.
+
+    A class with no kept local drops out. The rows are written into `out`
+    (a [n_classes, n - m + 1] buffer, reusable across calls) when given.
+    """
+    if out is None:
+        out = np.empty((len(scores.models), scores.values.shape[1]))
+    ids = []
+    rows = iter(scores.values)
+    for mo in scores.models:
+        # zip draws exactly one row per feature of this class.
+        kept = [row for (spec, _, _), row in zip(mo.features, rows) if keep is None or keep(spec)]
+        if kept:
+            combined = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator)
+            np.multiply(combined.values, cfg.threshold_for(mo.class_id), out=out[len(ids)])
+            ids.append(mo.class_id)
+    return tuple(ids), out[: len(ids)]
+
+
 def class_probabilities(
     models: Sequence[ClassModel],
     test: TimeSeries,
     cfg: ClassifierConfig,
-    weighted: bool = True,
 ) -> Tuple[tuple, np.ndarray]:
     """Stacked per-class combined probabilities over the test series.
 
     Returns (class_ids, matrix of shape [n_classes, n - m + 1]); rows are
-    multiplied by the per-class threshold weights when `weighted`.
+    multiplied by the per-class threshold weights.
     """
-    m = _check_models(models)
-    if len(test) < m:
-        raise ModelMismatchError(
-            f"test series of length {len(test)} is shorter than m={m}"
-        )
-    rows = []
-    ids = []
-    for mo in models:
-        locals_ = []
-        for spec, pos_h, neg_h in mo.features:
-            prof = generate_profile(test, spec, mo.m)
-            locals_.append(compute_probability(pos_h, neg_h, prof, cfg.small_value_mode))
-        combined = combine_naive_bayes(locals_, mo.prior, cfg.nb_denominator)
-        row = combined.values
-        if weighted:
-            row = row * cfg.threshold_for(mo.class_id)
-        rows.append(row)
-        ids.append(mo.class_id)
-    return tuple(ids), np.vstack(rows)
+    return weighted_table(score_locals(models, test, cfg.small_value_mode), cfg)
 
 
 def _suppression_sweep(
@@ -413,35 +458,34 @@ def _suppression_sweep(
     series_length: int,
     sample_rate_hz: Optional[float],
 ) -> PredictionTrack:
+    """Visit positions 0, stride, 2 * stride, ...; a visit at or above the
+    floor emits its argmax class and jumps max(stride, e + 1) instead.
+
+    Between detections the visits stay in one stride phase, so one binary
+    search finds the next one. Visited positions keep their winning score,
+    all others score 0.
+    """
     length = weighted.shape[1]
-    winners = np.argmax(weighted, axis=0).astype(np.int32)
-    win_p = weighted[winners, np.arange(length)]
+    # A stride past the end visits position 0 only, as `length` does.
+    stride = min(cfg.stride, max(length, 1))
+    # A table without rows scores 0 everywhere and detects nothing.
+    win_p = weighted.max(axis=0, initial=0.0)
+    hits = np.flatnonzero((weighted >= cfg.decision_floor).any(axis=0))
     labels = np.full(length, -1, dtype=np.int32)
     scores = np.zeros(length)
-    excl = [int(e) for e in exclusion_zones]
-    floor = cfg.decision_floor
-    if cfg.stride == 1:
-        scores[:] = win_p
-        pos = 0
-        for c in np.flatnonzero(win_p >= floor):
-            if c < pos:
-                continue
-            w = int(winners[c])
-            labels[c] = w
-            nxt = c + excl[w] + 1
-            scores[c + 1 : min(length, nxt)] = 0.0
-            pos = nxt
-    else:
-        pos = 0
-        while pos < length:
-            p = float(win_p[pos])
-            scores[pos] = p
-            if p >= floor:
-                w = int(winners[pos])
-                labels[pos] = w
-                pos += max(cfg.stride, excl[w] + 1)
-            else:
-                pos += cfg.stride
+    # Above-floor positions ordered by (phase, position); phase < length.
+    keys = np.sort(hits % stride * length + hits)
+    pos = 0
+    while pos < length:
+        base = pos % stride * length
+        k = int(np.searchsorted(keys, base + pos))
+        hit = int(keys[k]) - base if k < keys.size and keys[k] < base + length else length
+        scores[pos : hit + 1 : stride] = win_p[pos : hit + 1 : stride]
+        if hit == length:
+            break
+        w = int(np.argmax(weighted[:, hit]))
+        labels[hit] = w
+        pos = hit + max(stride, int(exclusion_zones[w]) + 1)
     return PredictionTrack(
         class_ids=class_ids,
         label_codes=labels,
@@ -450,6 +494,18 @@ def _suppression_sweep(
         series_length=series_length,
         stride=cfg.stride,
         sample_rate_hz=sample_rate_hz,
+    )
+
+
+def sweep(
+    scores: LocalScores, class_ids: tuple, weighted: np.ndarray, cfg: ClassifierConfig
+) -> PredictionTrack:
+    """Suppression sweep of a `weighted_table` of `scores`."""
+    zones = {mo.class_id: mo.exclusion_zone for mo in scores.models}
+    test = scores.test
+    return _suppression_sweep(
+        class_ids, weighted, [zones[c] for c in class_ids], cfg,
+        scores.models[0].m, len(test), test.sample_rate_hz,
     )
 
 
@@ -465,7 +521,7 @@ def classify(
     floor; a detection suppresses the next exclusion_zone positions of every
     class. All other positions carry OTHER_CLASS.
     """
-    ids, weighted = class_probabilities(models, test, cfg, weighted=True)
+    ids, weighted = class_probabilities(models, test, cfg)
     return _suppression_sweep(
         ids,
         weighted,

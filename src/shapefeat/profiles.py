@@ -4,7 +4,10 @@ The distance kernel is the Euclidean distance between z-normalized
 subsequences. Two implementations are provided: a brute-force reference
 (`distance_profile_naive`) and an FFT-accelerated one
 (`distance_profile_mass`) built on one sliding dot product, in the style of
-the MASS similarity-search algorithm.
+the MASS similarity-search algorithm. The kernels take optional per-series
+state that a scoring pass shares across features: `stats`, the series'
+`sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
+state is computed from the series.
 """
 from __future__ import annotations
 
@@ -46,20 +49,21 @@ class SlidingStats:
     stds: np.ndarray
 
 
-def znormalize(x) -> np.ndarray:
-    """Shift to mean 0 and scale to population std 1.
+def _znormalize_rows(w: np.ndarray) -> np.ndarray:
+    """Z-normalize along the last axis; a flat row (std below
+    1e-8 * max(1, |mean|)) maps to all zeros instead of dividing by ~0."""
+    mu = w.mean(axis=-1, keepdims=True)
+    sd = w.std(axis=-1, keepdims=True)
+    flat = sd < _flat_eps(mu)
+    return np.where(flat, 0.0, (w - mu) / np.where(flat, 1.0, sd))
 
-    A flat input (std below 1e-8 * max(1, |mean|)) maps to the all-zero
-    vector instead of dividing by ~0.
-    """
+
+def znormalize(x) -> np.ndarray:
+    """Shift to mean 0 and scale to population std 1 (flat input: zeros)."""
     x = _as_values(x)
     if x.size < 2:
         raise TooShortError(f"need at least 2 samples to z-normalize, got {x.size}")
-    mu = float(x.mean())
-    sd = float(x.std())
-    if sd < _flat_eps(mu):
-        return np.zeros_like(x)
-    return (x - mu) / sd
+    return _znormalize_rows(x)
 
 
 def sliding_stats(ts, m: int) -> SlidingStats:
@@ -122,30 +126,27 @@ def distance_profile_naive(ts, query) -> Profile:
     x = _as_values(ts)
     q = _check_query(x, query)
     m = q.size
-    zq = znormalize(q)
-    windows = np.lib.stride_tricks.sliding_window_view(x, m)
-    mu = windows.mean(axis=1)
-    sd = windows.std(axis=1)
-    flat = sd < _flat_eps(mu)
-    denom = np.where(flat, 1.0, sd)
-    zw = (windows - mu[:, None]) / denom[:, None]
-    zw[flat] = 0.0
-    d = np.sqrt(((zw - zq) ** 2).sum(axis=1))
+    zw = _znormalize_rows(np.lib.stride_tricks.sliding_window_view(x, m))
+    d = np.sqrt(((zw - znormalize(q)) ** 2).sum(axis=1))
     return Profile(values=d, feature_id=SHAPE, m=m)
 
 
-def _sliding_dot_product(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+def series_spectrum(ts) -> np.ndarray:
+    """rfft of the series at the next power-of-two size: the query-free half
+    of every MASS sliding dot product over it."""
+    x = _as_values(ts)
+    return np.fft.rfft(x, 1 << max(0, int(x.size - 1).bit_length()))
+
+
+def _sliding_dot_product(x: np.ndarray, q: np.ndarray, spectrum=None) -> np.ndarray:
     """dot(q, x[i:i+m]) for every i, via one FFT of the next power-of-two size."""
-    n = x.size
-    m = q.size
-    size = 1 << max(0, int(n - 1).bit_length())
-    fx = np.fft.rfft(x, size)
-    fq = np.fft.rfft(q[::-1], size)
-    prod = np.fft.irfft(fx * fq, size)
-    return prod[m - 1 : n]
+    fx = series_spectrum(x) if spectrum is None else spectrum
+    size = 2 * (fx.size - 1)
+    prod = np.fft.irfft(fx * np.fft.rfft(q[::-1], size), size)
+    return prod[q.size - 1 : x.size]
 
 
-def distance_profile_mass(ts, query) -> Profile:
+def distance_profile_mass(ts, query, stats=None, spectrum=None) -> Profile:
     """FFT-accelerated distance profile, identical contract to the naive one.
 
     d[i] = sqrt(2m * (1 - corr_i)) where corr_i is the Pearson correlation
@@ -158,15 +159,16 @@ def distance_profile_mass(ts, query) -> Profile:
     x = _as_values(ts)
     q = _check_query(x, query)
     m = q.size
-    stats = sliding_stats(x, m)
+    if stats is None:
+        stats = sliding_stats(x, m)
     flat_w = stats.stds < _flat_eps(stats.means)
     mu_q = float(q.mean())
     sd_q = float(q.std())
-    if sd_q < 1e-8 * max(1.0, abs(mu_q)):
+    if sd_q < _flat_eps(mu_q):
         # Flat query: distance is 0 to flat windows, sqrt(m) otherwise.
         d = np.where(flat_w, 0.0, np.sqrt(m))
         return Profile(values=d, feature_id=SHAPE, m=m)
-    qt = _sliding_dot_product(x, q - mu_q)
+    qt = _sliding_dot_product(x, q - mu_q, spectrum)
     denom = np.where(flat_w, 1.0, stats.stds) * (m * sd_q)
     corr = qt / denom
     d = np.sqrt(2.0 * m * np.clip(1.0 - corr, 0.0, 2.0))
@@ -177,17 +179,12 @@ def distance_profile_mass(ts, query) -> Profile:
         offsets = np.arange(m)
         for start in range(0, suspects.size, 4096):
             idx = suspects[start : start + 4096]
-            w = x[idx[:, None] + offsets]
-            mu = w.mean(axis=1)
-            sd = w.std(axis=1)
-            ok = sd >= _flat_eps(mu)
-            zw = (w - mu[:, None]) / np.where(ok, sd, 1.0)[:, None]
-            zw[~ok] = 0.0
+            zw = _znormalize_rows(x[idx[:, None] + offsets])
             d[idx] = np.sqrt(((zw - zq) ** 2).sum(axis=1))
     return Profile(values=d, feature_id=SHAPE, m=m)
 
 
-def complexity_profile(ts, m: int) -> Profile:
+def complexity_profile(ts, m: int, stats=None) -> Profile:
     """Complexity of each z-normalized window: sqrt(sum of squared diffs).
 
     Because diffs cancel the window mean, this reduces to the sliding sum
@@ -197,7 +194,8 @@ def complexity_profile(ts, m: int) -> Profile:
     x = _as_values(ts)
     if m < 2:
         raise TooShortError(f"complexity needs window >= 2, got {m}")
-    stats = sliding_stats(x, m)
+    if stats is None:
+        stats = sliding_stats(x, m)
     d2 = np.diff(x) ** 2
     c = np.empty(d2.size + 1)
     c[0] = 0.0
@@ -210,13 +208,14 @@ def complexity_profile(ts, m: int) -> Profile:
     return Profile(values=values, feature_id=COMPLEXITY, m=m)
 
 
-def sliding_feature_profile(ts, m: int, stat: str) -> Profile:
+def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> Profile:
     """Raw (non-normalized) mean or std per window.
 
     These capture the amplitude/offset signal that z-normalization
     deliberately removes.
     """
-    stats = sliding_stats(ts, m)
+    if stats is None:
+        stats = sliding_stats(ts, m)
     if stat == SLIDING_MEAN:
         return Profile(values=stats.means, feature_id=SLIDING_MEAN, m=m)
     if stat == SLIDING_STD:
@@ -224,7 +223,7 @@ def sliding_feature_profile(ts, m: int, stat: str) -> Profile:
     raise UnknownFeatureError(f"unknown sliding statistic {stat!r}")
 
 
-def generate_profile(ts, feature: FeatureSpec, m: int) -> Profile:
+def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None) -> Profile:
     """Dispatch to the kernel for `feature.kind`; output tagged with feature.id."""
     if feature.kind == SHAPE:
         if feature.query is None:
@@ -233,11 +232,11 @@ def generate_profile(ts, feature: FeatureSpec, m: int) -> Profile:
             raise BadParamsError(
                 f"shape feature {feature.id!r} query length {feature.query.size} != m={m}"
             )
-        prof = distance_profile_mass(ts, feature.query)
+        prof = distance_profile_mass(ts, feature.query, stats, spectrum)
     elif feature.kind == COMPLEXITY:
-        prof = complexity_profile(ts, m)
+        prof = complexity_profile(ts, m, stats)
     elif feature.kind in (SLIDING_MEAN, SLIDING_STD):
-        prof = sliding_feature_profile(ts, m, feature.kind)
+        prof = sliding_feature_profile(ts, m, feature.kind, stats)
     else:
         raise UnknownFeatureError(f"unknown feature kind {feature.kind!r}")
     return Profile(values=prof.values, feature_id=feature.id, m=m)

@@ -14,7 +14,6 @@ from shapefeat.core import (
     OverlapError,
     OutOfBoundsError,
     Region,
-    SubsequenceSpec,
     TimeSeries,
     UnknownFeatureError,
     validate_series,
@@ -49,15 +48,6 @@ def test_timeseries_equality_is_field_by_field():
     c = TimeSeries(values=[1.0, 2.5], sample_rate_hz=10.0, name="a")
     assert a == b
     assert a != c
-
-
-def test_subsequence_spec_bounds():
-    spec = SubsequenceSpec(start=2, length=3)
-    spec.check_within(5)
-    with pytest.raises(OutOfBoundsError):
-        SubsequenceSpec(start=3, length=3).check_within(5)
-    with pytest.raises(BadParamsError):
-        SubsequenceSpec(start=-1, length=3)
 
 
 def test_label_track_rejects_overlap():
@@ -107,10 +97,6 @@ def test_feature_spec_defaults_and_validation():
 def test_histogram_invariants():
     h = Histogram(edges=[0.0, 1.0, 2.0], counts=[3, 1])
     assert h.total == 4
-    assert h.bin_of(0.5) == 0
-    assert h.bin_of(2.0) == 1  # right edge closes the final bin
-    assert h.bin_of(2.5) == -1
-    assert h.density(0) == pytest.approx(3 / (4 * 1.0))
     with pytest.raises(BadParamsError):
         Histogram(edges=[0.0, 0.0, 1.0], counts=[1, 1])
     with pytest.raises(BadParamsError):

@@ -1,7 +1,15 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from shapefeat import cli, evaluate, model, profiles
 from shapefeat.core import (
+    COMPLEXITY,
+    SHAPE,
+    SLIDING_MEAN,
+    SLIDING_STD,
     AllZeroError,
     BadParamsError,
     ClassifierConfig,
@@ -18,6 +26,9 @@ from shapefeat.data import (
     gen_two_modality_dataset,
     noise_walk_instances,
     normals,
+    save_labels,
+    save_model,
+    save_series,
     uniforms,
 )
 from shapefeat.evaluate import (
@@ -227,6 +238,74 @@ class TestRocSweep:
         ]
         best = points[int(np.argmax(f1))]
         assert best.recall == 1.0
+
+
+FOUR_CLASS = {
+    "sine": (SHAPE, COMPLEXITY, SLIDING_STD),
+    "flat": (SHAPE, SLIDING_MEAN, SLIDING_STD),
+    "surge": (SHAPE, SLIDING_STD),
+    "hum": (COMPLEXITY, SLIDING_STD),
+}
+COUNTED = ("profiles.sliding_stats", "profiles.distance_profile_mass", "model.compute_probability")
+
+
+class TestScoreOnce:
+    """compare and roc score the series once, however many variants or weights."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("score-once")
+        params = TwoModalityParams(m=48, n_sine=6, n_flat=6, n_surge=4, n_hum=4)
+        train_b = gen_two_modality_dataset(params, 5)
+        test_b = gen_two_modality_dataset(params, 10_005)
+        specs = [
+            ClassSpec(name, 48, 47, tuple(FeatureSpec(kind=k) for k in kinds), prior=0.5)
+            for name, kinds in FOUR_CLASS.items()
+        ]
+        save_model(train(train_b.series, train_b.labels, specs), str(root / "model.sfcm"))
+        save_series(test_b.series, str(root / "test.txt"))
+        save_labels(test_b.labels, str(root / "test.csv"))
+        return root
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Wrap each counted function at every shapefeat module attribute bound to it."""
+        counts = Counter()
+        for name in COUNTED:
+            module, attr = name.split(".")
+            original = getattr(importlib.import_module(f"shapefeat.{module}"), attr)
+
+            def wrapper(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in (profiles, model, evaluate, cli):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        return counts
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare"],
+            ["roc", "--class", "sine", "--weights", "0.5,1,2,4,8"],
+            ["roc", "--class", "hum", "--weights", "0.5,2"],
+        ],
+    )
+    def test_one_scoring_pass(self, files, monkeypatch, tmp_path, command):
+        counts = self.count_calls(monkeypatch)
+        argv = [
+            *command, "--model", str(files / "model.sfcm"),
+            "--series", str(files / "test.txt"), "--labels", str(files / "test.csv"),
+            "--out", str(tmp_path / "out.csv"),
+        ]
+        assert cli.main(argv) == 0
+        assert counts == {
+            "profiles.sliding_stats": 1,
+            "profiles.distance_profile_mass": 3,
+            "model.compute_probability": 10,
+        }
 
 
 class TestLoocv:

@@ -27,6 +27,7 @@ from shapefeat.data import normals, uniforms
 from shapefeat.model import (
     ClassSpec,
     ProbabilityProfile,
+    _suppression_sweep,
     class_probabilities,
     classify,
     combine_naive_bayes,
@@ -104,6 +105,17 @@ class TestComputeProbability:
         assert probs[0] > 0.5
         assert probs[0] < probs[1] < probs[2]
         assert probs[2] > 0.99
+
+    def test_bin_edges_and_floor(self):
+        # pos densities: bin 0 is 3 / (4 * 1), bin 1 is 1 / (4 * 1); neg is 1 / (1 * 2).
+        pos = Histogram(edges=[0.0, 1.0, 2.0], counts=[3, 1])
+        neg = Histogram(edges=[0.0, 2.0], counts=[1])
+        out = compute_probability(pos, neg, profile_of([0.5, 2.0, 2.5])).values
+        assert out[0] == pytest.approx(0.75 / (0.75 + 0.5))
+        # The last edge closes the last bin.
+        assert out[1] == pytest.approx(0.25 / (0.25 + 0.5))
+        # Past the last edge both sides take their floor 1 / ((total + 1) * 2).
+        assert out[2] == pytest.approx(0.1 / (0.1 + 0.25))
 
     def test_values_always_in_unit_interval(self):
         pos = histogram_build(normals(1, 40))
@@ -439,6 +451,54 @@ class TestClassify:
             else:
                 pos += 1
         assert np.array_equal(track.label_codes, labels)
+
+
+def reference_sweep(table, zones, floor, stride):
+    """Per-position oracle: visit pos, pos + stride, ...; emit the argmax
+    class at or above the floor and jump max(stride, e + 1)."""
+    length = table.shape[1]
+    labels = np.full(length, -1)
+    scores = np.zeros(length)
+    pos = 0
+    while pos < length:
+        w = int(np.argmax(table[:, pos]))
+        scores[pos] = table[w, pos]
+        if table[w, pos] >= floor:
+            labels[pos] = w
+            pos += max(stride, zones[w] + 1)
+        else:
+            pos += stride
+    return labels, scores
+
+
+class TestSuppressionSweep:
+    def sweep(self, table, zones, floor, stride):
+        ids = tuple(f"c{k}" for k in range(table.shape[0]))
+        cfg = ClassifierConfig(decision_floor=floor, stride=stride)
+        return _suppression_sweep(ids, table, zones, cfg, 1, table.shape[1], None)
+
+    def test_matches_per_position_reference(self):
+        rng = np.random.default_rng(2024)
+        for case in range(1200):
+            table = rng.uniform(0.0, 2.0, size=(int(rng.integers(1, 5)), int(rng.integers(1, 80))))
+            if case % 2:  # quantized: ties between classes and values equal to the floor
+                table = np.round(table * 4) / 4
+            zones = [int(z) for z in rng.integers(0, 13, size=table.shape[0])]
+            floor = float(np.round(rng.uniform(0.0, 1.0) * 4) / 4) if case % 3 == 0 else float(rng.uniform())
+            stride = int(rng.integers(1, 10))
+            track = self.sweep(table, zones, floor, stride)
+            labels, scores = reference_sweep(table, zones, floor, stride)
+            assert np.array_equal(track.label_codes, labels), case
+            assert np.array_equal(track.scores, scores), case
+
+    def test_stride_longer_than_series(self):
+        table = np.full((2, 7), 0.75)
+        track = self.sweep(table, [0, 3], 0.5, 10**30)
+        labels, scores = reference_sweep(table, [0, 3], 0.5, 10**30)
+        assert np.array_equal(track.label_codes, labels)
+        assert np.array_equal(track.scores, scores)
+        assert track.label_codes.tolist() == [0, -1, -1, -1, -1, -1, -1]
+        assert track.stride == 10**30
 
 
 class TestArgmaxMonotonicity:

@@ -500,6 +500,12 @@ class TestSuppressionSweep:
         assert track.label_codes.tolist() == [0, -1, -1, -1, -1, -1, -1]
         assert track.stride == 10**30
 
+    def test_table_without_classes_detects_nothing(self):
+        # compare's shape-only or feature-only run of a single-modality model.
+        track = self.sweep(np.empty((0, 6)), [], 0.0, 1)
+        assert track.label_codes.tolist() == [-1] * 6
+        assert track.scores.tolist() == [0.0] * 6
+
 
 class TestArgmaxMonotonicity:
     def test_win_sets_grow_with_weight(self):

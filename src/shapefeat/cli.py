@@ -17,12 +17,10 @@ from .core import (
     NB_PAPER_LITERAL,
     NB_STANDARD,
     SHAPE,
-    BadParamsError,
     ClassifierConfig,
     DataError,
     FeatureSpec,
     ModelError,
-    ShapefeatError,
     TimeSeries,
 )
 from .evaluate import compare_variants, detection_frequency, metrics, mil_confusion, roc_sweep
@@ -68,38 +66,47 @@ def _parse_samples(value, sample_rate_hz: Optional[float], what: str) -> int:
             try:
                 quantity = float(text[: -len(suffix)])
             except ValueError:
-                raise BadParamsError(f"cannot parse {what} {text!r}")
+                raise DataError(f"cannot parse {what} {text!r}")
             if sample_rate_hz is None:
-                raise BadParamsError(
+                raise DataError(
                     f"{what} {text!r} needs a series with sample_rate_hz; "
                     "use a plain sample count instead"
                 )
             return int(round(quantity * seconds * sample_rate_hz))
-    raise BadParamsError(f"cannot parse {what} {text!r}")
+    raise DataError(f"cannot parse {what} {text!r}")
+
+
+def _convert(kind, value, what: str):
+    """`kind(value)` for kind int or float; a value it rejects is a DataError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise DataError(f"{what} must be {noun}, got {value!r}") from exc
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise BadParamsError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+        raise DataError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
 def _parse_feature(obj, m: int) -> FeatureSpec:
     if isinstance(obj, str):
         return FeatureSpec(kind=obj)
     if not isinstance(obj, dict):
-        raise BadParamsError(f"feature entries must be a kind or a mapping, got {obj!r}")
+        raise DataError(f"feature entries must be a kind or a mapping, got {obj!r}")
     _check_keys(obj, _FEATURE_KEYS, "feature")
     kind = obj.get("kind")
     if not kind:
-        raise BadParamsError("feature mapping needs a kind")
+        raise DataError("feature mapping needs a kind")
     query = None
     if "prototype" in obj and obj["prototype"] is not None:
         if kind != SHAPE:
-            raise BadParamsError(f"feature kind {kind!r} takes no prototype")
+            raise DataError(f"feature kind {kind!r} takes no prototype")
         proto = dataio.load_series(str(obj["prototype"]))
         if len(proto) != m:
-            raise BadParamsError(
+            raise DataError(
                 f"prototype {obj['prototype']!r} has length {len(proto)}, expected m={m}"
             )
         query = proto.values
@@ -109,47 +116,55 @@ def _parse_feature(obj, m: int) -> FeatureSpec:
 def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
     """Parse the YAML run config into (ClassifierConfig, [ClassSpec], seed)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise dataio.IoError(f"cannot read {path}: {exc}") from exc
+        doc = yaml.safe_load(dataio.read_file(path))
     except yaml.YAMLError as exc:
-        raise BadParamsError(f"bad config {path}: {exc}") from exc
+        raise DataError(f"bad config {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise BadParamsError(f"config {path} must be a mapping")
+        raise DataError(f"config {path} must be a mapping")
     _check_keys(doc, _TOP_KEYS, "config")
     thresholds = doc.get("thresholds") or {}
     if not isinstance(thresholds, dict):
-        raise BadParamsError("thresholds must map class names to weights")
+        raise DataError("thresholds must map class names to weights")
     cfg = ClassifierConfig(
-        thresholds={str(k): float(v) for k, v in thresholds.items()},
-        decision_floor=float(doc.get("decision_floor", 0.5)),
-        stride=int(doc.get("stride", 1)),
+        thresholds={
+            str(k): _convert(float, v, f"threshold for {k!r}") for k, v in thresholds.items()
+        },
+        decision_floor=_convert(float, doc.get("decision_floor", 0.5), "decision_floor"),
+        stride=_convert(int, doc.get("stride", 1), "stride"),
         nb_denominator=str(doc.get("nb_denominator", NB_STANDARD)),
         small_value_mode=str(doc.get("small_value_mode", FLOOR_UNION)),
     )
+    classes = doc.get("classes") or []
+    if not isinstance(classes, list):
+        raise DataError("classes must be a list of class entries")
     specs: List[ClassSpec] = []
-    for entry in doc.get("classes") or []:
+    for entry in classes:
         if not isinstance(entry, dict):
-            raise BadParamsError("each class entry must be a mapping")
+            raise DataError("each class entry must be a mapping")
         _check_keys(entry, _CLASS_KEYS, "class")
         for key in ("name", "m", "exclusion_zone", "features"):
             if key not in entry:
-                raise BadParamsError(f"class entry is missing {key!r}")
-        m = int(entry["m"])
+                raise DataError(f"class entry is missing {key!r}")
+        name = str(entry["name"])
+        if not isinstance(entry["features"], list):
+            raise DataError(f"features of class {name!r} must be a list")
+        m = _convert(int, entry["m"], f"m of class {name!r}")
+        prior = entry.get("prior")
+        if prior is not None:
+            prior = _convert(float, prior, f"prior of class {name!r}")
         specs.append(
             ClassSpec(
-                class_id=str(entry["name"]),
+                class_id=name,
                 m=m,
                 exclusion_zone=_parse_samples(
                     entry["exclusion_zone"], sample_rate_hz, "exclusion_zone"
                 ),
                 features=tuple(_parse_feature(f, m) for f in entry["features"]),
-                prior=None if entry.get("prior") is None else float(entry["prior"]),
+                prior=prior,
             )
         )
     seed = doc.get("seed")
-    return cfg, specs, (None if seed is None else int(seed))
+    return cfg, specs, (None if seed is None else _convert(int, seed, "seed"))
 
 
 def _apply_overrides(cfg: ClassifierConfig, args) -> ClassifierConfig:
@@ -157,8 +172,8 @@ def _apply_overrides(cfg: ClassifierConfig, args) -> ClassifierConfig:
     for item in getattr(args, "threshold", None) or []:
         name, _, value = item.partition("=")
         if not name or not value:
-            raise BadParamsError(f"--threshold expects class=weight, got {item!r}")
-        thresholds[name] = float(value)
+            raise DataError(f"--threshold expects class=weight, got {item!r}")
+        thresholds[name] = _convert(float, value, f"--threshold {name}")
     return ClassifierConfig(
         thresholds=thresholds,
         decision_floor=(
@@ -232,7 +247,7 @@ def cmd_synth(args) -> int:
             f"{len(bundle)} instances of length {args.length})"
         )
         return 0
-    raise BadParamsError(f"unknown synth kind {args.kind!r}")  # pragma: no cover
+    raise DataError(f"unknown synth kind {args.kind!r}")  # pragma: no cover
 
 
 def cmd_train(args) -> int:
@@ -240,7 +255,7 @@ def cmd_train(args) -> int:
     labels = dataio.load_labels(args.labels, len(series))
     _, specs, _ = load_run_config(args.config, series.sample_rate_hz)
     if not specs:
-        raise BadParamsError(f"config {args.config} defines no classes")
+        raise DataError(f"config {args.config} defines no classes")
     models = train(series, labels, specs)
     dataio.save_model(models, args.out)
     for spec, model in zip(specs, models):
@@ -321,9 +336,11 @@ def cmd_roc(args) -> int:
     series = dataio.load_series(args.series)
     bags = dataio.load_labels(args.labels, len(series))
     cfg = _classifier_config(args, series.sample_rate_hz)
-    weights = [float(w) for w in args.weights.split(",") if w.strip()]
+    weights = [
+        _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
+    ]
     if len(weights) < 2:
-        raise BadParamsError("need at least two weights")
+        raise DataError("need at least two weights")
     points = roc_sweep(models, series, bags, cfg, args.class_id, weights)
     rows = [
         f"{_fmt(pt.threshold_weight)},{_fmt(pt.precision)},{_fmt(pt.recall)},"
@@ -485,9 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ShapefeatError as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,6 @@
 """Domain types shared by all modules.
 
-Everything here is an immutable value object plus the error hierarchy.
+Everything here is an immutable value object plus the three error classes.
 Indices are 0-based throughout; label regions are half-open [start, end).
 """
 from __future__ import annotations
@@ -40,99 +40,21 @@ class ShapefeatError(Exception):
 
 
 class DataError(ShapefeatError):
-    """Invalid input data, file contents, or parameters."""
+    """Invalid input data, file contents or parameters (CLI exit code 2).
+
+    ``line`` is the 1-based line in the offending file and ``index`` the
+    0-based position of the offending item (a sample, or a region of a
+    LabelTrack), each when known. A known line prefixes the message.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None, index: Optional[int] = None):
+        self.line = line
+        self.index = index
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ModelError(ShapefeatError):
-    """Training or classification failure."""
-
-
-class EmptyInputError(DataError):
-    pass
-
-
-class NonFiniteError(DataError):
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"non-finite value at index {index}")
-
-
-class TooShortError(DataError):
-    pass
-
-
-class WindowTooLongError(DataError):
-    pass
-
-
-class ParseError(DataError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class OverlapError(DataError):
-    def __init__(self, line: int, message: str = ""):
-        self.line = line
-        super().__init__(message or f"line {line}: region overlaps the previous one")
-
-
-class OutOfBoundsError(DataError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class IoError(DataError):
-    pass
-
-
-class FileFormatError(DataError):
-    """Corrupt or truncated file."""
-
-
-class UnsupportedVersionError(DataError):
-    pass
-
-
-class BadParamsError(DataError):
-    pass
-
-
-class InsufficientInstancesError(DataError):
-    pass
-
-
-class LengthMismatchError(DataError):
-    pass
-
-
-class AllZeroError(DataError):
-    pass
-
-
-class TooFewError(DataError):
-    pass
-
-
-class NoInstancesError(ModelError):
-    pass
-
-
-class ModelMismatchError(ModelError):
-    pass
-
-
-class UnknownFeatureError(ModelError):
-    pass
-
-
-class EmptyLocalsError(ModelError):
-    pass
-
-
-class UnsatisfiableError(ModelError):
-    pass
+    """Training or classification failure (CLI exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +78,7 @@ class TimeSeries:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise BadParamsError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -172,12 +94,12 @@ class TimeSeries:
 
 
 def validate_series(ts: TimeSeries) -> None:
-    """Raise EmptyInputError / NonFiniteError unless all invariants hold."""
+    """Raise DataError unless the series is non-empty and finite."""
     if len(ts) < 1:
-        raise EmptyInputError("time series is empty")
+        raise DataError("time series is empty")
     bad = np.flatnonzero(~np.isfinite(ts.values))
     if bad.size:
-        raise NonFiniteError(int(bad[0]))
+        raise DataError(f"non-finite value at index {int(bad[0])}", index=int(bad[0]))
 
 
 @dataclass(frozen=True)
@@ -205,20 +127,19 @@ class LabelTrack:
         regions = tuple(self.regions)
         object.__setattr__(self, "regions", regions)
         if self.series_length < 0:
-            raise BadParamsError("series_length must be >= 0")
-        prev_end = None
-        prev_start = -1
-        for r in regions:
+            raise DataError("series_length must be >= 0")
+        prev = None
+        for k, r in enumerate(regions):
+            where = f"region [{r.start},{r.end})"
             if r.class_id == OTHER_CLASS:
-                raise BadParamsError(f"region [{r.start},{r.end}) carries reserved class {OTHER_CLASS}")
+                raise DataError(f"{where} carries reserved class {OTHER_CLASS}", index=k)
             if not (0 <= r.start < r.end <= self.series_length):
-                raise OutOfBoundsError(0, f"region [{r.start},{r.end}) outside [0,{self.series_length})")
-            if r.start < prev_start:
-                raise BadParamsError(f"region [{r.start},{r.end}) is out of order")
-            if prev_end is not None and r.start < prev_end:
-                raise OverlapError(0, f"region [{r.start},{r.end}) overlaps previous end {prev_end}")
-            prev_end = r.end
-            prev_start = r.start
+                raise DataError(f"{where} outside [0,{self.series_length})", index=k)
+            if prev is not None and r.start < prev.start:
+                raise DataError(f"{where} is out of order", index=k)
+            if prev is not None and r.start < prev.end:
+                raise DataError(f"{where} overlaps previous end {prev.end}", index=k)
+            prev = r
         vocab = list(dict.fromkeys(self.classes))
         for r in regions:
             if r.class_id not in vocab:
@@ -254,15 +175,16 @@ class FeatureSpec:
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
-            raise UnknownFeatureError(f"unknown feature kind {self.kind!r}")
+            raise DataError(f"unknown feature kind {self.kind!r}")
         if not self.id:
             object.__setattr__(self, "id", self.kind)
         if self.query is not None:
             if self.kind != SHAPE:
-                raise BadParamsError(f"feature kind {self.kind!r} takes no query")
+                raise DataError(f"feature kind {self.kind!r} takes no query")
             q = _frozen_array(self.query)
             if not np.all(np.isfinite(q)):
-                raise NonFiniteError(int(np.flatnonzero(~np.isfinite(q))[0]))
+                bad = int(np.flatnonzero(~np.isfinite(q))[0])
+                raise DataError(f"non-finite value at index {bad}", index=bad)
             object.__setattr__(self, "query", q)
 
     def __eq__(self, other) -> bool:
@@ -310,13 +232,13 @@ class Histogram:
         edges = _frozen_array(self.edges)
         counts = _frozen_array(self.counts, dtype=np.int64)
         if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
-            raise BadParamsError("histogram needs len(edges) == len(counts) + 1")
+            raise DataError("histogram needs len(edges) == len(counts) + 1")
         if counts.size < 1:
-            raise BadParamsError("histogram needs at least one bin")
+            raise DataError("histogram needs at least one bin")
         if np.any(np.diff(edges) <= 0):
-            raise BadParamsError("histogram edges must be strictly increasing")
+            raise DataError("histogram edges must be strictly increasing")
         if np.any(counts < 0):
-            raise BadParamsError("histogram counts must be non-negative")
+            raise DataError("histogram counts must be non-negative")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "counts", counts)
 
@@ -347,16 +269,16 @@ class ClassModel:
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
-            raise BadParamsError(f"class {self.class_id!r} has no features")
+            raise DataError(f"class {self.class_id!r} has no features")
         if self.exclusion_zone < 0:
-            raise BadParamsError("exclusion_zone must be >= 0")
+            raise DataError("exclusion_zone must be >= 0")
         if not (0.0 < self.prior < 1.0):
-            raise BadParamsError(f"prior must be in (0,1), got {self.prior}")
+            raise DataError(f"prior must be in (0,1), got {self.prior}")
         for spec, pos_hist, neg_hist in self.features:
             if pos_hist.total < 1 or neg_hist.total < 1:
-                raise BadParamsError(f"feature {spec.id!r} has an empty histogram")
+                raise DataError(f"feature {spec.id!r} has an empty histogram")
             if spec.kind == SHAPE and (spec.query is None or spec.query.size != self.m):
-                raise BadParamsError(f"shape feature {spec.id!r} needs a length-{self.m} query")
+                raise DataError(f"shape feature {spec.id!r} needs a length-{self.m} query")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassModel):
@@ -388,15 +310,15 @@ class ClassifierConfig:
         object.__setattr__(self, "thresholds", dict(self.thresholds))
         for cls, thr in self.thresholds.items():
             if not thr > 0:
-                raise BadParamsError(f"threshold for {cls!r} must be > 0, got {thr}")
+                raise DataError(f"threshold for {cls!r} must be > 0, got {thr}")
         if not (0.0 <= self.decision_floor <= 1.0):
-            raise BadParamsError(f"decision_floor must be in [0,1], got {self.decision_floor}")
+            raise DataError(f"decision_floor must be in [0,1], got {self.decision_floor}")
         if self.stride < 1:
-            raise BadParamsError(f"stride must be >= 1, got {self.stride}")
+            raise DataError(f"stride must be >= 1, got {self.stride}")
         if self.nb_denominator not in (NB_STANDARD, NB_PAPER_LITERAL):
-            raise BadParamsError(f"unknown nb_denominator {self.nb_denominator!r}")
+            raise DataError(f"unknown nb_denominator {self.nb_denominator!r}")
         if self.small_value_mode not in (FLOOR_UNION, FLOOR_OWN):
-            raise BadParamsError(f"unknown small_value_mode {self.small_value_mode!r}")
+            raise DataError(f"unknown small_value_mode {self.small_value_mode!r}")
 
     def threshold_for(self, class_id: str) -> float:
         return float(self.thresholds.get(class_id, 1.0))
@@ -425,7 +347,7 @@ class ConfusionMatrix:
     def __post_init__(self):
         for name in ("tp", "fp", "fn", "tn"):
             if getattr(self, name) < 0:
-                raise BadParamsError(f"{name} must be >= 0")
+                raise DataError(f"{name} must be >= 0")
 
     @property
     def total(self) -> int:

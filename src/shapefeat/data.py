@@ -21,6 +21,7 @@ File formats:
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -30,23 +31,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    OTHER_CLASS,
-    BadParamsError,
     ClassModel,
-    EmptyInputError,
+    DataError,
     FeatureSpec,
-    FileFormatError,
     Histogram,
-    InsufficientInstancesError,
-    IoError,
     LabelTrack,
-    NonFiniteError,
-    OutOfBoundsError,
-    OverlapError,
-    ParseError,
     Region,
     TimeSeries,
-    UnsupportedVersionError,
     validate_series,
 )
 from .model import PredictionTrack
@@ -119,14 +110,14 @@ def _shuffled(items: list, seed: int) -> list:
 def gen_random_noise(n: int, seed: int) -> TimeSeries:
     """iid standard normal draws."""
     if n < 1:
-        raise BadParamsError(f"n must be >= 1, got {n}")
+        raise DataError(f"n must be >= 1, got {n}")
     return TimeSeries(values=normals(seed, n), name=f"random-noise(seed={seed})")
 
 
 def gen_random_walk(n: int, seed: int) -> TimeSeries:
     """Cumulative sum of the noise stream for the same seed."""
     if n < 1:
-        raise BadParamsError(f"n must be >= 1, got {n}")
+        raise DataError(f"n must be >= 1, got {n}")
     return TimeSeries(values=np.cumsum(normals(seed, n)), name=f"random-walk(seed={seed})")
 
 
@@ -181,23 +172,23 @@ class TwoModalityParams:
 
     def __post_init__(self):
         if self.m < 4:
-            raise BadParamsError("m must be >= 4")
+            raise DataError("m must be >= 4")
         if min(self.n_sine, self.n_flat) < 1:
-            raise BadParamsError("need at least one sine and one flat region")
+            raise DataError("need at least one sine and one flat region")
         if min(self.n_surge, self.n_hum) < 0:
-            raise BadParamsError("region counts must be >= 0")
+            raise DataError("region counts must be >= 0")
         if self.region_len[0] < 1.5:
-            raise BadParamsError("regions must be at least 1.5 windows long")
+            raise DataError("regions must be at least 1.5 windows long")
         if self.gap_len[0] < 1.0:
-            raise BadParamsError("gaps must be at least one window long")
+            raise DataError("gaps must be at least one window long")
         if not (0.0 <= self.noise_level < 1.0):
-            raise BadParamsError("noise_level must be in [0, 1)")
+            raise DataError("noise_level must be in [0, 1)")
         if not (0.0 < self.hum_band[0] < self.hum_band[1] <= 0.5):
-            raise BadParamsError("hum_band must satisfy 0 < lo < hi <= 0.5")
+            raise DataError("hum_band must satisfy 0 < lo < hi <= 0.5")
         if not self.gap_std > 0:
-            raise BadParamsError("gap_std must be positive")
+            raise DataError("gap_std must be positive")
         if self.align < 1:
-            raise BadParamsError("align must be >= 1")
+            raise DataError("align must be >= 1")
 
 
 SINE_CLASS = "sine"
@@ -312,16 +303,12 @@ def build_gun_experiment(
     out: List[Tuple[np.ndarray, str]] = []
     for name, pool in ((GUN_CLASS, gun_instances), (NOGUN_CLASS, nogun_instances)):
         if len(pool) < n_per_class:
-            raise InsufficientInstancesError(
-                f"need {n_per_class} {name} instances, got {len(pool)}"
-            )
+            raise DataError(f"need {n_per_class} {name} instances, got {len(pool)}")
         arrs = []
         for inst in pool:
             a = np.asarray(inst, dtype=np.float64)
             if a.size < length:
-                raise InsufficientInstancesError(
-                    f"{name} instance of length {a.size} is shorter than {length}"
-                )
+                raise DataError(f"{name} instance of length {a.size} is shorter than {length}")
             arrs.append(a[:length])
         order = _shuffled(list(range(len(arrs))), derive_seed(seed, 10 if name == GUN_CLASS else 11))
         for idx in order[:n_per_class]:
@@ -335,6 +322,26 @@ def build_gun_experiment(
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
+
+def read_file(path: str, binary: bool = False):
+    """The whole file in one read: UTF-8 text, or bytes when `binary`."""
+    try:
+        if binary:
+            with open(path, "rb") as fh:
+                return fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _data_lines(raw: str):
+    """(1-based line number, stripped text) of every non-blank, non-comment line."""
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
 
 def atomic_write_text(path: str, text: str) -> None:
     _atomic_write(path, payload=text.encode("utf-8"))
@@ -358,7 +365,7 @@ def _atomic_write(path: str, payload: bytes = None, line_chunks=None) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def save_series(ts: TimeSeries, path: str) -> None:
@@ -382,15 +389,10 @@ def save_series(ts: TimeSeries, path: str) -> None:
 
 def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     name = ""
     rate: Optional[float] = None
     rows: List[str] = []
-    row_lines: Optional[List[int]] = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
         if not text:
@@ -407,39 +409,28 @@ def load_series(path: str) -> TimeSeries:
                     try:
                         rate = float(value)
                     except ValueError as exc:
-                        raise ParseError(lineno, f"bad sample_rate_hz {value!r}") from exc
+                        raise DataError(f"bad sample_rate_hz {value!r}", line=lineno) from exc
             continue
         rows.append(text)
     if not rows:
-        raise EmptyInputError(f"{path} holds no values")
+        raise DataError(f"{path} holds no values")
     try:
         values = np.asarray(rows, dtype=np.float64)
     except ValueError:
         values = None
     if values is None:
         # Slow path only to report the offending line.
-        data_index = 0
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for index, (lineno, text) in enumerate(_data_lines(raw)):
             try:
                 float(text)
             except ValueError as exc:
-                raise ParseError(lineno, f"not a number: {text!r}") from exc
-            data_index += 1
-        raise ParseError(0, "unparseable series")  # pragma: no cover
+                raise DataError(f"not a number: {text!r}", line=lineno, index=index) from exc
+        raise DataError(f"{path}: unparseable series")  # pragma: no cover
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        target = int(bad[0])
-        data_index = 0
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if data_index == target:
-                raise NonFiniteError(target, f"line {lineno}: non-finite value {text!r}")
-            data_index += 1
+        index = int(bad[0])
+        lineno, text = next(itertools.islice(_data_lines(raw), index, None))
+        raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
     ts = TimeSeries(values=values, sample_rate_hz=rate, name=name)
     validate_series(ts)
     return ts
@@ -452,42 +443,28 @@ def save_labels(track: LabelTrack, path: str) -> None:
 
 
 def load_labels(path: str, series_len: int) -> LabelTrack:
-    """Parse CSV region lines, validating order, overlap, and bounds."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    """Parse CSV region lines; LabelTrack checks order, overlap and bounds."""
     regions: List[Region] = []
-    prev_end = None
-    prev_start = -1
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    region_lines: List[int] = []
+    for lineno, text in _data_lines(read_file(path)):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
-            raise ParseError(lineno, f"expected start,end,class, got {text!r}")
+            raise DataError(f"expected start,end,class, got {text!r}", line=lineno)
         try:
             start = int(parts[0])
             end = int(parts[1])
         except ValueError as exc:
-            raise ParseError(lineno, f"bad region bounds in {text!r}") from exc
-        class_id = parts[2]
-        if not class_id:
-            raise ParseError(lineno, "empty class name")
-        if class_id == OTHER_CLASS:
-            raise ParseError(lineno, f"{OTHER_CLASS} is reserved for gaps")
-        if start < 0 or end > series_len or start >= end:
-            raise OutOfBoundsError(lineno, f"region [{start},{end}) outside [0,{series_len})")
-        if start < prev_start:
-            raise ParseError(lineno, f"region [{start},{end}) is out of order")
-        if prev_end is not None and start < prev_end:
-            raise OverlapError(lineno)
-        regions.append(Region(start=start, end=end, class_id=class_id))
-        prev_end = end
-        prev_start = start
-    return LabelTrack(series_length=series_len, regions=tuple(regions))
+            raise DataError(f"bad region bounds in {text!r}", line=lineno) from exc
+        if not parts[2]:
+            raise DataError("empty class name", line=lineno)
+        regions.append(Region(start=start, end=end, class_id=parts[2]))
+        region_lines.append(lineno)
+    try:
+        return LabelTrack(series_length=series_len, regions=tuple(regions))
+    except DataError as exc:
+        if exc.index is None:
+            raise
+        raise DataError(str(exc), line=region_lines[exc.index]) from exc
 
 
 def _hist_to_json(h: Histogram) -> dict:
@@ -526,16 +503,12 @@ def save_model(models: Sequence[ClassModel], path: str) -> None:
 
 
 def load_model(path: str) -> List[ClassModel]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    blob = read_file(path, binary=True)
     if len(blob) < len(MODEL_MAGIC) + 1 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise FileFormatError(f"{path} is not a model file")
+        raise DataError(f"{path} is not a model file")
     version = blob[len(MODEL_MAGIC)]
     if version != MODEL_VERSION:
-        raise UnsupportedVersionError(f"{path} has unsupported version {version}")
+        raise DataError(f"{path} has unsupported version {version}")
     try:
         payload = json.loads(blob[len(MODEL_MAGIC) + 1 :].decode("utf-8"))
         models = []
@@ -562,7 +535,7 @@ def load_model(path: str) -> List[ClassModel]:
                 )
             )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path} is corrupt: {exc}") from exc
+        raise DataError(f"{path} is corrupt: {exc}") from exc
     return models
 
 
@@ -582,11 +555,7 @@ def save_predictions(track: PredictionTrack, path: str) -> None:
 
 
 def load_predictions(path: str) -> PredictionTrack:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     meta = {}
     rows: List[Tuple[int, str, float]] = []
     saw_header = False
@@ -601,33 +570,38 @@ def load_predictions(path: str) -> PredictionTrack:
             continue
         if not saw_header:
             if text != "position,class,score":
-                raise ParseError(lineno, f"expected prediction header, got {text!r}")
+                raise DataError(f"expected prediction header, got {text!r}", line=lineno)
             saw_header = True
             continue
         parts = text.split(",")
         if len(parts) != 3:
-            raise ParseError(lineno, f"expected position,class,score, got {text!r}")
+            raise DataError(f"expected position,class,score, got {text!r}", line=lineno)
         try:
             rows.append((int(parts[0]), parts[1], float(parts[2])))
         except ValueError as exc:
-            raise ParseError(lineno, f"bad prediction row {text!r}") from exc
+            raise DataError(f"bad prediction row {text!r}", line=lineno) from exc
     try:
         series_length = int(meta["series_length"])
         m = int(meta["m"])
         stride = int(meta["stride"])
         class_ids = tuple(c for c in meta["classes"].split(",") if c)
+        rate = float(meta["sample_rate_hz"]) if "sample_rate_hz" in meta else None
     except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"{path} is missing prediction metadata: {exc}") from exc
-    rate = float(meta["sample_rate_hz"]) if "sample_rate_hz" in meta else None
+        raise DataError(f"{path} has missing or bad prediction metadata: {exc}") from exc
+    if m < 1 or series_length < m or stride < 1:
+        raise DataError(
+            f"{path}: prediction header needs 1 <= m <= series_length and stride >= 1, "
+            f"got series_length={series_length}, m={m}, stride={stride}"
+        )
     length = series_length - m + 1
     codes = np.full(length, -1, dtype=np.int32)
     scores = np.zeros(length)
     index = {c: i for i, c in enumerate(class_ids)}
     for pos, cls, score in rows:
         if not (0 <= pos < length):
-            raise FileFormatError(f"{path}: position {pos} outside [0,{length})")
+            raise DataError(f"{path}: position {pos} outside [0,{length})")
         if cls not in index:
-            raise FileFormatError(f"{path}: unknown class {cls!r}")
+            raise DataError(f"{path}: unknown class {cls!r}")
         codes[pos] = index[cls]
         scores[pos] = score
     return PredictionTrack(
@@ -643,22 +617,14 @@ def load_predictions(path: str) -> PredictionTrack:
 
 def load_ucr_instances(path: str) -> List[Tuple[str, np.ndarray]]:
     """Parse UCR-style instance files: label then values, CSV/TSV/whitespace."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     out: List[Tuple[str, np.ndarray]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _data_lines(read_file(path)):
         if "," in text:
             parts = [p for p in text.split(",") if p.strip()]
         else:
             parts = text.split()
         if len(parts) < 2:
-            raise ParseError(lineno, f"expected label and values, got {text!r}")
+            raise DataError(f"expected label and values, got {text!r}", line=lineno)
         label = parts[0].strip()
         try:
             label_f = float(label)
@@ -668,12 +634,12 @@ def load_ucr_instances(path: str) -> List[Tuple[str, np.ndarray]]:
         try:
             values = np.asarray(parts[1:], dtype=np.float64)
         except ValueError as exc:
-            raise ParseError(lineno, f"bad value in instance: {exc}") from exc
+            raise DataError(f"bad value in instance: {exc}", line=lineno) from exc
         if not np.all(np.isfinite(values)):
-            raise NonFiniteError(lineno, f"line {lineno}: non-finite instance value")
+            raise DataError("non-finite instance value", line=lineno)
         out.append((label, values))
     if not out:
-        raise EmptyInputError(f"{path} holds no instances")
+        raise DataError(f"{path} holds no instances")
     return out
 
 

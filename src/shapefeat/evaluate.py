@@ -14,16 +14,13 @@ import numpy as np
 
 from .core import (
     SHAPE,
-    AllZeroError,
-    BadParamsError,
     ClassifierConfig,
     ClassModel,
     ConfusionMatrix,
+    DataError,
     LabelTrack,
-    LengthMismatchError,
+    ModelError,
     TimeSeries,
-    TooFewError,
-    UnsatisfiableError,
 )
 from .model import PredictionTrack, score_locals, sweep, weighted_table
 from .profiles import znormalize
@@ -54,7 +51,7 @@ def mil_confusion(predictions: PredictionTrack, bags: LabelTrack, class_id: str)
     class score fp/tn; detections in unlabeled gaps are ignored.
     """
     if predictions.series_length != bags.series_length:
-        raise LengthMismatchError(
+        raise DataError(
             f"predictions cover a series of length {predictions.series_length}, "
             f"labels one of length {bags.series_length}"
         )
@@ -64,28 +61,23 @@ def mil_confusion(predictions: PredictionTrack, bags: LabelTrack, class_id: str)
     except ValueError:
         code = -2  # class never predicted
     hits = np.flatnonzero(predictions.label_codes == code)
-    tp = fp = fn = tn = 0
-    for bag in bags.regions:
-        lo = np.searchsorted(hits, bag.start, side="left")
-        hi = np.searchsorted(hits, min(bag.end, length), side="left")
-        hit = hi > lo
-        if bag.class_id == class_id:
-            if hit:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if hit:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    regions = bags.regions
+    starts = np.fromiter((r.start for r in regions), dtype=np.int64, count=len(regions))
+    ends = np.fromiter((min(r.end, length) for r in regions), dtype=np.int64, count=len(regions))
+    hit = np.searchsorted(hits, ends) > np.searchsorted(hits, starts)
+    own = np.fromiter((r.class_id == class_id for r in regions), dtype=bool, count=len(regions))
+    return ConfusionMatrix(
+        tp=int(np.count_nonzero(hit & own)),
+        fp=int(np.count_nonzero(hit & ~own)),
+        fn=int(np.count_nonzero(~hit & own)),
+        tn=int(np.count_nonzero(~hit & ~own)),
+    )
 
 
 def metrics(cm: ConfusionMatrix) -> Tuple[float, float, float]:
     """(precision, recall, accuracy) with 0/0 ratios defined as 1."""
     if cm.total == 0:
-        raise AllZeroError("confusion matrix holds no bags")
+        raise DataError("confusion matrix holds no bags")
     precision = 1.0 if cm.tp + cm.fp == 0 else cm.tp / (cm.tp + cm.fp)
     recall = 1.0 if cm.tp + cm.fn == 0 else cm.tp / (cm.tp + cm.fn)
     accuracy = (cm.tp + cm.tn) / cm.total
@@ -107,7 +99,7 @@ def compare_variants(
     All three runs re-combine one scoring pass.
     """
     if not models:
-        raise UnsatisfiableError("no models to compare")
+        raise ModelError("no models to compare")
     scores = score_locals(models, test, cfg.small_value_mode)
     buffer = np.empty((len(models), scores.values.shape[1]))
     variants = [
@@ -138,13 +130,13 @@ def roc_sweep(
     the combined table and re-runs the sweep.
     """
     if not weights:
-        raise BadParamsError("need at least one weight")
+        raise DataError("need at least one weight")
     prev = None
     for w in weights:
         if not w > 0:
-            raise BadParamsError(f"weights must be positive, got {w}")
+            raise DataError(f"weights must be positive, got {w}")
         if prev is not None and w < prev:
-            raise BadParamsError("weights must be sorted ascending")
+            raise DataError("weights must be sorted ascending")
         prev = w
     scores = score_locals(models, test, cfg.small_value_mode)
     # At weight 1 the swept row is the class's unweighted combined probability.
@@ -200,11 +192,11 @@ def nearest_neighbor_predictions(
 ) -> List[str]:
     """Leave-one-out 1NN predictions, ties to the lower original index."""
     if len(instances) < 2:
-        raise TooFewError("need at least two instances")
+        raise DataError("need at least two instances")
     length = np.asarray(instances[0][0]).size
     for values, _ in instances:
         if np.asarray(values).size != length:
-            raise LengthMismatchError("instances must share one length")
+            raise DataError("instances must share one length")
     z = np.stack([znormalize(np.asarray(values, dtype=np.float64)) for values, _ in instances])
     if metric == ZNORM_ED:
         sq = (z * z).sum(axis=1)
@@ -214,7 +206,7 @@ def nearest_neighbor_predictions(
         ce = np.array([_complexity_of(row) for row in z])
         d = np.abs(ce[:, None] - ce[None, :])
     else:
-        raise BadParamsError(f"unknown metric {metric!r}")
+        raise DataError(f"unknown metric {metric!r}")
     np.fill_diagonal(d, np.inf)
     nn = np.argmin(d, axis=1)  # first minimum = lowest index on ties
     return [instances[int(j)][1] for j in nn]
@@ -250,9 +242,9 @@ def oracle_confusion(
 ) -> float:
     """Error rate of the oracle combiner: wrong only when both inputs are wrong."""
     if len(pred_a) != len(truth) or len(pred_b) != len(truth):
-        raise LengthMismatchError("prediction and truth lengths differ")
+        raise DataError("prediction and truth lengths differ")
     if not truth:
-        raise TooFewError("need at least one instance")
+        raise DataError("need at least one instance")
     wrong = sum(1 for a, b, t in zip(pred_a, pred_b, truth) if a != t and b != t)
     return wrong / len(truth)
 
@@ -265,16 +257,16 @@ def detection_frequency(
 ) -> List[Tuple[int, int]]:
     """Count of class detections per sliding window of `window` samples."""
     if window < 1 or step < 1:
-        raise BadParamsError("window and step must be >= 1")
+        raise DataError("window and step must be >= 1")
     try:
         code = predictions.class_ids.index(class_id)
     except ValueError:
         code = -2
     hits = np.flatnonzero(predictions.label_codes == code)
     length = len(predictions)
-    out = []
-    for start in range(0, length, step):
-        lo = np.searchsorted(hits, start, side="left")
-        hi = np.searchsorted(hits, min(start + window, length), side="left")
-        out.append((start, int(hi - lo)))
-    return out
+    # Clamped so a huge window or step cannot overflow int64; counts are unchanged.
+    starts = np.arange(0, length, max(1, min(step, length)))
+    ends = starts + min(window, length)
+    np.minimum(ends, length, out=ends)
+    counts = np.searchsorted(hits, ends) - np.searchsorted(hits, starts)
+    return list(zip(starts.tolist(), counts.tolist()))

@@ -20,16 +20,13 @@ from .core import (
     NB_STANDARD,
     OTHER_CLASS,
     SHAPE,
-    BadParamsError,
     ClassModel,
     ClassifierConfig,
-    EmptyInputError,
-    EmptyLocalsError,
+    DataError,
     FeatureSpec,
     Histogram,
     LabelTrack,
-    ModelMismatchError,
-    NoInstancesError,
+    ModelError,
     Profile,
     TimeSeries,
 )
@@ -50,7 +47,7 @@ class ProbabilityProfile:
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise BadParamsError("probability values must lie in [0, 1]")
+            raise DataError("probability values must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -98,9 +95,9 @@ def histogram_build(values) -> Histogram:
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
-        raise EmptyInputError("cannot build a histogram from no values")
+        raise DataError("cannot build a histogram from no values")
     if not np.all(np.isfinite(v)):
-        raise BadParamsError("histogram values must be finite")
+        raise DataError("histogram values must be finite")
     lo = float(v.min())
     hi = float(v.max())
     if hi == lo:
@@ -171,21 +168,21 @@ def combine_naive_bayes(
     result is clamped to [0, 1].
     """
     if not locals_:
-        raise EmptyLocalsError("need at least one local probability profile")
+        raise ModelError("need at least one local probability profile")
     if not (0.0 < prior < 1.0):
-        raise BadParamsError(f"prior must be in (0,1), got {prior}")
+        raise DataError(f"prior must be in (0,1), got {prior}")
     values = [getattr(loc, "values", loc) for loc in locals_]
     length = len(values[0])
     for v in values[1:]:
         if len(v) != length:
-            raise BadParamsError("local profiles must share one length")
+            raise DataError("local profiles must share one length")
     prod = np.ones(length)
     for v in values:
         prod *= np.maximum(v, EPS_PROB)
     k = len(locals_)
     denom = prior ** (k - 1) if mode == NB_STANDARD else prior
     if mode not in (NB_STANDARD, NB_PAPER_LITERAL):
-        raise BadParamsError(f"unknown nb_denominator {mode!r}")
+        raise DataError(f"unknown nb_denominator {mode!r}")
     combined = np.clip(prod / denom, 0.0, 1.0)
     return ProbabilityProfile(
         values=combined, class_id=getattr(locals_[0], "class_id", ""), feature_id="combined"
@@ -207,7 +204,7 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
         if r.end - r.start >= m:
             starts.extend(range(r.start, r.end - m + 1, step))
     if not starts:
-        raise NoInstancesError(
+        raise ModelError(
             f"no labeled region of class {class_id!r} holds a length-{m} subsequence"
         )
     if len(starts) == 1:
@@ -247,11 +244,11 @@ def compute_distributions(
     """
     n = len(train)
     if m > n:
-        raise BadParamsError(f"subsequence length {m} exceeds series length {n}")
+        raise DataError(f"subsequence length {m} exceeds series length {n}")
     length = n - m + 1
     regions = labels.class_regions(class_id)
     if not regions:
-        raise NoInstancesError(f"no labeled regions of class {class_id!r}")
+        raise ModelError(f"no labeled regions of class {class_id!r}")
     touch = np.zeros(length, dtype=bool)
     if exclusion_zone > 0:
         for r in regions:
@@ -276,15 +273,13 @@ def compute_distributions(
                     p_list.append(float(v[i]))
                     break
         if not p_list:
-            raise NoInstancesError(
+            raise ModelError(
                 f"no snippet claims a region of class {class_id!r} "
                 f"(exclusion_zone={exclusion_zone})"
             )
         n_values = v[~touch]
         if n_values.size == 0:
-            raise NoInstancesError(
-                f"class {class_id!r} labels leave no non-class snippets"
-            )
+            raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
         out.append((histogram_build(np.asarray(p_list)), histogram_build(n_values)))
     return out
 
@@ -302,11 +297,11 @@ class ClassSpec:
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         if self.class_id == OTHER_CLASS:
-            raise BadParamsError(f"{OTHER_CLASS} is reserved and cannot be trained")
+            raise DataError(f"{OTHER_CLASS} is reserved and cannot be trained")
         if not self.features:
-            raise BadParamsError(f"class {self.class_id!r} requests no features")
+            raise DataError(f"class {self.class_id!r} requests no features")
         if self.prior is not None and not (0.0 < self.prior < 1.0):
-            raise BadParamsError(f"prior must be in (0,1), got {self.prior}")
+            raise DataError(f"prior must be in (0,1), got {self.prior}")
 
 
 def train(
@@ -329,12 +324,9 @@ def train(
                 query = select_prototype(train_series, labels, spec.class_id, spec.m)
                 f = FeatureSpec(kind=SHAPE, id=f.id, query=query)
             resolved.append(f)
-        try:
-            dists = compute_distributions(
-                train_series, labels, spec.class_id, resolved, spec.m, spec.exclusion_zone
-            )
-        except NoInstancesError as exc:
-            raise NoInstancesError(f"class {spec.class_id!r}: {exc}") from exc
+        dists = compute_distributions(
+            train_series, labels, spec.class_id, resolved, spec.m, spec.exclusion_zone
+        )
         length = n - spec.m + 1
         if spec.prior is not None:
             prior = spec.prior
@@ -357,17 +349,17 @@ def train(
 
 def _check_models(models: Sequence[ClassModel]) -> int:
     if not models:
-        raise ModelMismatchError("no models given")
+        raise ModelError("no models given")
     m = models[0].m
     for mo in models[1:]:
         if mo.m != m:
-            raise ModelMismatchError(
+            raise ModelError(
                 f"all models must share one subsequence length; got {m} and {mo.m}"
             )
     seen = set()
     for mo in models:
         if mo.class_id in seen:
-            raise ModelMismatchError(f"duplicate model for class {mo.class_id!r}")
+            raise ModelError(f"duplicate model for class {mo.class_id!r}")
         seen.add(mo.class_id)
     return m
 
@@ -393,7 +385,7 @@ def score_locals(
     """
     m = _check_models(models)
     if len(test) < m:
-        raise ModelMismatchError(f"test series of length {len(test)} is shorter than m={m}")
+        raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
     values = np.empty((len(locals_), len(test) - m + 1))
     stats = sliding_stats(test, m)

@@ -20,13 +20,10 @@ from .core import (
     SHAPE,
     SLIDING_MEAN,
     SLIDING_STD,
-    BadParamsError,
+    DataError,
     FeatureSpec,
     Profile,
     TimeSeries,
-    TooShortError,
-    UnknownFeatureError,
-    WindowTooLongError,
 )
 
 
@@ -62,7 +59,7 @@ def znormalize(x) -> np.ndarray:
     """Shift to mean 0 and scale to population std 1 (flat input: zeros)."""
     x = _as_values(x)
     if x.size < 2:
-        raise TooShortError(f"need at least 2 samples to z-normalize, got {x.size}")
+        raise DataError(f"need at least 2 samples to z-normalize, got {x.size}")
     return _znormalize_rows(x)
 
 
@@ -78,9 +75,9 @@ def sliding_stats(ts, m: int) -> SlidingStats:
     x = _as_values(ts)
     n = x.size
     if m > n:
-        raise WindowTooLongError(f"window {m} exceeds series length {n}")
+        raise DataError(f"window {m} exceeds series length {n}")
     if m < 1:
-        raise BadParamsError(f"window must be >= 1, got {m}")
+        raise DataError(f"window must be >= 1, got {m}")
     if m == 1:
         return SlidingStats(means=x.copy(), stds=np.zeros(n))
     shift = float(x.mean())
@@ -109,11 +106,11 @@ def sliding_stats(ts, m: int) -> SlidingStats:
 def _check_query(x: np.ndarray, query) -> np.ndarray:
     q = _as_values(query)
     if q.size < 2:
-        raise TooShortError(f"query must have at least 2 samples, got {q.size}")
+        raise DataError(f"query must have at least 2 samples, got {q.size}")
     if q.size > x.size:
-        raise WindowTooLongError(f"query length {q.size} exceeds series length {x.size}")
+        raise DataError(f"query length {q.size} exceeds series length {x.size}")
     if not np.all(np.isfinite(q)):
-        raise BadParamsError("query contains non-finite values")
+        raise DataError("query contains non-finite values")
     return q
 
 
@@ -193,7 +190,7 @@ def complexity_profile(ts, m: int, stats=None) -> Profile:
     """
     x = _as_values(ts)
     if m < 2:
-        raise TooShortError(f"complexity needs window >= 2, got {m}")
+        raise DataError(f"complexity needs window >= 2, got {m}")
     if stats is None:
         stats = sliding_stats(x, m)
     d2 = np.diff(x) ** 2
@@ -220,16 +217,16 @@ def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> Profile:
         return Profile(values=stats.means, feature_id=SLIDING_MEAN, m=m)
     if stat == SLIDING_STD:
         return Profile(values=stats.stds, feature_id=SLIDING_STD, m=m)
-    raise UnknownFeatureError(f"unknown sliding statistic {stat!r}")
+    raise DataError(f"unknown sliding statistic {stat!r}")
 
 
 def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None) -> Profile:
     """Dispatch to the kernel for `feature.kind`; output tagged with feature.id."""
     if feature.kind == SHAPE:
         if feature.query is None:
-            raise BadParamsError(f"shape feature {feature.id!r} has no query")
+            raise DataError(f"shape feature {feature.id!r} has no query")
         if feature.query.size != m:
-            raise BadParamsError(
+            raise DataError(
                 f"shape feature {feature.id!r} query length {feature.query.size} != m={m}"
             )
         prof = distance_profile_mass(ts, feature.query, stats, spectrum)
@@ -238,5 +235,5 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
     elif feature.kind in (SLIDING_MEAN, SLIDING_STD):
         prof = sliding_feature_profile(ts, m, feature.kind, stats)
     else:
-        raise UnknownFeatureError(f"unknown feature kind {feature.kind!r}")
+        raise DataError(f"unknown feature kind {feature.kind!r}")
     return Profile(values=prof.values, feature_id=feature.id, m=m)

@@ -454,3 +454,97 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "bogus_key" in err
+
+
+def _prediction_file(series_length, m, stride, rate=""):
+    rate_line = f"# sample_rate_hz: {rate}\n" if rate else ""
+    return (
+        f"# series_length: {series_length}\n# m: {m}\n# stride: {stride}\n# classes: a\n"
+        f"{rate_line}position,class,score\n"
+    )
+
+
+# Malformed inputs written into the workspace; "@name" in an argv is the
+# workspace file of that name.
+BAD_INPUT_FILES = {
+    "floor.yaml": "decision_floor: abc\n",
+    "thresholds.yaml": "thresholds: {sine: abc}\n",
+    "classes.yaml": "classes: 5\n",
+    "m.yaml": CONFIG.replace("m: 64", "m: sixty", 1),
+    "features.yaml": CONFIG.replace("features: [shape, sliding_std]", "features: shape", 1),
+    "sliding_sd.yaml": CONFIG.replace("sliding_std", "sliding_sd", 1),
+    "m-over-length.csv": _prediction_file(10, 20, 1),
+    "m-zero.csv": _prediction_file(10, 0, 1),
+    "stride-zero.csv": _prediction_file(1003, 4, 0),
+    "bad-rate.csv": _prediction_file(1003, 4, 1, rate="abc"),
+}
+
+_CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
+_TRAIN = ["train", "--series", "@train.txt", "--labels", "@train-labels.csv"]
+_FREQ = ["freq", "--class", "a", "--window", "5", "--step", "5", "--predictions"]
+
+# (argv, expected exit code, stderr fragment); every argv gets "--out".
+BAD_INPUT_CASES = {
+    "threshold-flag": (
+        [*_CLASSIFY, "--threshold", "sine=abc"], 2, "--threshold sine must be a number"
+    ),
+    "roc-weights": (
+        ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
+         "--labels", "@test-labels.csv", "--class", "sine", "--weights", "1,abc"],
+        2, "--weights entry must be a number, got 'abc'",
+    ),
+    "decision-floor": (
+        [*_CLASSIFY, "--config", "@floor.yaml"], 2, "decision_floor must be a number"
+    ),
+    "thresholds": (
+        [*_CLASSIFY, "--config", "@thresholds.yaml"], 2,
+        "threshold for 'sine' must be a number",
+    ),
+    "m": ([*_TRAIN, "--config", "@m.yaml"], 2, "m of class 'sine' must be an integer"),
+    "classes": ([*_TRAIN, "--config", "@classes.yaml"], 2, "classes must be a list"),
+    "features": (
+        [*_TRAIN, "--config", "@features.yaml"], 2, "features of class 'sine' must be a list"
+    ),
+    "config-feature-kind": (
+        [*_TRAIN, "--config", "@sliding_sd.yaml"], 2, "unknown feature kind 'sliding_sd'"
+    ),
+    "model-feature-kind": (
+        ["classify", "--model", "@bogus.sfcm", "--series", "@test.txt"], 2,
+        "unknown feature kind 'bogus'",
+    ),
+    "predictions-m-over-length": (
+        [*_FREQ, "@m-over-length.csv"], 2, "got series_length=10, m=20, stride=1"
+    ),
+    "predictions-m-zero": ([*_FREQ, "@m-zero.csv"], 2, "m=0"),
+    "predictions-stride-zero": ([*_FREQ, "@stride-zero.csv"], 2, "stride=0"),
+    "predictions-rate": ([*_FREQ, "@bad-rate.csv"], 2, "bad-rate.csv has missing or bad"),
+}
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(workspace):
+    """The workspace plus every malformed input, and a model with a bogus kind."""
+    for name, text in BAD_INPUT_FILES.items():
+        (workspace / name).write_text(text)
+    model = (workspace / "model.sfcm").read_bytes()
+    assert b'"kind":"sliding_std"' in model
+    (workspace / "bogus.sfcm").write_bytes(
+        model.replace(b'"kind":"sliding_std"', b'"kind":"bogus"')
+    )
+    return workspace
+
+
+class TestBadInputExitCodes:
+    """Bad values in flags, configs, model files and prediction headers exit
+    with the documented code and a message, never with a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+    def test_exit_code_and_message(self, case, bad_inputs, tmp_path):
+        argv, expected, fragment = BAD_INPUT_CASES[case]
+        out = tmp_path / "out"
+        argv = [str(bad_inputs / a[1:]) if a.startswith("@") else a for a in argv]
+        code, _, err = run_cli(*argv, "--out", str(out))
+        assert code == expected, err
+        assert fragment in err
+        assert "Traceback" not in err
+        assert not out.exists()

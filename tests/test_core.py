@@ -3,19 +3,14 @@ import pytest
 
 from shapefeat.core import (
     OTHER_CLASS,
-    BadParamsError,
     ClassifierConfig,
     ConfusionMatrix,
-    EmptyInputError,
+    DataError,
     FeatureSpec,
     Histogram,
     LabelTrack,
-    NonFiniteError,
-    OverlapError,
-    OutOfBoundsError,
     Region,
     TimeSeries,
-    UnknownFeatureError,
     validate_series,
 )
 
@@ -26,13 +21,14 @@ def test_validate_series_ok():
 
 def test_validate_series_non_finite_reports_index():
     ts = TimeSeries(values=[1.0, np.nan])
-    with pytest.raises(NonFiniteError) as err:
+    with pytest.raises(DataError, match="non-finite value at index 1") as err:
         validate_series(ts)
     assert err.value.index == 1
+    assert err.value.line is None
 
 
 def test_validate_series_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(DataError, match="time series is empty"):
         validate_series(TimeSeries(values=[]))
 
 
@@ -51,29 +47,35 @@ def test_timeseries_equality_is_field_by_field():
 
 
 def test_label_track_rejects_overlap():
-    with pytest.raises(OverlapError):
+    with pytest.raises(DataError, match=r"region \[50,200\) overlaps previous end 100") as err:
         LabelTrack(
             series_length=300,
             regions=(Region(0, 100, "a"), Region(50, 200, "b")),
         )
+    assert err.value.index == 1
+    assert err.value.line is None
 
 
 def test_label_track_rejects_out_of_order():
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="out of order") as err:
         LabelTrack(
             series_length=300,
             regions=(Region(100, 150, "a"), Region(0, 50, "b")),
         )
+    assert err.value.index == 1
 
 
 def test_label_track_rejects_reserved_class():
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match=f"carries reserved class {OTHER_CLASS}") as err:
         LabelTrack(series_length=10, regions=(Region(0, 5, OTHER_CLASS),))
+    assert err.value.index == 0
 
 
 def test_label_track_rejects_out_of_bounds():
-    with pytest.raises(OutOfBoundsError):
+    with pytest.raises(DataError, match=r"region \[5,11\) outside \[0,10\)") as err:
         LabelTrack(series_length=10, regions=(Region(5, 11, "a"),))
+    assert err.value.index == 0
+    assert not str(err.value).startswith("line")
 
 
 def test_label_track_vocabulary_includes_other():
@@ -86,9 +88,9 @@ def test_label_track_vocabulary_includes_other():
 def test_feature_spec_defaults_and_validation():
     spec = FeatureSpec(kind="complexity")
     assert spec.id == "complexity"
-    with pytest.raises(UnknownFeatureError):
+    with pytest.raises(DataError, match="unknown feature kind 'wavelet'"):
         FeatureSpec(kind="wavelet")
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="takes no query"):
         FeatureSpec(kind="sliding_std", query=np.ones(4))
     shape = FeatureSpec(kind="shape", query=[1.0, 2.0, 3.0])
     assert shape.query.shape == (3,)
@@ -97,11 +99,11 @@ def test_feature_spec_defaults_and_validation():
 def test_histogram_invariants():
     h = Histogram(edges=[0.0, 1.0, 2.0], counts=[3, 1])
     assert h.total == 4
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="strictly increasing"):
         Histogram(edges=[0.0, 0.0, 1.0], counts=[1, 1])
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match=r"len\(edges\) == len\(counts\) \+ 1"):
         Histogram(edges=[0.0, 1.0], counts=[1, 1])
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="non-negative"):
         Histogram(edges=[0.0, 1.0, 2.0], counts=[1, -1])
 
 
@@ -109,20 +111,20 @@ def test_classifier_config_validation():
     cfg = ClassifierConfig(thresholds={"a": 2.0})
     assert cfg.threshold_for("a") == 2.0
     assert cfg.threshold_for("missing") == 1.0
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="threshold for 'a' must be > 0"):
         ClassifierConfig(thresholds={"a": 0.0})
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match=r"decision_floor must be in \[0,1\]"):
         ClassifierConfig(decision_floor=1.5)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="stride must be >= 1"):
         ClassifierConfig(stride=0)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="unknown nb_denominator 'bayes'"):
         ClassifierConfig(nb_denominator="bayes")
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="unknown small_value_mode 'none'"):
         ClassifierConfig(small_value_mode="none")
 
 
 def test_confusion_matrix_counts():
     cm = ConfusionMatrix(tp=1, fp=2, fn=3, tn=4)
     assert cm.total == 10
-    with pytest.raises(BadParamsError):
+    with pytest.raises(DataError, match="tp must be >= 0"):
         ConfusionMatrix(tp=-1)

@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from shapefeat.core import (
-    BadParamsError,
-    EmptyInputError,
-    FileFormatError,
-    InsufficientInstancesError,
-    IoError,
-    NonFiniteError,
-    OutOfBoundsError,
-    OverlapError,
-    ParseError,
-    Region,
-    TimeSeries,
-    UnsupportedVersionError,
-)
+from shapefeat.core import DataError, Region, TimeSeries
 from shapefeat.data import (
     MODEL_MAGIC,
     TwoModalityParams,
@@ -136,9 +123,9 @@ class TestTwoModality:
         assert a.labels == b.labels
 
     def test_bad_params(self):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="m must be >= 4"):
             TwoModalityParams(m=2)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match=r"noise_level must be in \[0, 1\)"):
             TwoModalityParams(noise_level=1.5)
 
 
@@ -159,23 +146,26 @@ class TestSeriesIo:
 
     def test_parse_error_reports_line(self, tmp_path):
         (tmp_path / "bad.txt").write_text("1.0\nabc\n3.0\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError, match="line 2: not a number: 'abc'") as err:
             load_series(str(tmp_path / "bad.txt"))
         assert err.value.line == 2
+        assert err.value.index == 1
 
     def test_non_finite_reports_line(self, tmp_path):
         (tmp_path / "bad.txt").write_text("# name: x\n1.0\nnan\n")
-        with pytest.raises(NonFiniteError) as err:
+        with pytest.raises(DataError, match="non-finite value 'nan'") as err:
             load_series(str(tmp_path / "bad.txt"))
         assert "line 3" in str(err.value)
+        assert err.value.line == 3
+        assert err.value.index == 1
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "empty.txt").write_text("")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="holds no values"):
             load_series(str(tmp_path / "empty.txt"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
+        with pytest.raises(DataError, match="cannot read .*absent.txt"):
             load_series(str(tmp_path / "absent.txt"))
 
 
@@ -196,29 +186,33 @@ class TestLabelIo:
 
     def test_overlap_reports_line(self, tmp_path):
         (tmp_path / "l.csv").write_text("0,100,a\n50,200,b\n")
-        with pytest.raises(OverlapError) as err:
+        with pytest.raises(DataError, match="line 2: .* overlaps previous end 100") as err:
             load_labels(str(tmp_path / "l.csv"), 500)
         assert err.value.line == 2
 
     def test_out_of_bounds(self, tmp_path):
         (tmp_path / "l.csv").write_text("0,600,a\n")
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(DataError, match=r"line 1: region \[0,600\) outside \[0,500\)") as err:
             load_labels(str(tmp_path / "l.csv"), 500)
+        assert err.value.line == 1
 
     def test_out_of_order(self, tmp_path):
         (tmp_path / "l.csv").write_text("200,300,a\n0,100,b\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="line 2: .* is out of order") as err:
             load_labels(str(tmp_path / "l.csv"), 500)
+        assert err.value.line == 2
 
     def test_reserved_class(self, tmp_path):
         (tmp_path / "l.csv").write_text("0,10,Other\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="line 1: .* carries reserved class Other") as err:
             load_labels(str(tmp_path / "l.csv"), 500)
+        assert err.value.line == 1
 
     def test_malformed_line(self, tmp_path):
         (tmp_path / "l.csv").write_text("0,10\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="line 1: expected start,end,class") as err:
             load_labels(str(tmp_path / "l.csv"), 500)
+        assert err.value.line == 1
 
 
 def small_models():
@@ -256,19 +250,19 @@ class TestModelIo:
         save_model(models, path)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) // 2])
-        with pytest.raises(FileFormatError):
+        with pytest.raises(DataError, match="is corrupt"):
             load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = str(tmp_path / "model.sfcm")
         open(path, "wb").write(MODEL_MAGIC + bytes([99]) + b"{}")
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(DataError, match="unsupported version 99"):
             load_model(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = str(tmp_path / "model.sfcm")
         open(path, "wb").write(b"NOPE" + bytes([1]) + b"{}")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(DataError, match="is not a model file"):
             load_model(path)
 
 
@@ -286,8 +280,22 @@ class TestPredictionIo:
 
     def test_missing_metadata_rejected(self, tmp_path):
         (tmp_path / "p.csv").write_text("position,class,score\n1,a,0.5\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(DataError, match="missing or bad prediction metadata"):
             load_predictions(str(tmp_path / "p.csv"))
+
+    @pytest.mark.parametrize(
+        "series_length, m, stride", [(10, 20, 1), (10, 0, 1), (10, -3, 1), (10, 4, 0)]
+    )
+    def test_bad_header_rejected(self, tmp_path, series_length, m, stride):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"# series_length: {series_length}\n# m: {m}\n# stride: {stride}\n"
+            "# classes: a\nposition,class,score\n"
+        )
+        expected = f"got series_length={series_length}, m={m}, stride={stride}"
+        with pytest.raises(DataError, match=expected) as err:
+            load_predictions(str(path))
+        assert str(path) in str(err.value)
 
 
 class TestGunExperiment:
@@ -311,12 +319,12 @@ class TestGunExperiment:
             assert ca == cb and np.array_equal(va, vb)
 
     def test_insufficient_instances(self):
-        with pytest.raises(InsufficientInstancesError):
+        with pytest.raises(DataError, match="need 20 Gun instances, got 5"):
             build_gun_experiment(self.make_pool(1, count=5), self.make_pool(2), seed=0)
 
     def test_short_instances_rejected(self):
         short = [normals(3, 100) for _ in range(25)]
-        with pytest.raises(InsufficientInstancesError):
+        with pytest.raises(DataError, match="shorter than 150"):
             build_gun_experiment(short, self.make_pool(2), seed=0)
 
 
@@ -331,15 +339,22 @@ class TestUcrLoader:
 
     def test_bad_value(self, tmp_path):
         (tmp_path / "c.csv").write_text("1,0.5,oops\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="line 1: bad value in instance") as err:
             load_ucr_instances(str(tmp_path / "c.csv"))
+        assert err.value.line == 1
+
+    def test_non_finite_reports_line(self, tmp_path):
+        (tmp_path / "c.csv").write_text("1,0.5,0.25\n2,inf,0.5\n")
+        with pytest.raises(DataError, match="line 2: non-finite instance value") as err:
+            load_ucr_instances(str(tmp_path / "c.csv"))
+        assert err.value.line == 2
+        assert err.value.index is None
 
 
 class TestMalformedFileFuzz:
-    """Malformed inputs must raise DataError subclasses, never crash."""
+    """Malformed inputs must raise DataError, never crash."""
 
     def test_series_and_labels_and_models_survive_garbage(self, tmp_path):
-        from shapefeat.core import DataError
         from shapefeat.data import uniforms
 
         printable = "0123456789.,-+eEnafi# \t"

@@ -10,15 +10,12 @@ from shapefeat.core import (
     SHAPE,
     SLIDING_MEAN,
     SLIDING_STD,
-    AllZeroError,
-    BadParamsError,
     ClassifierConfig,
     ConfusionMatrix,
+    DataError,
     FeatureSpec,
     LabelTrack,
-    LengthMismatchError,
     Region,
-    TooFewError,
 )
 from shapefeat.data import (
     TwoModalityParams,
@@ -93,7 +90,7 @@ class TestMilConfusion:
     def test_length_mismatch(self):
         track = track_from([None] * 7, ["a"])
         bags = bags_from([Region(0, 6, "a")], 999)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="labels one of length 999"):
             mil_confusion(track, bags, "a")
 
     def test_matches_brute_force_on_random_fixtures(self):
@@ -163,7 +160,7 @@ class TestMetrics:
         assert accuracy == 0.0
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroError):
+        with pytest.raises(DataError, match="confusion matrix holds no bags"):
             metrics(ConfusionMatrix())
 
 
@@ -204,9 +201,9 @@ class TestRocSweep:
 
     def test_weights_validated(self):
         bundle, models = self.setup_models()
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="weights must be sorted ascending"):
             roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine", [2.0, 1.0])
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="weights must be positive, got -1.0"):
             roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine", [-1.0])
 
     def test_sweep_extremes_and_best_f1(self):
@@ -333,11 +330,11 @@ class TestLoocv:
                 assert cm.cell(actual, predicted) == cm2.cell(actual, predicted)
 
     def test_too_few(self):
-        with pytest.raises(TooFewError):
+        with pytest.raises(DataError, match="need at least two instances"):
             loocv_1nn([(np.ones(10), "a")])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="instances must share one length"):
             loocv_1nn([(np.ones(10), "a"), (np.ones(12), "b")])
 
     @staticmethod
@@ -397,7 +394,7 @@ class TestOracle:
             assert oracle_confusion(pa, pb, truth) <= min(err_a, err_b)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="prediction and truth lengths differ"):
             oracle_confusion(["a"], ["a", "b"], ["a", "b"])
 
 
@@ -423,7 +420,26 @@ class TestDetectionFrequency:
         series = detection_frequency(track, "a", window=7, step=7)
         assert sum(count for _, count in series) == 5
 
+    def test_matches_per_window_count_on_random_tracks(self):
+        for trial in range(300):
+            u = uniforms(trial + 7000, 200)
+            length = 1 + int(u[0] * 150)
+            draws = u[10 : 10 + length]
+            labels = ["a" if v < 0.2 else ("b" if v < 0.3 else None) for v in draws]
+            track = track_from(labels, ["a", "b"])
+            window = 1 + int(u[1] * 1.5 * length)
+            step = 1 + int(u[2] * 1.5 * length)
+            for cls in ("a", "b", "c"):
+                # Reference: count the class's positions in every window directly.
+                expected = [
+                    (start, sum(lab == cls for lab in labels[start : start + window]))
+                    for start in range(0, length, step)
+                ]
+                assert detection_frequency(track, cls, window, step) == expected
+        track = track_from(["a", None, "a"], ["a"])
+        assert detection_frequency(track, "a", 10**30, 10**30) == [(0, 2)]
+
     def test_bad_params(self):
         track = track_from([None] * 5, ["a"])
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="window and step must be >= 1"):
             detection_frequency(track, "a", window=0, step=1)

@@ -10,16 +10,13 @@ from shapefeat.core import (
     SHAPE,
     SLIDING_MEAN,
     SLIDING_STD,
-    BadParamsError,
     ClassifierConfig,
     ClassModel,
-    EmptyInputError,
-    EmptyLocalsError,
+    DataError,
     FeatureSpec,
     Histogram,
     LabelTrack,
-    ModelMismatchError,
-    NoInstancesError,
+    ModelError,
     Region,
     TimeSeries,
 )
@@ -72,7 +69,7 @@ class TestHistogramBuild:
         assert np.all(np.abs(h.counts - expected) <= bound)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot build a histogram from no values"):
             histogram_build([])
 
 
@@ -158,11 +155,11 @@ class TestCombineNaiveBayes:
         assert lit.values[0] == pytest.approx(0.48, abs=1e-12)
 
     def test_empty_locals_rejected(self):
-        with pytest.raises(EmptyLocalsError):
+        with pytest.raises(ModelError, match="need at least one local probability profile"):
             combine_naive_bayes([], prior=0.5)
 
     def test_bad_prior_rejected(self):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match=r"prior must be in \(0,1\), got 1.0"):
             combine_naive_bayes([self.local([0.5])], prior=1.0)
 
 
@@ -214,9 +211,9 @@ class TestSelectPrototype:
 
     def test_no_instances(self):
         labels = LabelTrack(series_length=100, regions=(Region(0, 10, "a"),))
-        with pytest.raises(NoInstancesError):
+        with pytest.raises(ModelError, match="no labeled region of class 'b' holds"):
             select_prototype(TimeSeries(values=np.zeros(100)), labels, "b", 16)
-        with pytest.raises(NoInstancesError):
+        with pytest.raises(ModelError, match="no labeled region of class 'a' holds a length-16"):
             # Region shorter than m holds no candidate.
             select_prototype(TimeSeries(values=np.zeros(100)), labels, "a", 16)
 
@@ -237,7 +234,7 @@ class TestComputeDistributions:
     def test_no_labeled_regions(self):
         x = normals(1, 200)
         labels = LabelTrack(series_length=200, regions=(Region(0, 50, "a"),))
-        with pytest.raises(NoInstancesError):
+        with pytest.raises(ModelError, match="no labeled regions of class 'b'"):
             compute_distributions(
                 TimeSeries(values=x), labels, "b", [FeatureSpec(kind=COMPLEXITY)], 16, 16
             )
@@ -245,7 +242,8 @@ class TestComputeDistributions:
     def test_zero_exclusion_zone_claims_nothing(self):
         x = normals(2, 200)
         labels = LabelTrack(series_length=200, regions=(Region(0, 50, "a"),))
-        with pytest.raises(NoInstancesError):
+        claims_nothing = r"no snippet claims a region of class 'a' \(exclusion_zone=0\)"
+        with pytest.raises(ModelError, match=claims_nothing):
             compute_distributions(
                 TimeSeries(values=x), labels, "a", [FeatureSpec(kind=COMPLEXITY)], 16, 0
             )
@@ -318,7 +316,7 @@ class TestTrain:
 
     def test_missing_class_names_it(self):
         ts, labels, m = self.fixture()
-        with pytest.raises(NoInstancesError, match="ghost"):
+        with pytest.raises(ModelError, match="ghost"):
             train(ts, labels, [ClassSpec("ghost", m, m, (FeatureSpec(kind=COMPLEXITY),))])
 
     def test_prior_override(self):
@@ -413,7 +411,7 @@ class TestClassify:
     def test_model_mismatch(self):
         a = constant_probability_model("a", 4, 2, 2.0)
         b = constant_probability_model("b", 8, 2, 2.0)
-        with pytest.raises(ModelMismatchError):
+        with pytest.raises(ModelError, match="must share one subsequence length; got 4 and 8"):
             classify([a, b], TimeSeries(values=np.zeros(50)), ClassifierConfig())
 
     def test_tie_breaks_toward_lower_model_index(self):

@@ -6,12 +6,9 @@ from shapefeat.core import (
     SHAPE,
     SLIDING_MEAN,
     SLIDING_STD,
-    BadParamsError,
+    DataError,
     FeatureSpec,
     TimeSeries,
-    TooShortError,
-    UnknownFeatureError,
-    WindowTooLongError,
 )
 from shapefeat.data import gen_random_noise, gen_random_walk, normals
 from shapefeat.profiles import (
@@ -46,7 +43,7 @@ class TestZnormalize:
         assert abs(z.std() - 1.0) < 1e-9
 
     def test_too_short(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(DataError, match="need at least 2 samples to z-normalize"):
             znormalize([1.0])
 
 
@@ -76,7 +73,7 @@ class TestSlidingStats:
         assert np.allclose(stats.stds, stds, rtol=1e-9, atol=1e-9)
 
     def test_window_too_long(self):
-        with pytest.raises(WindowTooLongError):
+        with pytest.raises(DataError, match="window 3 exceeds series length 2"):
             sliding_stats([1.0, 2.0], 3)
 
 
@@ -139,7 +136,7 @@ class TestDistanceProfiles:
         assert np.allclose(distance_profile_mass(scaled, q).values, base, atol=1e-6)
 
     def test_query_longer_than_series(self):
-        with pytest.raises(WindowTooLongError):
+        with pytest.raises(DataError, match="query length 3 exceeds series length 2"):
             distance_profile_naive(TimeSeries(values=[1.0, 2.0]), [1.0, 2.0, 3.0])
 
 
@@ -170,7 +167,7 @@ class TestComplexityProfile:
         assert wins == 20
 
     def test_window_of_one_rejected(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(DataError, match="complexity needs window >= 2"):
             complexity_profile(TimeSeries(values=[1.0, 2.0, 3.0]), 1)
 
 
@@ -190,7 +187,7 @@ class TestSlidingFeatureProfile:
         )
 
     def test_unknown_stat(self):
-        with pytest.raises(UnknownFeatureError):
+        with pytest.raises(DataError, match="unknown sliding statistic 'median'"):
             sliding_feature_profile(TimeSeries(values=np.ones(10)), 2, "median")
 
 
@@ -215,11 +212,11 @@ class TestGenerateProfile:
 
     def test_shape_without_query_rejected(self):
         ts = gen_random_noise(100, 18)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="has no query"):
             generate_profile(ts, FeatureSpec(kind=SHAPE), 16)
 
     def test_shape_query_length_mismatch(self):
         ts = gen_random_noise(100, 19)
         spec = FeatureSpec(kind=SHAPE, query=np.ones(8))
-        with pytest.raises(BadParamsError):
+        with pytest.raises(DataError, match="query length 8 != m=16"):
             generate_profile(ts, spec, 16)

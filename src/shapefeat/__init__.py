@@ -19,7 +19,6 @@ from .core import (
     FeatureSpec,
     Histogram,
     LabelTrack,
-    Profile,
     Region,
     TimeSeries,
     validate_series,
@@ -54,7 +53,6 @@ from .evaluate import (
 from .model import (
     ClassSpec,
     PredictionTrack,
-    ProbabilityProfile,
     classify,
     combine_naive_bayes,
     compute_distributions,

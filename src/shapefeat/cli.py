@@ -6,6 +6,7 @@ headered CSV; every output file is written atomically.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -72,7 +73,10 @@ def _parse_samples(value, sample_rate_hz: Optional[float], what: str) -> int:
                     f"{what} {text!r} needs a series with sample_rate_hz; "
                     "use a plain sample count instead"
                 )
-            return int(round(quantity * seconds * sample_rate_hz))
+            samples = quantity * seconds * sample_rate_hz
+            if not math.isfinite(samples):
+                raise DataError(f"{what} {text!r} is not a finite number of samples")
+            return int(round(samples))
     raise DataError(f"cannot parse {what} {text!r}")
 
 

@@ -198,30 +198,6 @@ class FeatureSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Profile:
-    """One scalar per subsequence start position for a single feature."""
-
-    values: np.ndarray
-    feature_id: str
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return (
-            self.feature_id == other.feature_id
-            and self.m == other.m
-            and np.array_equal(self.values, other.values)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Histogram:
     """Equal-width histogram: len(counts) bins bounded by len(counts)+1 edges."""
 

@@ -333,6 +333,8 @@ def read_file(path: str, binary: bool = False):
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: byte offset {exc.start}") from exc
 
 
 def _data_lines(raw: str):
@@ -628,9 +630,13 @@ def load_ucr_instances(path: str) -> List[Tuple[str, np.ndarray]]:
         label = parts[0].strip()
         try:
             label_f = float(label)
-            label = str(int(label_f)) if label_f == int(label_f) else label
         except ValueError:
-            pass
+            label_f = None  # a text label
+        if label_f is not None:
+            if not np.isfinite(label_f):
+                raise DataError(f"non-finite label {label!r}", line=lineno)
+            if label_f == int(label_f):
+                label = str(int(label_f))
         try:
             values = np.asarray(parts[1:], dtype=np.float64)
         except ValueError as exc:

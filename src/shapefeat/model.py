@@ -27,32 +27,12 @@ from .core import (
     Histogram,
     LabelTrack,
     ModelError,
-    Profile,
     TimeSeries,
 )
 from .profiles import generate_profile, series_spectrum, sliding_stats, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityProfile:
-    """Per-position probability of one class under one feature (or combined)."""
-
-    values: np.ndarray
-    class_id: str = ""
-    feature_id: str = ""
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise DataError("probability values must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -117,26 +97,25 @@ def _floor_density(hist: Histogram, union_width: float, mode: str) -> float:
 
 
 def _density_lookup(hist: Histogram, values: np.ndarray, floor: float) -> np.ndarray:
+    """Density of each value, read from a table of nbins + 2 slots: the
+    floor below the first edge, one density per bin (the floor for an empty
+    bin), and the floor past the last edge (and for NaN)."""
     edges = hist.edges
-    counts = hist.counts.astype(np.float64)
-    nbins = counts.size
-    idx = np.searchsorted(edges, values, side="right") - 1
+    dens = hist.counts / (hist.total * np.diff(edges))
+    dens[dens == 0.0] = floor
+    table = np.concatenate(([floor], dens, [floor]))
+    slot = np.searchsorted(edges, values, side="right")
     # Values equal to the last edge belong to the last bin.
-    np.clip(idx, 0, nbins - 1, out=idx)
-    inside = (values >= edges[0]) & (values <= edges[-1])
-    widths = np.diff(edges)
-    dens = counts[idx] / (hist.total * widths[idx])
-    dens[~inside] = floor
-    dens[inside & (dens == 0.0)] = floor
-    return dens
+    slot[values == edges[-1]] = dens.size
+    return table[slot]
 
 
 def compute_probability(
     pos_hist: Histogram,
     neg_hist: Histogram,
-    profile: Profile,
+    profile: np.ndarray,
     small_value_mode: str = FLOOR_UNION,
-) -> ProbabilityProfile:
+) -> np.ndarray:
     """Per-position P(class) = dens_pos / (dens_pos + dens_neg).
 
     A value outside a histogram's range, or in an empty bin, takes that
@@ -144,24 +123,24 @@ def compute_probability(
     default policy the full range spans both histograms, so floors stay small
     even for narrowly concentrated class histograms.
     """
-    v = profile.values
     union_width = float(
         max(pos_hist.edges[-1], neg_hist.edges[-1])
         - min(pos_hist.edges[0], neg_hist.edges[0])
     )
-    dp = _density_lookup(pos_hist, v, _floor_density(pos_hist, union_width, small_value_mode))
-    dn = _density_lookup(neg_hist, v, _floor_density(neg_hist, union_width, small_value_mode))
-    return ProbabilityProfile(values=dp / (dp + dn), feature_id=profile.feature_id)
+    dp = _density_lookup(pos_hist, profile, _floor_density(pos_hist, union_width, small_value_mode))
+    dn = _density_lookup(neg_hist, profile, _floor_density(neg_hist, union_width, small_value_mode))
+    dn += dp
+    return np.divide(dp, dn, out=dp)
 
 
 def combine_naive_bayes(
     locals_: Sequence,
     prior: float,
     mode: str = NB_STANDARD,
-) -> ProbabilityProfile:
+) -> np.ndarray:
     """Multiply local probabilities and divide by the class prior.
 
-    Locals are ProbabilityProfiles or 1-D arrays of probabilities.
+    Locals are 1-D arrays of probabilities of one length.
     standard: divide by prior^(k-1) for k locals (exact Bayes form; the
     identity for k=1). paper-literal: divide by the prior exactly once
     regardless of k. Locals are floored at 1e-12 before multiplying and the
@@ -171,22 +150,19 @@ def combine_naive_bayes(
         raise ModelError("need at least one local probability profile")
     if not (0.0 < prior < 1.0):
         raise DataError(f"prior must be in (0,1), got {prior}")
-    values = [getattr(loc, "values", loc) for loc in locals_]
-    length = len(values[0])
-    for v in values[1:]:
+    length = len(locals_[0])
+    for v in locals_[1:]:
         if len(v) != length:
             raise DataError("local profiles must share one length")
     prod = np.ones(length)
-    for v in values:
+    for v in locals_:
         prod *= np.maximum(v, EPS_PROB)
     k = len(locals_)
     denom = prior ** (k - 1) if mode == NB_STANDARD else prior
     if mode not in (NB_STANDARD, NB_PAPER_LITERAL):
         raise DataError(f"unknown nb_denominator {mode!r}")
-    combined = np.clip(prod / denom, 0.0, 1.0)
-    return ProbabilityProfile(
-        values=combined, class_id=getattr(locals_[0], "class_id", ""), feature_id="combined"
-    )
+    prod /= denom
+    return np.clip(prod, 0.0, 1.0, out=prod)
 
 
 def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: int) -> np.ndarray:
@@ -258,8 +234,7 @@ def compute_distributions(
     touching = np.flatnonzero(touch)
     out: List[Tuple[Histogram, Histogram]] = []
     for feature in features:
-        prof = generate_profile(train, feature, m)
-        v = prof.values
+        v = generate_profile(train, feature, m)
         order = touching[np.argsort(v[touching], kind="stable")]
         claimed = [False] * len(regions)
         p_list: List[float] = []
@@ -397,7 +372,7 @@ def score_locals(
         elif spectrum is None:
             spectrum = series_spectrum(test)
         prof = generate_profile(test, spec, m, stats, spectrum)
-        values[r] = compute_probability(pos_h, neg_h, prof, small_value_mode).values
+        values[r] = compute_probability(pos_h, neg_h, prof, small_value_mode)
     return LocalScores(models=tuple(models), values=values, test=test)
 
 
@@ -423,7 +398,7 @@ def weighted_table(
         kept = [row for (spec, _, _), row in zip(mo.features, rows) if keep is None or keep(spec)]
         if kept:
             combined = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator)
-            np.multiply(combined.values, cfg.threshold_for(mo.class_id), out=out[len(ids)])
+            np.multiply(combined, cfg.threshold_for(mo.class_id), out=out[len(ids)])
             ids.append(mo.class_id)
     return tuple(ids), out[: len(ids)]
 

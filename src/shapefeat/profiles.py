@@ -22,7 +22,6 @@ from .core import (
     SLIDING_STD,
     DataError,
     FeatureSpec,
-    Profile,
     TimeSeries,
 )
 
@@ -114,7 +113,7 @@ def _check_query(x: np.ndarray, query) -> np.ndarray:
     return q
 
 
-def distance_profile_naive(ts, query) -> Profile:
+def distance_profile_naive(ts, query) -> np.ndarray:
     """Reference O(n*m) distance profile; the oracle for the FFT version.
 
     Each window and the query are z-normalized independently (flat rule
@@ -124,8 +123,7 @@ def distance_profile_naive(ts, query) -> Profile:
     q = _check_query(x, query)
     m = q.size
     zw = _znormalize_rows(np.lib.stride_tricks.sliding_window_view(x, m))
-    d = np.sqrt(((zw - znormalize(q)) ** 2).sum(axis=1))
-    return Profile(values=d, feature_id=SHAPE, m=m)
+    return np.sqrt(((zw - znormalize(q)) ** 2).sum(axis=1))
 
 
 def series_spectrum(ts) -> np.ndarray:
@@ -143,7 +141,7 @@ def _sliding_dot_product(x: np.ndarray, q: np.ndarray, spectrum=None) -> np.ndar
     return prod[q.size - 1 : x.size]
 
 
-def distance_profile_mass(ts, query, stats=None, spectrum=None) -> Profile:
+def distance_profile_mass(ts, query, stats=None, spectrum=None) -> np.ndarray:
     """FFT-accelerated distance profile, identical contract to the naive one.
 
     d[i] = sqrt(2m * (1 - corr_i)) where corr_i is the Pearson correlation
@@ -163,8 +161,7 @@ def distance_profile_mass(ts, query, stats=None, spectrum=None) -> Profile:
     sd_q = float(q.std())
     if sd_q < _flat_eps(mu_q):
         # Flat query: distance is 0 to flat windows, sqrt(m) otherwise.
-        d = np.where(flat_w, 0.0, np.sqrt(m))
-        return Profile(values=d, feature_id=SHAPE, m=m)
+        return np.where(flat_w, 0.0, np.sqrt(m))
     qt = _sliding_dot_product(x, q - mu_q, spectrum)
     denom = np.where(flat_w, 1.0, stats.stds) * (m * sd_q)
     corr = qt / denom
@@ -178,10 +175,10 @@ def distance_profile_mass(ts, query, stats=None, spectrum=None) -> Profile:
             idx = suspects[start : start + 4096]
             zw = _znormalize_rows(x[idx[:, None] + offsets])
             d[idx] = np.sqrt(((zw - zq) ** 2).sum(axis=1))
-    return Profile(values=d, feature_id=SHAPE, m=m)
+    return d
 
 
-def complexity_profile(ts, m: int, stats=None) -> Profile:
+def complexity_profile(ts, m: int, stats=None) -> np.ndarray:
     """Complexity of each z-normalized window: sqrt(sum of squared diffs).
 
     Because diffs cancel the window mean, this reduces to the sliding sum
@@ -201,12 +198,11 @@ def complexity_profile(ts, m: int, stats=None) -> Profile:
     np.maximum(sums, 0.0, out=sums)
     flat = stats.stds < _flat_eps(stats.means)
     denom = np.where(flat, 1.0, stats.stds)
-    values = np.where(flat, 0.0, np.sqrt(sums) / denom)
-    return Profile(values=values, feature_id=COMPLEXITY, m=m)
+    return np.where(flat, 0.0, np.sqrt(sums) / denom)
 
 
-def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> Profile:
-    """Raw (non-normalized) mean or std per window.
+def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> np.ndarray:
+    """Raw (non-normalized) mean or std per window: the `stats` array itself.
 
     These capture the amplitude/offset signal that z-normalization
     deliberately removes.
@@ -214,14 +210,14 @@ def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> Profile:
     if stats is None:
         stats = sliding_stats(ts, m)
     if stat == SLIDING_MEAN:
-        return Profile(values=stats.means, feature_id=SLIDING_MEAN, m=m)
+        return stats.means
     if stat == SLIDING_STD:
-        return Profile(values=stats.stds, feature_id=SLIDING_STD, m=m)
+        return stats.stds
     raise DataError(f"unknown sliding statistic {stat!r}")
 
 
-def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None) -> Profile:
-    """Dispatch to the kernel for `feature.kind`; output tagged with feature.id."""
+def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None) -> np.ndarray:
+    """Dispatch to the kernel for `feature.kind`."""
     if feature.kind == SHAPE:
         if feature.query is None:
             raise DataError(f"shape feature {feature.id!r} has no query")
@@ -229,11 +225,9 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
             raise DataError(
                 f"shape feature {feature.id!r} query length {feature.query.size} != m={m}"
             )
-        prof = distance_profile_mass(ts, feature.query, stats, spectrum)
-    elif feature.kind == COMPLEXITY:
-        prof = complexity_profile(ts, m, stats)
-    elif feature.kind in (SLIDING_MEAN, SLIDING_STD):
-        prof = sliding_feature_profile(ts, m, feature.kind, stats)
-    else:
-        raise DataError(f"unknown feature kind {feature.kind!r}")
-    return Profile(values=prof.values, feature_id=feature.id, m=m)
+        return distance_profile_mass(ts, feature.query, stats, spectrum)
+    if feature.kind == COMPLEXITY:
+        return complexity_profile(ts, m, stats)
+    if feature.kind in (SLIDING_MEAN, SLIDING_STD):
+        return sliding_feature_profile(ts, m, feature.kind, stats)
+    raise DataError(f"unknown feature kind {feature.kind!r}")

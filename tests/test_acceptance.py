@@ -49,7 +49,6 @@ from shapefeat.evaluate import (
 from shapefeat.model import (
     ClassSpec,
     PredictionTrack,
-    ProbabilityProfile,
     combine_naive_bayes,
     train,
 )
@@ -94,7 +93,7 @@ def test_criterion_01_mass_oracle_equivalence(capsys):
         query = ts.values[start : start + m]
         naive = distance_profile_naive(ts, query)
         mass = distance_profile_mass(ts, query)
-        worst = max(worst, float(np.abs(naive.values - mass.values).max()))
+        worst = max(worst, float(np.abs(naive - mass).max()))
     elapsed = time.monotonic() - started
     ok = worst <= 1e-6 and elapsed < 30.0
     report(1, "mass-oracle-equivalence", ok, f"max dev {worst:.3g}, {elapsed:.1f}s", capsys)
@@ -312,21 +311,21 @@ def test_criterion_06_mil_brute_force_equivalence(capsys):
 
 def test_criterion_07_naive_bayes_identities(capsys):
     vals = np.clip(uniforms(777, 512), 1e-12, 1.0)
-    single = combine_naive_bayes([ProbabilityProfile(values=vals)], prior=0.41)
-    identity_ok = np.array_equal(single.values, vals)
+    single = combine_naive_bayes([vals], prior=0.41)
+    identity_ok = np.array_equal(single, vals)
 
     locs2 = [
-        ProbabilityProfile(values=np.clip(uniforms(778, 64), 1e-12, 1.0)),
-        ProbabilityProfile(values=np.clip(uniforms(779, 64), 1e-12, 1.0)),
+        np.clip(uniforms(778, 64), 1e-12, 1.0),
+        np.clip(uniforms(779, 64), 1e-12, 1.0),
     ]
     std2 = combine_naive_bayes(locs2, prior=0.3, mode="standard")
     lit2 = combine_naive_bayes(locs2, prior=0.3, mode="paper-literal")
-    k2_ok = np.array_equal(std2.values, lit2.values)
+    k2_ok = np.array_equal(std2, lit2)
 
-    locs3 = [ProbabilityProfile(values=np.array([v])) for v in (0.8, 0.6, 0.5)]
+    locs3 = [np.array([v]) for v in (0.8, 0.6, 0.5)]
     std3 = combine_naive_bayes(locs3, prior=0.5, mode="standard")
     lit3 = combine_naive_bayes(locs3, prior=0.5, mode="paper-literal")
-    hand_ok = abs(std3.values[0] - 0.96) <= 1e-12 and abs(lit3.values[0] - 0.48) <= 1e-12
+    hand_ok = abs(std3[0] - 0.96) <= 1e-12 and abs(lit3[0] - 0.48) <= 1e-12
 
     ok = identity_ok and k2_ok and hand_ok
     report(7, "naive-bayes-identities", ok,
@@ -533,7 +532,7 @@ def test_criterion_11_determinism(tmp_path, scale_fixture, capsys):
     ts = gen_random_noise(2048, 5)
     q = ts.values[300:428]
     mass_stable = np.array_equal(
-        distance_profile_mass(ts, q).values, distance_profile_mass(ts, q).values
+        distance_profile_mass(ts, q), distance_profile_mass(ts, q)
     )
 
     # The synth -> train -> classify -> compare file chain is byte-stable.

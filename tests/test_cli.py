@@ -477,11 +477,16 @@ BAD_INPUT_FILES = {
     "m-zero.csv": _prediction_file(10, 0, 1),
     "stride-zero.csv": _prediction_file(1003, 4, 0),
     "bad-rate.csv": _prediction_file(1003, 4, 1, rate="abc"),
+    "rate-10.csv": _prediction_file(1003, 4, 1, rate="10"),
+    "non-utf8.csv": b"start,end,class\n0,10,a\n\xff\n",
+    "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
+    "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
 _TRAIN = ["train", "--series", "@train.txt", "--labels", "@train-labels.csv"]
 _FREQ = ["freq", "--class", "a", "--window", "5", "--step", "5", "--predictions"]
+_GUN = ["synth", "gun-experiment", "--source"]
 
 # (argv, expected exit code, stderr fragment); every argv gets "--out".
 BAD_INPUT_CASES = {
@@ -518,6 +523,23 @@ BAD_INPUT_CASES = {
     "predictions-m-zero": ([*_FREQ, "@m-zero.csv"], 2, "m=0"),
     "predictions-stride-zero": ([*_FREQ, "@stride-zero.csv"], 2, "stride=0"),
     "predictions-rate": ([*_FREQ, "@bad-rate.csv"], 2, "bad-rate.csv has missing or bad"),
+    "labels-not-utf8": (
+        ["eval", "--class", "a", "--predictions", "@rate-10.csv", "--labels", "@non-utf8.csv"],
+        2,
+        "non-utf8.csv is not UTF-8: byte offset 23",
+    ),
+    "window-inf-seconds": (
+        ["freq", "--class", "a", "--window", "infs", "--step", "5",
+         "--predictions", "@rate-10.csv"], 2,
+        "window 'infs' is not a finite number of samples",
+    ),
+    "window-nan-seconds": (
+        ["freq", "--class", "a", "--window", "nans", "--step", "5",
+         "--predictions", "@rate-10.csv"], 2,
+        "window 'nans' is not a finite number of samples",
+    ),
+    "ucr-inf-label": ([*_GUN, "@inf-label.csv"], 2, "line 2: non-finite label 'inf'"),
+    "ucr-nan-label": ([*_GUN, "@nan-label.csv"], 2, "line 2: non-finite label 'nan'"),
 }
 
 
@@ -525,7 +547,7 @@ BAD_INPUT_CASES = {
 def bad_inputs(workspace):
     """The workspace plus every malformed input, and a model with a bogus kind."""
     for name, text in BAD_INPUT_FILES.items():
-        (workspace / name).write_text(text)
+        (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     model = (workspace / "model.sfcm").read_bytes()
     assert b'"kind":"sliding_std"' in model
     (workspace / "bogus.sfcm").write_bytes(

@@ -78,7 +78,7 @@ class TestGenerators:
         for seed in range(100):
             noise = complexity_profile(gen_random_noise(1000, seed), 150)
             walk = complexity_profile(gen_random_walk(1000, seed), 150)
-            if noise.values.mean() > walk.values.mean():
+            if noise.mean() > walk.mean():
                 wins += 1
         assert wins >= 99
 
@@ -101,7 +101,7 @@ class TestTwoModality:
         bundle = gen_two_modality_dataset(TwoModalityParams(n_sine=4, n_flat=4, n_surge=2, n_hum=2), 6)
         prof = complexity_profile(bundle.series, 64)
         for r in bundle.labels.class_regions("flat"):
-            assert np.array_equal(prof.values[r.start : r.end], np.zeros(r.end - r.start))
+            assert np.array_equal(prof[r.start : r.end], np.zeros(r.end - r.start))
 
     def test_labels_satisfy_invariants_and_windows_fit(self):
         bundle = gen_two_modality_dataset(TwoModalityParams(), 7)

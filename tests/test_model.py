@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shapefeat.core import (
     COMPLEXITY,
+    FLOOR_OWN,
+    FLOOR_UNION,
     NB_PAPER_LITERAL,
     NB_STANDARD,
     OTHER_CLASS,
@@ -23,7 +27,6 @@ from shapefeat.core import (
 from shapefeat.data import normals, uniforms
 from shapefeat.model import (
     ClassSpec,
-    ProbabilityProfile,
     _suppression_sweep,
     class_probabilities,
     classify,
@@ -74,9 +77,51 @@ class TestHistogramBuild:
 
 
 def profile_of(values):
-    from shapefeat.core import Profile
+    return np.asarray(values, float)
 
-    return Profile(values=np.asarray(values, float), feature_id="f", m=2)
+
+def reference_probability(pos, neg, v, mode):
+    """Per-value oracle of the documented rule. A histogram's density at v
+    is that of the largest bin k with edges[k] <= v (the last edge closes
+    the last bin); v outside the range, or in an empty bin, takes the floor
+    1 / ((total + 1) * width), width spanning both histograms (union) or
+    the histogram's own range."""
+    union = max(pos.edges[-1], neg.edges[-1]) - min(pos.edges[0], neg.edges[0])
+
+    def density(h):
+        edges, counts = h.edges, h.counts
+        width = union if mode == FLOOR_UNION else edges[-1] - edges[0]
+        floor = 1.0 / ((h.total + 1) * max(width, 1e-12))
+        if not edges[0] <= v <= edges[-1]:
+            return floor
+        k = min(max(i for i in range(len(edges)) if edges[i] <= v), len(counts) - 1)
+        if counts[k] == 0:
+            return floor
+        return counts[k] / (h.total * (edges[k + 1] - edges[k]))
+
+    dp, dn = density(pos), density(neg)
+    return dp / (dp + dn)
+
+
+# Histogram samples: values on a grid of scale / 1000 steps, which keeps the
+# edges distinct, or a constant sample (the single-bin histogram).
+_samples = st.builds(
+    lambda units, scale, offset: offset + scale * np.asarray(units) / 1000.0,
+    st.one_of(
+        st.lists(st.integers(0, 1000), min_size=1, max_size=300),
+        st.builds(lambda u, n: [u] * n, st.integers(0, 1000), st.integers(1, 50)),
+    ),
+    st.sampled_from([1e-3, 1.0, 250.0]),
+    st.sampled_from([0.0, -7.5, 1e8]),
+)
+
+
+def _with_empty_bins(hist, zeroed):
+    """`hist` with the bins flagged in `zeroed` emptied; one stays filled."""
+    counts = np.where(zeroed[: hist.counts.size], 0, hist.counts)
+    if counts.sum() == 0:
+        counts[np.argmax(hist.counts)] = 1
+    return Histogram(edges=hist.edges, counts=counts)
 
 
 class TestComputeProbability:
@@ -84,13 +129,13 @@ class TestComputeProbability:
         pos = Histogram(edges=[0.0, 1.0], counts=[5])
         neg = Histogram(edges=[0.0, 1.0], counts=[5])
         out = compute_probability(pos, neg, profile_of([0.5]))
-        assert out.values[0] == pytest.approx(0.5)
+        assert out[0] == pytest.approx(0.5)
 
     def test_hand_built_example(self):
         pos = Histogram(edges=[0.0, 1.0, 2.0], counts=[3, 1])
         neg = Histogram(edges=[0.0, 1.0, 2.0], counts=[1, 3])
         out = compute_probability(pos, neg, profile_of([0.5]))
-        assert out.values[0] == pytest.approx(0.75)
+        assert out[0] == pytest.approx(0.75)
 
     def test_floor_on_missing_side_pushes_toward_one(self):
         neg = Histogram(edges=[10.0, 11.0], counts=[4])
@@ -98,7 +143,7 @@ class TestComputeProbability:
         for width in (1.0, 0.1, 0.01):  # narrower bin = higher density
             pos = Histogram(edges=[0.5 - width / 2, 0.5 + width / 2], counts=[4])
             out = compute_probability(pos, neg, profile_of([0.5]))
-            probs.append(out.values[0])
+            probs.append(out[0])
         assert probs[0] > 0.5
         assert probs[0] < probs[1] < probs[2]
         assert probs[2] > 0.99
@@ -107,52 +152,72 @@ class TestComputeProbability:
         # pos densities: bin 0 is 3 / (4 * 1), bin 1 is 1 / (4 * 1); neg is 1 / (1 * 2).
         pos = Histogram(edges=[0.0, 1.0, 2.0], counts=[3, 1])
         neg = Histogram(edges=[0.0, 2.0], counts=[1])
-        out = compute_probability(pos, neg, profile_of([0.5, 2.0, 2.5])).values
+        out = compute_probability(pos, neg, profile_of([0.5, 2.0, 2.5]))
         assert out[0] == pytest.approx(0.75 / (0.75 + 0.5))
         # The last edge closes the last bin.
         assert out[1] == pytest.approx(0.25 / (0.25 + 0.5))
         # Past the last edge both sides take their floor 1 / ((total + 1) * 2).
         assert out[2] == pytest.approx(0.1 / (0.1 + 0.25))
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        _samples,
+        _samples,
+        st.lists(st.booleans(), min_size=256, max_size=256),
+        st.sampled_from([FLOOR_UNION, FLOOR_OWN]),
+    )
+    def test_matches_per_value_reference(self, pos_sample, neg_sample, zeroed, mode):
+        zeroed = np.asarray(zeroed)
+        pos = _with_empty_bins(histogram_build(pos_sample), zeroed)
+        neg = _with_empty_bins(histogram_build(neg_sample), zeroed[::-1])
+        edges = np.concatenate((pos.edges, neg.edges))
+        far = [np.inf, -np.inf, np.nan, edges.min() - 1e9, edges.max() + 1e9]
+        values = np.concatenate(
+            (edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), far)
+        )
+        out = compute_probability(pos, neg, profile_of(values), small_value_mode=mode)
+        expected = [reference_probability(pos, neg, v, mode) for v in values]
+        assert out.tolist() == expected
+
     def test_values_always_in_unit_interval(self):
         pos = histogram_build(normals(1, 40))
         neg = histogram_build(normals(2, 40) + 0.5)
         out = compute_probability(pos, neg, profile_of(normals(3, 500) * 10))
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
+        assert out.min() >= 0.0
+        assert out.max() <= 1.0
 
 
 class TestCombineNaiveBayes:
     def local(self, values):
-        return ProbabilityProfile(values=np.asarray(values, float))
+        return np.asarray(values, float)
 
     def test_single_local_standard_is_identity(self):
         vals = np.clip(uniforms(5, 200), 1e-12, 1.0)
         out = combine_naive_bayes([self.local(vals)], prior=0.37, mode=NB_STANDARD)
-        assert np.array_equal(out.values, vals)
+        assert np.array_equal(out, vals)
 
     def test_saturation_clamps_to_one(self):
         out = combine_naive_bayes(
             [self.local([1.0]), self.local([1.0])], prior=0.5, mode=NB_STANDARD
         )
-        assert out.values[0] == 1.0
+        assert out[0] == 1.0
 
     def test_hand_arithmetic_pair(self):
         out = combine_naive_bayes(
             [self.local([0.8]), self.local([0.6])], prior=0.5, mode=NB_STANDARD
         )
-        assert out.values[0] == pytest.approx(0.96, abs=1e-12)
+        assert out[0] == pytest.approx(0.96, abs=1e-12)
         lit = combine_naive_bayes(
             [self.local([0.8]), self.local([0.6])], prior=0.5, mode=NB_PAPER_LITERAL
         )
-        assert lit.values[0] == pytest.approx(0.96, abs=1e-12)
+        assert lit[0] == pytest.approx(0.96, abs=1e-12)
 
     def test_hand_arithmetic_triple_modes_differ(self):
         locs = [self.local([0.8]), self.local([0.6]), self.local([0.5])]
         std = combine_naive_bayes(locs, prior=0.5, mode=NB_STANDARD)
         lit = combine_naive_bayes(locs, prior=0.5, mode=NB_PAPER_LITERAL)
-        assert std.values[0] == pytest.approx(0.96, abs=1e-12)
-        assert lit.values[0] == pytest.approx(0.48, abs=1e-12)
+        assert std[0] == pytest.approx(0.96, abs=1e-12)
+        assert lit[0] == pytest.approx(0.48, abs=1e-12)
 
     def test_empty_locals_rejected(self):
         with pytest.raises(ModelError, match="need at least one local probability profile"):
@@ -338,7 +403,7 @@ class TestTrain:
             # Positives are positions whose window lies fully inside the region.
             inside[r.start : max(r.start, r.end - m) + 1] = True
         # Rank-based AUC oracle over training positions.
-        scores = local.values
+        scores = local
         order = stats.rankdata(scores)
         n_pos = int(inside.sum())
         n_neg = length - n_pos
@@ -438,7 +503,7 @@ class TestClassify:
         spec, pos_h, neg_h = models[0].features[0]
         prof = distance_profile_mass(bundle.series, spec.query)
         local = compute_probability(pos_h, neg_h, prof)
-        weighted = local.values * 1.2
+        weighted = local * 1.2
         length = len(weighted)
         labels = np.full(length, -1)
         pos = 0
@@ -551,5 +616,5 @@ class TestFloorModes:
         prof = profile_of([50.0])
         union = compute_probability(pos, neg, prof, small_value_mode="union")
         own = compute_probability(pos, neg, prof, small_value_mode="own")
-        assert union.values[0] < 0.3
-        assert own.values[0] > 0.9
+        assert union[0] < 0.3
+        assert own[0] > 0.9

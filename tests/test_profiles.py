@@ -84,15 +84,15 @@ class TestDistanceProfiles:
         query = ts.values[k : k + m]
         naive = distance_profile_naive(ts, query)
         mass = distance_profile_mass(ts, query)
-        assert naive.values[k] <= 1e-9
-        assert mass.values[k] <= 1e-6
+        assert naive[k] <= 1e-9
+        assert mass[k] <= 1e-6
 
     def test_flat_series_and_flat_query(self):
         ts = TimeSeries(values=np.full(100, 4.0))
         prof = distance_profile_naive(ts, np.full(10, 9.0))
-        assert np.array_equal(prof.values, np.zeros(91))
+        assert np.array_equal(prof, np.zeros(91))
         prof = distance_profile_mass(ts, np.full(10, 9.0))
-        assert np.array_equal(prof.values, np.zeros(91))
+        assert np.array_equal(prof, np.zeros(91))
 
     def test_flat_windows_against_structured_query(self):
         x = normals(5, 200)
@@ -102,7 +102,7 @@ class TestDistanceProfiles:
         m = 16
         for prof in (distance_profile_naive(ts, q), distance_profile_mass(ts, q)):
             # Windows fully inside the flat stretch z-normalize to zeros.
-            assert np.allclose(prof.values[60 : 120 - m + 1], np.sqrt(m), atol=1e-6)
+            assert np.allclose(prof[60 : 120 - m + 1], np.sqrt(m), atol=1e-6)
 
     def test_mass_matches_naive_on_random_pairs(self):
         rng_seeds = range(30)
@@ -116,24 +116,24 @@ class TestDistanceProfiles:
             query = ts.values[start : start + m]
             naive = distance_profile_naive(ts, query)
             mass = distance_profile_mass(ts, query)
-            worst = max(worst, float(np.abs(naive.values - mass.values).max()))
+            worst = max(worst, float(np.abs(naive - mass).max()))
         assert worst <= 1e-6
 
     def test_distance_bound(self):
         ts = gen_random_walk(2048, 3)
         m = 64
         prof = distance_profile_mass(ts, ts.values[500 : 500 + m])
-        assert prof.values.min() >= 0.0
-        assert prof.values.max() <= 2.0 * np.sqrt(m) + 1e-6
+        assert prof.min() >= 0.0
+        assert prof.max() <= 2.0 * np.sqrt(m) + 1e-6
 
     def test_shift_and_scale_invariance(self):
         ts = gen_random_noise(600, 9)
         q = ts.values[50:114]
-        base = distance_profile_mass(ts, q).values
+        base = distance_profile_mass(ts, q)
         shifted = TimeSeries(values=ts.values + 37.5)
         scaled = TimeSeries(values=ts.values * 4.0)
-        assert np.allclose(distance_profile_mass(shifted, q).values, base, atol=1e-6)
-        assert np.allclose(distance_profile_mass(scaled, q).values, base, atol=1e-6)
+        assert np.allclose(distance_profile_mass(shifted, q), base, atol=1e-6)
+        assert np.allclose(distance_profile_mass(scaled, q), base, atol=1e-6)
 
     def test_query_longer_than_series(self):
         with pytest.raises(DataError, match="query length 3 exceeds series length 2"):
@@ -143,18 +143,18 @@ class TestDistanceProfiles:
 class TestComplexityProfile:
     def test_constant_window_scores_zero(self):
         prof = complexity_profile(TimeSeries(values=np.full(50, 2.0)), 10)
-        assert np.array_equal(prof.values, np.zeros(41))
+        assert np.array_equal(prof, np.zeros(41))
 
     def test_alternating_window(self):
         m = 16
         x = np.tile([1.0, -1.0], 40)
         prof = complexity_profile(TimeSeries(values=x), m)
-        assert np.allclose(prof.values, 2.0 * np.sqrt(m - 1))
+        assert np.allclose(prof, 2.0 * np.sqrt(m - 1))
 
     def test_offset_and_scale_invariance(self):
         ts = gen_random_noise(500, 4)
-        base = complexity_profile(ts, 32).values
-        moved = complexity_profile(TimeSeries(values=5.0 + 2.5 * ts.values), 32).values
+        base = complexity_profile(ts, 32)
+        moved = complexity_profile(TimeSeries(values=5.0 + 2.5 * ts.values), 32)
         assert np.allclose(base, moved, rtol=1e-9, atol=1e-9)
 
     def test_noise_beats_walk(self):
@@ -162,7 +162,7 @@ class TestComplexityProfile:
         for seed in range(20):
             noise = complexity_profile(gen_random_noise(1000, seed), 150)
             walk = complexity_profile(gen_random_walk(1000, seed + 500), 150)
-            if noise.values.mean() > walk.values.mean():
+            if noise.mean() > walk.mean():
                 wins += 1
         assert wins == 20
 
@@ -174,16 +174,16 @@ class TestComplexityProfile:
 class TestSlidingFeatureProfile:
     def test_constant_series(self):
         ts = TimeSeries(values=np.full(30, 3.5))
-        assert np.array_equal(sliding_feature_profile(ts, 5, SLIDING_MEAN).values, np.full(26, 3.5))
-        assert np.array_equal(sliding_feature_profile(ts, 5, SLIDING_STD).values, np.zeros(26))
+        assert np.array_equal(sliding_feature_profile(ts, 5, SLIDING_MEAN), np.full(26, 3.5))
+        assert np.array_equal(sliding_feature_profile(ts, 5, SLIDING_STD), np.zeros(26))
 
     def test_matches_direct_oracle(self):
         x = normals(77, 3000) * 2.0 + 10.0
         ts = TimeSeries(values=x)
         means, stds = direct_window_stats(x, 40)
-        assert np.allclose(sliding_feature_profile(ts, 40, SLIDING_MEAN).values, means, rtol=1e-9)
+        assert np.allclose(sliding_feature_profile(ts, 40, SLIDING_MEAN), means, rtol=1e-9)
         assert np.allclose(
-            sliding_feature_profile(ts, 40, SLIDING_STD).values, stds, rtol=1e-9, atol=1e-9
+            sliding_feature_profile(ts, 40, SLIDING_STD), stds, rtol=1e-9, atol=1e-9
         )
 
     def test_unknown_stat(self):
@@ -197,13 +197,12 @@ class TestGenerateProfile:
         q = ts.values[40:72]
         spec = FeatureSpec(kind=SHAPE, id="proto", query=q)
         prof = generate_profile(ts, spec, 32)
-        assert prof.feature_id == "proto"
-        assert np.array_equal(prof.values, distance_profile_mass(ts, q).values)
+        assert np.array_equal(prof, distance_profile_mass(ts, q))
 
     def test_complexity_dispatch(self):
         ts = gen_random_noise(300, 16)
         prof = generate_profile(ts, FeatureSpec(kind=COMPLEXITY), 32)
-        assert np.array_equal(prof.values, complexity_profile(ts, 32).values)
+        assert np.array_equal(prof, complexity_profile(ts, 32))
 
     def test_output_length(self):
         ts = gen_random_noise(300, 17)

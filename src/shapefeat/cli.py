@@ -6,6 +6,7 @@ headered CSV; every output file is written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import List, Optional, Sequence
@@ -178,17 +179,9 @@ def _apply_overrides(cfg: ClassifierConfig, args) -> ClassifierConfig:
         if not name or not value:
             raise DataError(f"--threshold expects class=weight, got {item!r}")
         thresholds[name] = _convert(float, value, f"--threshold {name}")
-    return ClassifierConfig(
-        thresholds=thresholds,
-        decision_floor=(
-            cfg.decision_floor if args.decision_floor is None else args.decision_floor
-        ),
-        stride=cfg.stride if args.stride is None else args.stride,
-        nb_denominator=(
-            cfg.nb_denominator if args.nb_denominator is None else args.nb_denominator
-        ),
-        small_value_mode=cfg.small_value_mode,
-    )
+    flags = ("decision_floor", "stride", "nb_denominator")
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    return dataclasses.replace(cfg, thresholds=thresholds, **given)
 
 
 def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> ClassifierConfig:
@@ -288,7 +281,7 @@ def cmd_classify(args) -> int:
     track = classify(models, series, cfg)
     dataio.save_predictions(track, args.out)
     print(
-        f"wrote {args.out} ({len(track.detections())} detections over "
+        f"wrote {args.out} ({len(track.positions)} detections over "
         f"{len(track)} positions, stride={cfg.stride})"
     )
     return 0

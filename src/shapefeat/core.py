@@ -5,7 +5,7 @@ Indices are 0-based throughout; label regions are half-open [start, end).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -215,6 +215,8 @@ class Histogram:
             raise DataError("histogram edges must be strictly increasing")
         if np.any(counts < 0):
             raise DataError("histogram counts must be non-negative")
+        if not counts.any():
+            raise DataError("histogram counts must not all be zero")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "counts", counts)
 
@@ -251,8 +253,6 @@ class ClassModel:
         if not (0.0 < self.prior < 1.0):
             raise DataError(f"prior must be in (0,1), got {self.prior}")
         for spec, pos_hist, neg_hist in self.features:
-            if pos_hist.total < 1 or neg_hist.total < 1:
-                raise DataError(f"feature {spec.id!r} has an empty histogram")
             if spec.kind == SHAPE and (spec.query is None or spec.query.size != self.m):
                 raise DataError(f"shape feature {spec.id!r} needs a length-{self.m} query")
 
@@ -300,15 +300,7 @@ class ClassifierConfig:
         return float(self.thresholds.get(class_id, 1.0))
 
     def replace_threshold(self, class_id: str, weight: float) -> "ClassifierConfig":
-        thr = dict(self.thresholds)
-        thr[class_id] = weight
-        return ClassifierConfig(
-            thresholds=thr,
-            decision_floor=self.decision_floor,
-            stride=self.stride,
-            nb_denominator=self.nb_denominator,
-            small_value_mode=self.small_value_mode,
-        )
+        return replace(self, thresholds={**self.thresholds, class_id: weight})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ File formats:
 * labels: CSV lines ``start,end,class`` with end exclusive, 0-based;
 * models: 4-byte magic ``SFCM`` + 1 version byte + JSON payload;
 * predictions: header comments + CSV rows ``position,class,score`` for
-  detections only.
+  detections only, one row per position in ascending order.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .core import (
     LabelTrack,
     Region,
     TimeSeries,
-    validate_series,
 )
 from .model import PredictionTrack
 
@@ -433,9 +432,7 @@ def load_series(path: str) -> TimeSeries:
         index = int(bad[0])
         lineno, text = next(itertools.islice(_data_lines(raw), index, None))
         raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
-    ts = TimeSeries(values=values, sample_rate_hz=rate, name=name)
-    validate_series(ts)
-    return ts
+    return TimeSeries(values=values, sample_rate_hz=rate, name=name)
 
 
 def save_labels(track: LabelTrack, path: str) -> None:
@@ -557,9 +554,10 @@ def save_predictions(track: PredictionTrack, path: str) -> None:
 
 
 def load_predictions(path: str) -> PredictionTrack:
+    """Parse a predictions file; detection rows must ascend by position."""
     raw = read_file(path)
     meta = {}
-    rows: List[Tuple[int, str, float]] = []
+    rows: List[Tuple[int, int, str, float]] = []
     saw_header = False
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
@@ -579,7 +577,7 @@ def load_predictions(path: str) -> PredictionTrack:
         if len(parts) != 3:
             raise DataError(f"expected position,class,score, got {text!r}", line=lineno)
         try:
-            rows.append((int(parts[0]), parts[1], float(parts[2])))
+            rows.append((lineno, int(parts[0]), parts[1], float(parts[2])))
         except ValueError as exc:
             raise DataError(f"bad prediction row {text!r}", line=lineno) from exc
     try:
@@ -596,20 +594,23 @@ def load_predictions(path: str) -> PredictionTrack:
             f"got series_length={series_length}, m={m}, stride={stride}"
         )
     length = series_length - m + 1
-    codes = np.full(length, -1, dtype=np.int32)
-    scores = np.zeros(length)
     index = {c: i for i, c in enumerate(class_ids)}
-    for pos, cls, score in rows:
+    prev = -1
+    for lineno, pos, cls, _ in rows:
         if not (0 <= pos < length):
-            raise DataError(f"{path}: position {pos} outside [0,{length})")
+            raise DataError(f"{path}: position {pos} outside [0,{length})", line=lineno)
+        if pos <= prev:
+            raise DataError(
+                f"{path}: rows must ascend, position {pos} follows {prev}", line=lineno
+            )
         if cls not in index:
-            raise DataError(f"{path}: unknown class {cls!r}")
-        codes[pos] = index[cls]
-        scores[pos] = score
+            raise DataError(f"{path}: unknown class {cls!r}", line=lineno)
+        prev = pos
     return PredictionTrack(
         class_ids=class_ids,
-        label_codes=codes,
-        scores=scores,
+        positions=np.array([r[1] for r in rows], dtype=np.int64),
+        label_codes=np.array([index[r[2]] for r in rows], dtype=np.int32),
+        scores=np.array([r[3] for r in rows], dtype=np.float64),
         m=m,
         series_length=series_length,
         stride=stride,

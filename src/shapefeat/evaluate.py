@@ -56,11 +56,7 @@ def mil_confusion(predictions: PredictionTrack, bags: LabelTrack, class_id: str)
             f"labels one of length {bags.series_length}"
         )
     length = len(predictions)
-    try:
-        code = predictions.class_ids.index(class_id)
-    except ValueError:
-        code = -2  # class never predicted
-    hits = np.flatnonzero(predictions.label_codes == code)
+    hits = predictions.hits(class_id)
     regions = bags.regions
     starts = np.fromiter((r.start for r in regions), dtype=np.int64, count=len(regions))
     ends = np.fromiter((min(r.end, length) for r in regions), dtype=np.int64, count=len(regions))
@@ -258,11 +254,7 @@ def detection_frequency(
     """Count of class detections per sliding window of `window` samples."""
     if window < 1 or step < 1:
         raise DataError("window and step must be >= 1")
-    try:
-        code = predictions.class_ids.index(class_id)
-    except ValueError:
-        code = -2
-    hits = np.flatnonzero(predictions.label_codes == code)
+    hits = predictions.hits(class_id)
     length = len(predictions)
     # Clamped so a huge window or step cannot overflow int64; counts are unchanged.
     starts = np.arange(0, length, max(1, min(step, length)))

@@ -37,13 +37,15 @@ EPS_PROB = 1e-12
 
 @dataclass(frozen=True)
 class PredictionTrack:
-    """Predicted label per subsequence start position.
+    """The detections over the n - m + 1 subsequence start positions.
 
-    Labels are stored as indices into `class_ids`; -1 means OTHER_CLASS
-    (either rejected, suppressed, or skipped by the stride).
+    Detection k sits at `positions[k]` (ascending), with class
+    `class_ids[label_codes[k]]` and score `scores[k]`. Every other position
+    is OTHER_CLASS (rejected, suppressed, or skipped by the stride).
     """
 
     class_ids: tuple
+    positions: np.ndarray
     label_codes: np.ndarray
     scores: np.ndarray
     m: int
@@ -52,18 +54,22 @@ class PredictionTrack:
     sample_rate_hz: Optional[float] = None
 
     def __len__(self) -> int:
-        return int(self.label_codes.shape[0])
+        return self.series_length - self.m + 1
 
-    def label_at(self, position: int) -> str:
-        code = int(self.label_codes[position])
-        return OTHER_CLASS if code < 0 else self.class_ids[code]
+    def hits(self, class_id: str) -> np.ndarray:
+        """Ascending positions of the class's detections (none for a class
+        outside `class_ids`)."""
+        if class_id not in self.class_ids:
+            return self.positions[:0]
+        return self.positions[self.label_codes == self.class_ids.index(class_id)]
 
     def detections(self) -> list:
-        """(position, class_id, score) for every non-Other position."""
-        hits = np.flatnonzero(self.label_codes >= 0)
+        """(position, class_id, score) for every detection."""
         return [
-            (int(p), self.class_ids[int(self.label_codes[p])], float(self.scores[p]))
-            for p in hits
+            (p, self.class_ids[c], s)
+            for p, c, s in zip(
+                self.positions.tolist(), self.label_codes.tolist(), self.scores.tolist()
+            )
         ]
 
 
@@ -429,34 +435,34 @@ def _suppression_sweep(
     floor emits its argmax class and jumps max(stride, e + 1) instead.
 
     Between detections the visits stay in one stride phase, so one binary
-    search finds the next one. Visited positions keep their winning score,
-    all others score 0.
+    search finds the next one. A detection scores its class's weighted
+    probability.
     """
     length = weighted.shape[1]
     # A stride past the end visits position 0 only, as `length` does.
     stride = min(cfg.stride, max(length, 1))
-    # A table without rows scores 0 everywhere and detects nothing.
-    win_p = weighted.max(axis=0, initial=0.0)
+    # A table without rows detects nothing.
     hits = np.flatnonzero((weighted >= cfg.decision_floor).any(axis=0))
-    labels = np.full(length, -1, dtype=np.int32)
-    scores = np.zeros(length)
     # Above-floor positions ordered by (phase, position); phase < length.
     keys = np.sort(hits % stride * length + hits)
+    positions, labels, scores = [], [], []
     pos = 0
     while pos < length:
         base = pos % stride * length
         k = int(np.searchsorted(keys, base + pos))
-        hit = int(keys[k]) - base if k < keys.size and keys[k] < base + length else length
-        scores[pos : hit + 1 : stride] = win_p[pos : hit + 1 : stride]
-        if hit == length:
+        if k == keys.size or keys[k] >= base + length:
             break
+        hit = int(keys[k]) - base
         w = int(np.argmax(weighted[:, hit]))
-        labels[hit] = w
+        positions.append(hit)
+        labels.append(w)
+        scores.append(weighted[w, hit])
         pos = hit + max(stride, int(exclusion_zones[w]) + 1)
     return PredictionTrack(
         class_ids=class_ids,
-        label_codes=labels,
-        scores=scores,
+        positions=np.array(positions, dtype=np.int64),
+        label_codes=np.array(labels, dtype=np.int32),
+        scores=np.array(scores, dtype=np.float64),
         m=m,
         series_length=series_length,
         stride=cfg.stride,

@@ -272,10 +272,12 @@ def test_criterion_06_mil_brute_force_equivalence(capsys):
                 codes[i] = 0
             elif r < 0.45:
                 codes[i] = 1
+        positions = np.flatnonzero(codes >= 0)
         track = PredictionTrack(
             class_ids=("a", "b"),
-            label_codes=codes,
-            scores=np.zeros(length),
+            positions=positions,
+            label_codes=codes[positions],
+            scores=np.zeros(positions.size),
             m=m,
             series_length=length + m - 1,
         )
@@ -296,7 +298,7 @@ def test_criterion_06_mil_brute_force_equivalence(capsys):
             tp = fp = fn = tn = 0
             for r in regions:
                 hit = any(
-                    0 <= p < length and track.label_at(p) == cls
+                    0 <= p < length and codes[p] == ("a", "b").index(cls)
                     for p in range(r.start, r.end)
                 )
                 if r.class_id == cls:

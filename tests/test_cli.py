@@ -291,6 +291,29 @@ class TestEval:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_huge_series_length_header(self, tmp_path):
+        # Predictions hold detections only, so the header's length costs nothing.
+        n = 10**14
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            f"# series_length: {n}\n# m: 4\n# stride: 1\n# classes: a,b\n"
+            "position,class,score\n"
+            "5,a,0.9\n"
+            f"{n - 50},b,0.8\n"
+            f"{n - 4},a,0.7\n"  # the last window start
+        )
+        labels = tmp_path / "bags.csv"
+        labels.write_text(f"0,10,a\n20,30,b\n{n - 60},{n - 40},b\n{n - 10},{n},a\n")
+        out = tmp_path / "report.csv"
+        code, _, err = run_cli(
+            "eval", "--predictions", str(pred), "--labels", str(labels),
+            "--class", "a", "--class", "b", "--out", str(out),
+        )
+        assert code == 0, err
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("a,2,0,0,2,")
+        assert rows[2].startswith("b,1,0,1,2,")
+
     def test_failure_leaves_no_output(self, tmp_path):
         pred = tmp_path / "pred.csv"
         pred.write_text(
@@ -478,6 +501,7 @@ BAD_INPUT_FILES = {
     "stride-zero.csv": _prediction_file(1003, 4, 0),
     "bad-rate.csv": _prediction_file(1003, 4, 1, rate="abc"),
     "rate-10.csv": _prediction_file(1003, 4, 1, rate="10"),
+    "descending.csv": _prediction_file(1003, 4, 1) + "50,a,0.9\n5,a,0.8\n50,a,0.7\n",
     "non-utf8.csv": b"start,end,class\n0,10,a\n\xff\n",
     "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
@@ -523,6 +547,13 @@ BAD_INPUT_CASES = {
     "predictions-m-zero": ([*_FREQ, "@m-zero.csv"], 2, "m=0"),
     "predictions-stride-zero": ([*_FREQ, "@stride-zero.csv"], 2, "stride=0"),
     "predictions-rate": ([*_FREQ, "@bad-rate.csv"], 2, "bad-rate.csv has missing or bad"),
+    "predictions-descending": (
+        [*_FREQ, "@descending.csv"], 2, "descending.csv: rows must ascend, position 5 follows 50",
+    ),
+    "model-zero-counts": (
+        ["classify", "--model", "@zero-counts.sfcm", "--series", "@test.txt"], 2,
+        "histogram counts must not all be zero",
+    ),
     "labels-not-utf8": (
         ["eval", "--class", "a", "--predictions", "@rate-10.csv", "--labels", "@non-utf8.csv"],
         2,
@@ -545,7 +576,8 @@ BAD_INPUT_CASES = {
 
 @pytest.fixture(scope="module")
 def bad_inputs(workspace):
-    """The workspace plus every malformed input, and a model with a bogus kind."""
+    """The workspace plus every malformed input, a model with a bogus kind and
+    one with a histogram of zero counts."""
     for name, text in BAD_INPUT_FILES.items():
         (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     model = (workspace / "model.sfcm").read_bytes()
@@ -553,6 +585,11 @@ def bad_inputs(workspace):
     (workspace / "bogus.sfcm").write_bytes(
         model.replace(b'"kind":"sliding_std"', b'"kind":"bogus"')
     )
+    # The first histogram's counts, all set to zero.
+    start = model.index(b'"counts":[') + len(b'"counts":[')
+    end = model.index(b"]", start)
+    zeros = b",".join(b"0" for _ in model[start:end].split(b","))
+    (workspace / "zero-counts.sfcm").write_bytes(model[:start] + zeros + model[end:])
     return workspace
 
 

@@ -105,6 +105,8 @@ def test_histogram_invariants():
         Histogram(edges=[0.0, 1.0], counts=[1, 1])
     with pytest.raises(DataError, match="non-negative"):
         Histogram(edges=[0.0, 1.0, 2.0], counts=[1, -1])
+    with pytest.raises(DataError, match="must not all be zero"):
+        Histogram(edges=[0.0, 1.0], counts=[0])
 
 
 def test_classifier_config_validation():

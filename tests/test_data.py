@@ -278,6 +278,25 @@ class TestPredictionIo:
         assert loaded.m == track.m
         assert loaded.detections() == track.detections()
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("50,a,0.9\n5,a,0.8\n", "rows must ascend, position 5 follows 50"),
+            ("50,a,0.9\n50,a,0.7\n", "rows must ascend, position 50 follows 50"),
+            ("5,a,0.9\n100,a,0.8\n", r"position 100 outside \[0,97\)"),
+            ("5,a,0.9\n6,b,0.8\n", "unknown class 'b'"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "# series_length: 100\n# m: 4\n# stride: 1\n# classes: a\n"
+            "position,class,score\n" + rows
+        )
+        with pytest.raises(DataError, match=message) as err:
+            load_predictions(str(path))
+        assert err.value.line == 7
+
     def test_missing_metadata_rejected(self, tmp_path):
         (tmp_path / "p.csv").write_text("position,class,score\n1,a,0.5\n")
         with pytest.raises(DataError, match="missing or bad prediction metadata"):

@@ -48,10 +48,17 @@ def track_from(labels_by_position, class_ids, m=4):
     for i, cls in enumerate(labels_by_position):
         if cls is not None:
             codes[i] = class_ids.index(cls)
+    return sparse_track(codes, class_ids, m)
+
+
+def sparse_track(codes, class_ids, m):
+    """The PredictionTrack holding the detections of dense `codes` (-1 = Other)."""
+    positions = np.flatnonzero(codes >= 0)
     return PredictionTrack(
         class_ids=tuple(class_ids),
-        label_codes=codes,
-        scores=np.zeros(len(codes)),
+        positions=positions,
+        label_codes=codes[positions],
+        scores=np.zeros(positions.size),
         m=m,
         series_length=len(codes) + m - 1,
     )
@@ -107,13 +114,7 @@ class TestMilConfusion:
                     codes[i] = 0
                 elif r < 0.4:
                     codes[i] = 1
-            track = PredictionTrack(
-                class_ids=tuple(class_ids),
-                label_codes=codes,
-                scores=np.zeros(length),
-                m=m,
-                series_length=length + m - 1,
-            )
+            track = sparse_track(codes, class_ids, m)
             regions = []
             pos = 0
             bag_idx = 0
@@ -133,7 +134,7 @@ class TestMilConfusion:
                 tp = fp = fn = tn = 0
                 for r in regions:
                     hit = any(
-                        0 <= p < length and track.label_at(p) == cls
+                        0 <= p < length and codes[p] == class_ids.index(cls)
                         for p in range(r.start, r.end)
                     )
                     if r.class_id == cls:

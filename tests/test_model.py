@@ -10,7 +10,6 @@ from shapefeat.core import (
     FLOOR_UNION,
     NB_PAPER_LITERAL,
     NB_STANDARD,
-    OTHER_CLASS,
     SHAPE,
     SLIDING_MEAN,
     SLIDING_STD,
@@ -439,14 +438,14 @@ class TestClassify:
             assert cls == "a"
             assert score >= 0.5
         # Suppressed positions carry Other.
-        assert track.label_at(1) == OTHER_CLASS
+        assert 1 not in track.positions
 
     def test_floor_of_one_blocks_everything(self):
         model = constant_probability_model("a", 4, 3, level_value=2.0)
         test = TimeSeries(values=np.full(30, 2.0))
         track = classify([model], test, ClassifierConfig(decision_floor=1.0))
         assert track.detections() == []
-        assert all(code == -1 for code in track.label_codes)
+        assert track.positions.size == track.label_codes.size == track.scores.size == 0
 
     def test_stride_skips_positions(self):
         model = constant_probability_model("a", 4, 0, level_value=2.0)
@@ -470,6 +469,7 @@ class TestClassify:
         cfg = ClassifierConfig()
         a = classify(models, bundle.series, cfg)
         b = classify(models, bundle.series, cfg)
+        assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.label_codes, b.label_codes)
         assert np.array_equal(a.scores, b.scores)
 
@@ -513,7 +513,8 @@ class TestClassify:
                 pos += models[0].exclusion_zone + 1
             else:
                 pos += 1
-        assert np.array_equal(track.label_codes, labels)
+        assert np.array_equal(track.positions, np.flatnonzero(labels >= 0))
+        assert np.array_equal(track.label_codes, labels[labels >= 0])
 
 
 def reference_sweep(table, zones, floor, stride):
@@ -534,6 +535,14 @@ def reference_sweep(table, zones, floor, stride):
     return labels, scores
 
 
+def assert_detections_match(track, labels, scores):
+    """(position, code, score) of every detection equals the reference's."""
+    positions = np.flatnonzero(labels >= 0)
+    assert np.array_equal(track.positions, positions)
+    assert np.array_equal(track.label_codes, labels[positions])
+    assert np.array_equal(track.scores, scores[positions])
+
+
 class TestSuppressionSweep:
     def sweep(self, table, zones, floor, stride):
         ids = tuple(f"c{k}" for k in range(table.shape[0]))
@@ -550,24 +559,20 @@ class TestSuppressionSweep:
             floor = float(np.round(rng.uniform(0.0, 1.0) * 4) / 4) if case % 3 == 0 else float(rng.uniform())
             stride = int(rng.integers(1, 10))
             track = self.sweep(table, zones, floor, stride)
-            labels, scores = reference_sweep(table, zones, floor, stride)
-            assert np.array_equal(track.label_codes, labels), case
-            assert np.array_equal(track.scores, scores), case
+            assert_detections_match(track, *reference_sweep(table, zones, floor, stride))
 
     def test_stride_longer_than_series(self):
         table = np.full((2, 7), 0.75)
         track = self.sweep(table, [0, 3], 0.5, 10**30)
-        labels, scores = reference_sweep(table, [0, 3], 0.5, 10**30)
-        assert np.array_equal(track.label_codes, labels)
-        assert np.array_equal(track.scores, scores)
-        assert track.label_codes.tolist() == [0, -1, -1, -1, -1, -1, -1]
+        assert_detections_match(track, *reference_sweep(table, [0, 3], 0.5, 10**30))
+        assert track.detections() == [(0, "c0", 0.75)]
         assert track.stride == 10**30
 
     def test_table_without_classes_detects_nothing(self):
         # compare's shape-only or feature-only run of a single-modality model.
         track = self.sweep(np.empty((0, 6)), [], 0.0, 1)
-        assert track.label_codes.tolist() == [-1] * 6
-        assert track.scores.tolist() == [0.0] * 6
+        assert len(track) == 6
+        assert track.detections() == []
 
 
 class TestArgmaxMonotonicity:

@@ -102,6 +102,12 @@ def validate_series(ts: TimeSeries) -> None:
         raise DataError(f"non-finite value at index {int(bad[0])}", index=int(bad[0]))
 
 
+def check_class_id(class_id: str) -> None:
+    """Raise DataError for a class id that a CSV row or header cannot hold."""
+    if "," in class_id or "".join(class_id.splitlines()) != class_id:
+        raise DataError(f"class id {class_id!r} must not contain a comma or a line break")
+
+
 @dataclass(frozen=True)
 class Region:
     """One weakly labeled region (bag): [start, end) of a single class."""
@@ -246,6 +252,7 @@ class ClassModel:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
+        check_class_id(self.class_id)
         if not self.features:
             raise DataError(f"class {self.class_id!r} has no features")
         if self.exclusion_zone < 0:

@@ -595,6 +595,8 @@ def load_predictions(path: str) -> PredictionTrack:
         )
     length = series_length - m + 1
     index = {c: i for i, c in enumerate(class_ids)}
+    if len(index) < len(class_ids):
+        raise DataError(f"{path}: classes header {meta['classes']!r} names a class twice")
     prev = -1
     for lineno, pos, cls, _ in rows:
         if not (0 <= pos < length):

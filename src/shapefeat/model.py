@@ -28,6 +28,7 @@ from .core import (
     LabelTrack,
     ModelError,
     TimeSeries,
+    check_class_id,
 )
 from .profiles import generate_profile, series_spectrum, sliding_stats, znormalize
 
@@ -76,8 +77,9 @@ class PredictionTrack:
 def histogram_build(values) -> Histogram:
     """Equal-width histogram with clamp(ceil(sqrt(len)), 10, 256) bins.
 
-    An all-identical sample produces a single bin of nominal width
-    1e-8 * max(1, |value|) centered on the value.
+    An all-identical sample, or one whose range is too narrow for that many
+    distinct equal-width edges, produces a single bin of nominal width
+    1e-8 * max(1, |min|) centered on its minimum.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -86,12 +88,13 @@ def histogram_build(values) -> Histogram:
         raise DataError("histogram values must be finite")
     lo = float(v.min())
     hi = float(v.max())
-    if hi == lo:
+    bins = int(min(max(np.ceil(np.sqrt(v.size)), 10), 256))
+    edges = np.linspace(lo, hi, bins + 1)  # np.histogram's, which must rise
+    if np.any(edges[:-1] >= edges[1:]):
         eps = 1e-8 * max(1.0, abs(lo))
         edges = np.array([lo - eps / 2.0, lo + eps / 2.0])
         counts = np.array([v.size], dtype=np.int64)
         return Histogram(edges=edges, counts=counts)
-    bins = int(min(max(np.ceil(np.sqrt(v.size)), 10), 256))
     counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
     return Histogram(edges=edges, counts=counts.astype(np.int64))
 
@@ -192,19 +195,11 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
     if len(starts) == 1:
         return x[starts[0] : starts[0] + m].copy()
     z = np.stack([znormalize(x[s : s + m]) for s in starts])
-    # Pairwise distances; candidate sets stay small (one per m/2 samples).
-    diff = z[:, None, :] - z[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    best = int(np.argmin(d.sum(axis=1)))
+    # Not the Gram identity: it rounds differently and can move the medoid.
+    totals = [np.sqrt(((row - z) ** 2).sum(axis=1)).sum() for row in z]
+    best = int(np.argmin(totals))
     s = starts[best]
     return x[s : s + m].copy()
-
-
-def _touch_bounds(region, exclusion_zone: int, limit: int) -> Tuple[int, int]:
-    """Half-open range of positions whose span [i, i+e) intersects the region."""
-    lo = max(0, region.start - exclusion_zone + 1)
-    hi = min(limit, region.end)
-    return lo, hi
 
 
 def compute_distributions(
@@ -217,12 +212,12 @@ def compute_distributions(
 ) -> List[Tuple[Histogram, Histogram]]:
     """Class / non-class value histograms for every feature.
 
-    Per feature, positions are visited in ascending profile value. A
-    position whose lookahead span [i, i + exclusion_zone) intersects a
-    not-yet-claimed region of the class contributes its value to the class
-    list and claims that region; positions touching only claimed regions are
-    skipped; all remaining positions feed the non-class list. Each region is
-    therefore claimed at most once per feature.
+    Position i touches a region when [i, i + e) meets it, e the exclusion
+    zone: [max(0, start - e + 1), min(n - m + 1, end)); none when e == 0.
+    Per feature, the class's regions in order each claim the lowest-valued
+    touching position no earlier region has claimed (ties, and NaN last, as
+    a stable sort orders them). Claimed values feed the class list and
+    untouched positions the non-class list.
     """
     n = len(train)
     if m > n:
@@ -231,29 +226,21 @@ def compute_distributions(
     regions = labels.class_regions(class_id)
     if not regions:
         raise ModelError(f"no labeled regions of class {class_id!r}")
+    spans = [
+        (max(0, r.start - exclusion_zone + 1), min(length, r.end)) for r in regions
+    ] if exclusion_zone > 0 else []
     touch = np.zeros(length, dtype=bool)
-    if exclusion_zone > 0:
-        for r in regions:
-            lo, hi = _touch_bounds(r, exclusion_zone, length)
-            if lo < hi:
-                touch[lo:hi] = True
-    touching = np.flatnonzero(touch)
+    for lo, hi in spans:
+        touch[lo:hi] = True
     out: List[Tuple[Histogram, Histogram]] = []
     for feature in features:
         v = generate_profile(train, feature, m)
-        order = touching[np.argsort(v[touching], kind="stable")]
-        claimed = [False] * len(regions)
-        p_list: List[float] = []
-        for i in order:
-            for ridx, r in enumerate(regions):
-                if claimed[ridx]:
-                    continue
-                lo, hi = _touch_bounds(r, exclusion_zone, length)
-                if lo <= i < hi:
-                    claimed[ridx] = True
-                    p_list.append(float(v[i]))
-                    break
-        if not p_list:
+        claimed = np.zeros(length, dtype=bool)
+        for lo, hi in spans:
+            free = lo + np.flatnonzero(~claimed[lo:hi])
+            if free.size:
+                claimed[free[np.argsort(v[free], kind="stable")[0]]] = True
+        if not claimed.any():
             raise ModelError(
                 f"no snippet claims a region of class {class_id!r} "
                 f"(exclusion_zone={exclusion_zone})"
@@ -261,7 +248,9 @@ def compute_distributions(
         n_values = v[~touch]
         if n_values.size == 0:
             raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
-        out.append((histogram_build(np.asarray(p_list)), histogram_build(n_values)))
+        # Ascending, the order claims are made in: np.max keeps a zero's sign.
+        p_values = np.sort(v[claimed], kind="stable")
+        out.append((histogram_build(p_values), histogram_build(n_values)))
     return out
 
 
@@ -277,6 +266,7 @@ class ClassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
+        check_class_id(self.class_id)
         if self.class_id == OTHER_CLASS:
             raise DataError(f"{OTHER_CLASS} is reserved and cannot be trained")
         if not self.features:

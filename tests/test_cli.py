@@ -177,6 +177,25 @@ class TestTrain:
         assert code == 3
         assert "sine" in err
 
+    def test_class_values_in_a_tiny_range(self, tmp_path):
+        # Two values one step apart: too narrow for 13 equal-width bins.
+        series = tmp_path / "series.txt"
+        series.write_text("0.1\n" * 150 + "0.10000000000000003\n" * 50)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("10,40,a\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "classes:\n  - name: a\n    m: 8\n    exclusion_zone: 7\n"
+            "    features: [sliding_mean]\n"
+        )
+        out = tmp_path / "model.sfcm"
+        code, _, err = run_cli(
+            "train", "--config", str(config), "--series", str(series),
+            "--labels", str(labels), "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.exists()
+
 
 class TestClassify:
     def classify(self, workspace, out, *extra):
@@ -503,6 +522,10 @@ BAD_INPUT_FILES = {
     "rate-10.csv": _prediction_file(1003, 4, 1, rate="10"),
     "descending.csv": _prediction_file(1003, 4, 1) + "50,a,0.9\n5,a,0.8\n50,a,0.7\n",
     "non-utf8.csv": b"start,end,class\n0,10,a\n\xff\n",
+    "repeated-class.csv": _prediction_file(1003, 4, 1).replace("classes: a", "classes: a,a")
+    + "5,a,0.9\n",
+    "bag.csv": "0,10,a\n",
+    "comma-class.yaml": CONFIG.replace("name: sine", "name: 'sine,x'", 1),
     "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
 }
@@ -554,6 +577,18 @@ BAD_INPUT_CASES = {
         ["classify", "--model", "@zero-counts.sfcm", "--series", "@test.txt"], 2,
         "histogram counts must not all be zero",
     ),
+    "predictions-repeated-class": (
+        ["eval", "--class", "a", "--predictions", "@repeated-class.csv", "--labels", "@bag.csv"],
+        2, "classes header 'a,a' names a class twice",
+    ),
+    "config-class-comma": (
+        [*_TRAIN, "--config", "@comma-class.yaml"], 2,
+        "class id 'sine,x' must not contain a comma or a line break",
+    ),
+    "model-class-line-break": (
+        ["classify", "--model", "@line-break-class.sfcm", "--series", "@test.txt"], 2,
+        "class id 'sine\\nx' must not contain a comma or a line break",
+    ),
     "labels-not-utf8": (
         ["eval", "--class", "a", "--predictions", "@rate-10.csv", "--labels", "@non-utf8.csv"],
         2,
@@ -576,8 +611,9 @@ BAD_INPUT_CASES = {
 
 @pytest.fixture(scope="module")
 def bad_inputs(workspace):
-    """The workspace plus every malformed input, a model with a bogus kind and
-    one with a histogram of zero counts."""
+    """The workspace plus every malformed input, a model with a bogus kind,
+    one with a histogram of zero counts and one whose class id holds a line
+    break."""
     for name, text in BAD_INPUT_FILES.items():
         (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     model = (workspace / "model.sfcm").read_bytes()
@@ -590,6 +626,10 @@ def bad_inputs(workspace):
     end = model.index(b"]", start)
     zeros = b",".join(b"0" for _ in model[start:end].split(b","))
     (workspace / "zero-counts.sfcm").write_bytes(model[:start] + zeros + model[end:])
+    assert b'"class_id":"sine"' in model
+    (workspace / "line-break-class.sfcm").write_bytes(
+        model.replace(b'"class_id":"sine"', b'"class_id":"sine\\nx"')
+    )
     return workspace
 
 

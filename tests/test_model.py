@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from shapefeat.core import (
     LabelTrack,
     ModelError,
     Region,
+    ShapefeatError,
     TimeSeries,
 )
 from shapefeat.data import normals, uniforms
@@ -73,6 +76,16 @@ class TestHistogramBuild:
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="cannot build a histogram from no values"):
             histogram_build([])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, 1.0 + 2**-52], [0.1] * 150 + [0.10000000000000003] * 50, [-5e300, -5e300 + 2**948]],
+    )
+    def test_range_too_narrow_for_the_bins(self, values):
+        # np.histogram cannot split these ranges into 10 or more bins.
+        h = histogram_build(values)
+        assert h.counts.tolist() == [len(values)]
+        assert h.edges[0] < min(values) and max(values) < h.edges[1]
 
 
 def profile_of(values):
@@ -282,7 +295,187 @@ class TestSelectPrototype:
             select_prototype(TimeSeries(values=np.zeros(100)), labels, "a", 16)
 
 
+def reference_prototype(train, labels, class_id, m):
+    """The k x k x m tensor medoid that select_prototype replaced: the
+    winning start, the z-normalized candidates and each one's summed
+    distance to all candidates."""
+    x = train.values
+    step = max(1, m // 2)
+    starts = [
+        s
+        for r in labels.class_regions(class_id)
+        if r.end - r.start >= m
+        for s in range(r.start, r.end - m + 1, step)
+    ]
+    z = np.stack([znormalize(x[s : s + m]) for s in starts])
+    diff = z[:, None, :] - z[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    totals = d.sum(axis=1)
+    return starts[int(np.argmin(totals))], z, totals
+
+
+class TestPrototypeMatchesTensorMedoid:
+    def test_random_candidate_sets(self):
+        rng = np.random.default_rng(77)
+        for case in range(300):
+            m = int(rng.integers(2, 24))
+            n = int(rng.integers(4 * m, 30 * m))
+            x = rng.normal(size=n)
+            if case % 3 == 0:  # quantized: tied distances
+                x = np.round(x)
+            cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(2, 9)), replace=False))
+            regions = tuple(
+                Region(int(a), int(b), "a") for a, b in zip(cuts[::2], cuts[1::2])
+            )
+            if case % 2:  # duplicate windows: copy one candidate over others
+                src = regions[0].start
+                for r in regions[1:]:
+                    if r.end - r.start >= m:
+                        x[r.start : r.start + m] = x[src : src + m]
+            labels = LabelTrack(series_length=n, regions=regions)
+            ts = TimeSeries(values=x)
+            try:
+                proto = select_prototype(ts, labels, "a", m)
+            except ModelError:  # no region holds a window
+                continue
+            start, z, totals = reference_prototype(ts, labels, "a", m)
+            assert np.array_equal(proto, x[start : start + m])
+            rows = [np.sqrt(((row - z) ** 2).sum(axis=1)).sum() for row in z]
+            assert np.array(rows).tobytes() == totals.tobytes()
+
+    def test_memory_grows_with_candidates_not_their_square(self):
+        # 400 candidates at m=100: the tensor alone would take 128 MB.
+        m = 100
+        x = normals(12, 20_200)
+        labels = LabelTrack(series_length=len(x), regions=(Region(0, 20_050, "a"),))
+        ts = TimeSeries(values=x)
+        tracemalloc.start()
+        try:
+            select_prototype(ts, labels, "a", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
+def reference_distributions(train, labels, class_id, features, m, exclusion_zone):
+    """The position x region claim loop that compute_distributions replaced.
+
+    Per feature, the touching positions are visited in ascending value
+    (stable, so ties go to the earliest); each claims the first unclaimed
+    region its span [i, i + exclusion_zone) intersects."""
+    n = len(train)
+    if m > n:
+        raise DataError(f"subsequence length {m} exceeds series length {n}")
+    length = n - m + 1
+    regions = labels.class_regions(class_id)
+    if not regions:
+        raise ModelError(f"no labeled regions of class {class_id!r}")
+
+    def touch_bounds(r):
+        return max(0, r.start - exclusion_zone + 1), min(length, r.end)
+
+    touch = np.zeros(length, dtype=bool)
+    if exclusion_zone > 0:
+        for r in regions:
+            lo, hi = touch_bounds(r)
+            if lo < hi:
+                touch[lo:hi] = True
+    touching = np.flatnonzero(touch)
+    out = []
+    for feature in features:
+        v = generate_profile(train, feature, m)
+        order = touching[np.argsort(v[touching], kind="stable")]
+        claimed = [False] * len(regions)
+        p_list = []
+        for i in order:
+            for ridx, r in enumerate(regions):
+                if claimed[ridx]:
+                    continue
+                lo, hi = touch_bounds(r)
+                if lo <= i < hi:
+                    claimed[ridx] = True
+                    p_list.append(float(v[i]))
+                    break
+        if not p_list:
+            raise ModelError(
+                f"no snippet claims a region of class {class_id!r} "
+                f"(exclusion_zone={exclusion_zone})"
+            )
+        n_values = v[~touch]
+        if n_values.size == 0:
+            raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
+        out.append((histogram_build(np.asarray(p_list)), histogram_build(n_values)))
+    return out
+
+
+@st.composite
+def claim_layouts(draw):
+    """(series, labels, features, m, e): bags of two classes with gaps from
+    0 (adjacent bags) up, so touch spans overlap; the last bag may reach past
+    n - m + 1; values on a coarse grid tie."""
+    m = draw(st.integers(2, 8))
+    e = draw(st.sampled_from([0, 1, m - 1, m, 3 * m]))
+    pos = draw(st.integers(0, 2 * m))
+    regions = []
+    for gap, size, cls in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2) | st.integers(0, 3 * m),
+                st.integers(1, 3 * m),
+                st.sampled_from("aab"),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    ):
+        regions.append(Region(pos + gap, pos + gap + size, cls))
+        pos += gap + size
+    n = max(pos + draw(st.integers(0, 2 * m)), m)
+    grid = draw(st.sampled_from([1.0, 4.0, 1e6]))
+    x = np.round(normals(draw(st.integers(0, 2**32 - 1)), n) * grid) / grid
+    kinds = draw(
+        st.lists(st.sampled_from([SHAPE, COMPLEXITY, SLIDING_MEAN, SLIDING_STD]), min_size=1, max_size=3)
+    )
+    at = draw(st.integers(0, n - m))
+    features = [
+        FeatureSpec(kind=k, query=x[at : at + m] if k == SHAPE else None) for k in kinds
+    ]
+    return TimeSeries(values=x), LabelTrack(series_length=n, regions=tuple(regions)), features, m, e
+
+
+def _distributions_or_error(fn, *args):
+    try:
+        pairs = fn(*args)
+    except ShapefeatError as exc:
+        return type(exc), str(exc)
+    return [(h.edges.tobytes(), h.counts.tobytes()) for pair in pairs for h in pair]
+
+
 class TestComputeDistributions:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(claim_layouts())
+    def test_matches_claim_loop(self, layout):
+        ts, labels, features, m, e = layout
+        args = (ts, labels, "a", features, m, e)
+        assert _distributions_or_error(compute_distributions, *args) == (
+            _distributions_or_error(reference_distributions, *args)
+        )
+
+    def test_signed_zeros_keep_the_claim_order(self):
+        # np.max over these class values in position order and in ascending
+        # (claim) order returns zeros of opposite sign, and the last edge
+        # takes that sign.
+        p = [0.0] + [-1.0] * 7 + [-0.0]
+        x = np.full(2 * len(p), 5.0)
+        x[::2] = p
+        regions = tuple(Region(2 * i, 2 * i + 1, "a") for i in range(len(p)))
+        labels = LabelTrack(series_length=len(x), regions=regions)
+        args = (TimeSeries(values=x), labels, "a", [FeatureSpec(kind=SLIDING_MEAN)], 1, 1)
+        assert _distributions_or_error(compute_distributions, *args) == (
+            _distributions_or_error(reference_distributions, *args)
+        )
+
     def test_own_prototype_claims_its_region(self):
         m = 32
         template = np.sin(np.linspace(0, 4 * np.pi, m, endpoint=False)) * 3
@@ -382,6 +575,15 @@ class TestTrain:
         ts, labels, m = self.fixture()
         with pytest.raises(ModelError, match="ghost"):
             train(ts, labels, [ClassSpec("ghost", m, m, (FeatureSpec(kind=COMPLEXITY),))])
+
+    @pytest.mark.parametrize("class_id", ["a,b", "a\nb", "a\r", "a\u2028b"])
+    def test_class_id_must_fit_a_csv_row(self, class_id):
+        message = "must not contain a comma or a line break"
+        with pytest.raises(DataError, match=message):
+            ClassSpec(class_id, 4, 4, (FeatureSpec(kind=COMPLEXITY),))
+        hist = Histogram(edges=[0.0, 1.0], counts=[1])
+        with pytest.raises(DataError, match=message):
+            ClassModel(class_id, 4, 4, ((FeatureSpec(kind=COMPLEXITY), hist, hist),), 0.5)
 
     def test_prior_override(self):
         ts, labels, m = self.fixture()

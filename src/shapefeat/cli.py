@@ -9,7 +9,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import yaml
 
@@ -192,8 +192,9 @@ def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> Classifi
     return _apply_overrides(cfg, args)
 
 
-def _write_csv(path: str, header: str, rows: Sequence[str]) -> None:
-    dataio.atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+def _write_csv(path: str, header: str, rows: Iterable[str]) -> None:
+    lines = (line for part in ([header], rows) for line in part)
+    dataio._atomic_write(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 def _fmt(x: float) -> str:
@@ -354,11 +355,9 @@ def cmd_freq(args) -> int:
     window = _parse_samples(args.window, track.sample_rate_hz, "window")
     step = _parse_samples(args.step, track.sample_rate_hz, "step")
     series = detection_frequency(track, args.class_id, window, step)
-    rows = [f"{start},{count}" for start, count in series]
-    _write_csv(args.out, "window_start,count", rows)
-    print(
-        f"wrote {args.out} ({len(series)} windows of {window} samples, step {step})"
-    )
+    _write_csv(args.out, "window_start,count", (f"{start},{count}" for start, count in series))
+    windows = -(-len(track) // step)  # one per start 0, step, 2 * step, ... below len(track)
+    print(f"wrote {args.out} ({windows} windows of {window} samples, step {step})")
     return 0
 
 
@@ -391,19 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic datasets")
     synth_sub = p.add_subparsers(dest="kind", required=True)
 
-    ps = synth_sub.add_parser("noise", help="iid standard normal series")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--sample-rate", type=float, default=None, dest="sample_rate")
-    ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_synth)
-
-    ps = synth_sub.add_parser("walk", help="random walk series")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--sample-rate", type=float, default=None, dest="sample_rate")
-    ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_synth)
+    for kind, about in (("noise", "iid standard normal series"), ("walk", "random walk series")):
+        ps = synth_sub.add_parser(kind, help=about)
+        ps.add_argument("--n", type=int, required=True)
+        ps.add_argument("--seed", type=int, default=0)
+        ps.add_argument("--sample-rate", type=float, default=None, dest="sample_rate")
+        ps.add_argument("--out", required=True)
+        ps.set_defaults(func=cmd_synth)
 
     ps = synth_sub.add_parser(
         "two-modality", help="planted shape-class / feature-class fixture"
@@ -493,12 +486,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DataError) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

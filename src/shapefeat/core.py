@@ -77,8 +77,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values))
-        if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
+            raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -104,8 +104,9 @@ def validate_series(ts: TimeSeries) -> None:
 
 def check_class_id(class_id: str) -> None:
     """Raise DataError for a class id that a CSV row or header cannot hold."""
-    if "," in class_id or "".join(class_id.splitlines()) != class_id:
-        raise DataError(f"class id {class_id!r} must not contain a comma or a line break")
+    if "," in class_id or len(class_id.splitlines()) != 1 or class_id.strip() != class_id:
+        raise DataError(f"class id {class_id!r} must not contain a comma or a line break, "
+                        "be empty, or start or end with whitespace")
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,7 @@ class LabelTrack:
             if prev is not None and r.start < prev.end:
                 raise DataError(f"{where} overlaps previous end {prev.end}", index=k)
             prev = r
-        vocab = list(dict.fromkeys(self.classes))
-        for r in regions:
-            if r.class_id not in vocab:
-                vocab.append(r.class_id)
-        if OTHER_CLASS not in vocab:
-            vocab.append(OTHER_CLASS)
+        vocab = dict.fromkeys([*self.classes, *(r.class_id for r in regions), OTHER_CLASS])
         object.__setattr__(self, "classes", tuple(vocab))
 
     def class_regions(self, class_id: str) -> tuple:

@@ -21,8 +21,8 @@ File formats:
 """
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -336,30 +336,80 @@ def read_file(path: str, binary: bool = False):
         raise DataError(f"{path} is not UTF-8: byte offset {exc.start}") from exc
 
 
-def _data_lines(raw: str):
-    """(1-based line number, stripped text) of every non-blank, non-comment line."""
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if text and not text.startswith("#"):
-            yield lineno, text
+# Bytes per read of a text file; a text loader holds about one block at a time.
+_BLOCK_BYTES = 1 << 20
+
+
+def _read_lines(path: str):
+    """Yield (number of the first line, lines) per block of a UTF-8 text file."""
+    first, offset, pending = 1, 0, []
+    try:
+        with open(path, "rb") as fh:
+            while True:
+                block = fh.read(_BLOCK_BYTES)
+                # No multi-byte character holds b"\n": the lines are the whole file's.
+                cut = block.rfind(b"\n") + 1
+                pending.append(block[:cut] if cut else block)
+                if block and not cut:
+                    continue
+                data, pending = b"".join(pending), [block[cut:]]
+                try:
+                    lines = data.decode("utf-8").splitlines()
+                except UnicodeDecodeError as exc:
+                    at = offset + exc.start
+                    raise DataError(f"{path} is not UTF-8: byte offset {at}") from exc
+                yield first, lines
+                if not block:
+                    return
+                first, offset = first + len(lines), offset + len(data)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _stripped_lines(path: str, meta: dict):
+    """(line number, stripped text) of the data lines; ``# key: value`` lines go to `meta`."""
+    for first, lines in _read_lines(path):
+        for lineno, text in enumerate(map(str.strip, lines), first):
+            if text.startswith("#"):
+                _header(path, text, lineno, meta)
+            elif text:
+                yield lineno, text
+
+
+def _header(path: str, text: str, lineno: int, meta: dict) -> None:
+    """Record a ``# key: value`` comment in `meta`; sample_rate_hz must be finite and > 0."""
+    key, colon, value = (part.strip() for part in text[1:].partition(":"))
+    if colon and key == "sample_rate_hz":
+        try:
+            rate = float(value)
+        except ValueError:
+            rate = 0.0
+        if not (math.isfinite(rate) and rate > 0):
+            raise DataError(f"{path} has missing or bad metadata: sample_rate_hz must be "
+                            f"a finite number > 0, got {value!r}", line=lineno)
+        value = rate
+    if colon:
+        meta[key] = value
+
+
+def _header_lines(**fields) -> List[str]:
+    """The ``# key: value`` header comments of the fields that are not None."""
+    return [f"# {key}: {value}" for key, value in fields.items() if value is not None]
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, payload=text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
-def _atomic_write(path: str, payload: bytes = None, line_chunks=None) -> None:
-    """Write to a temp file in the target directory, then rename."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of byte chunks to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "wb") as fh:
-                if payload is not None:
-                    fh.write(payload)
-                else:
-                    for chunk in line_chunks:
-                        fh.write(chunk)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -371,13 +421,8 @@ def _atomic_write(path: str, payload: bytes = None, line_chunks=None) -> None:
 
 def save_series(ts: TimeSeries, path: str) -> None:
     def chunks():
-        header = []
-        if ts.name:
-            header.append(f"# name: {ts.name}")
-        if ts.sample_rate_hz is not None:
-            header.append(f"# sample_rate_hz: {ts.sample_rate_hz!r}")
-        if header:
-            yield ("\n".join(header) + "\n").encode("utf-8")
+        header = _header_lines(name=ts.name or None, sample_rate_hz=ts.sample_rate_hz)
+        yield "".join(f"{line}\n" for line in header).encode("utf-8")
         values = ts.values
         # Chunked join keeps memory flat for multi-million-point series.
         step = 1 << 16
@@ -385,58 +430,48 @@ def save_series(ts: TimeSeries, path: str) -> None:
             block = values[start : start + step]
             yield ("\n".join(map(repr, block.tolist())) + "\n").encode("utf-8")
 
-    _atomic_write(path, line_chunks=chunks())
+    _atomic_write(path, chunks())
 
 
 def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers."""
-    raw = read_file(path)
-    name = ""
-    rate: Optional[float] = None
-    rows: List[str] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key = key.strip()
-                value = value.strip()
-                if key == "name":
-                    name = value
-                elif key == "sample_rate_hz":
-                    try:
-                        rate = float(value)
-                    except ValueError as exc:
-                        raise DataError(f"bad sample_rate_hz {value!r}", line=lineno) from exc
-            continue
-        rows.append(text)
-    if not rows:
+    meta: dict = {}
+    parts: List[np.ndarray] = []
+    for first, lines in _read_lines(path):
+        try:
+            values = np.asarray(lines, dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            # Headers, blank lines or a fault: read the block line by line.
+            values = _walk_block(path, lines, first, sum(map(len, parts)), meta)
+        parts.append(values)
+    values = np.concatenate(parts)
+    if not values.size:
         raise DataError(f"{path} holds no values")
-    try:
-        values = np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is None:
-        # Slow path only to report the offending line.
-        for index, (lineno, text) in enumerate(_data_lines(raw)):
+    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""))
+
+
+def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:
+    """A block's values and headers, line by line; its first fault raises DataError."""
+    values: List[float] = []
+    for lineno, text in enumerate(map(str.strip, lines), first):
+        if text.startswith("#"):
+            _header(path, text, lineno, meta)
+        elif text:
             try:
-                float(text)
+                value = float(text)
             except ValueError as exc:
                 raise DataError(f"not a number: {text!r}", line=lineno, index=index) from exc
-        raise DataError(f"{path}: unparseable series")  # pragma: no cover
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = int(bad[0])
-        lineno, text = next(itertools.islice(_data_lines(raw), index, None))
-        raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
-    return TimeSeries(values=values, sample_rate_hz=rate, name=name)
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
+            values.append(value)
+            index += 1
+    return np.array(values, dtype=np.float64)
 
 
 def save_labels(track: LabelTrack, path: str) -> None:
-    lines = [f"# series_length: {track.series_length}"]
+    lines = _header_lines(series_length=track.series_length)
     lines.extend(f"{r.start},{r.end},{r.class_id}" for r in track.regions)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -445,7 +480,7 @@ def load_labels(path: str, series_len: int) -> LabelTrack:
     """Parse CSV region lines; LabelTrack checks order, overlap and bounds."""
     regions: List[Region] = []
     region_lines: List[int] = []
-    for lineno, text in _data_lines(read_file(path)):
+    for lineno, text in _stripped_lines(path, {}):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
             raise DataError(f"expected start,end,class, got {text!r}", line=lineno)
@@ -498,7 +533,7 @@ def save_model(models: Sequence[ClassModel], path: str) -> None:
         ]
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    _atomic_write(path, MODEL_MAGIC + bytes([MODEL_VERSION]) + body)
+    _atomic_write(path, [MODEL_MAGIC + bytes([MODEL_VERSION]) + body])
 
 
 def load_model(path: str) -> List[ClassModel]:
@@ -539,14 +574,10 @@ def load_model(path: str) -> List[ClassModel]:
 
 
 def save_predictions(track: PredictionTrack, path: str) -> None:
-    lines = [
-        f"# series_length: {track.series_length}",
-        f"# m: {track.m}",
-        f"# stride: {track.stride}",
-        f"# classes: {','.join(track.class_ids)}",
-    ]
-    if track.sample_rate_hz is not None:
-        lines.append(f"# sample_rate_hz: {track.sample_rate_hz!r}")
+    lines = _header_lines(
+        series_length=track.series_length, m=track.m, stride=track.stride,
+        classes=",".join(track.class_ids), sample_rate_hz=track.sample_rate_hz,
+    )
     lines.append("position,class,score")
     for pos, cls, score in track.detections():
         lines.append(f"{pos},{cls},{score!r}")
@@ -555,19 +586,10 @@ def save_predictions(track: PredictionTrack, path: str) -> None:
 
 def load_predictions(path: str) -> PredictionTrack:
     """Parse a predictions file; detection rows must ascend by position."""
-    raw = read_file(path)
-    meta = {}
+    meta: dict = {}
     rows: List[Tuple[int, int, str, float]] = []
     saw_header = False
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text[1:].strip()
-            key, _, value = body.partition(":")
-            meta[key.strip()] = value.strip()
-            continue
+    for lineno, text in _stripped_lines(path, meta):
         if not saw_header:
             if text != "position,class,score":
                 raise DataError(f"expected prediction header, got {text!r}", line=lineno)
@@ -585,7 +607,6 @@ def load_predictions(path: str) -> PredictionTrack:
         m = int(meta["m"])
         stride = int(meta["stride"])
         class_ids = tuple(c for c in meta["classes"].split(",") if c)
-        rate = float(meta["sample_rate_hz"]) if "sample_rate_hz" in meta else None
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path} has missing or bad prediction metadata: {exc}") from exc
     if m < 1 or series_length < m or stride < 1:
@@ -616,14 +637,14 @@ def load_predictions(path: str) -> PredictionTrack:
         m=m,
         series_length=series_length,
         stride=stride,
-        sample_rate_hz=rate,
+        sample_rate_hz=meta.get("sample_rate_hz"),
     )
 
 
 def load_ucr_instances(path: str) -> List[Tuple[str, np.ndarray]]:
     """Parse UCR-style instance files: label then values, CSV/TSV/whitespace."""
     out: List[Tuple[str, np.ndarray]] = []
-    for lineno, text in _data_lines(read_file(path)):
+    for lineno, text in _stripped_lines(path, {}):
         if "," in text:
             parts = [p for p in text.split(",") if p.strip()]
         else:

@@ -8,7 +8,7 @@ The comparison grid and the ROC sweep score the test series once
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,13 +127,11 @@ def roc_sweep(
     """
     if not weights:
         raise DataError("need at least one weight")
-    prev = None
-    for w in weights:
+    for prev, w in zip([-np.inf, *weights], weights):
         if not w > 0:
             raise DataError(f"weights must be positive, got {w}")
-        if prev is not None and w < prev:
+        if w < prev:
             raise DataError("weights must be sorted ascending")
-        prev = w
     scores = score_locals(models, test, cfg.small_value_mode)
     # At weight 1 the swept row is the class's unweighted combined probability.
     ids, table = weighted_table(scores, cfg.replace_threshold(class_id, 1.0))
@@ -219,13 +217,8 @@ def loocv_1nn(
     Counts instances, not bags.
     """
     preds = nearest_neighbor_predictions(instances, metric)
-    classes: List[str] = []
-    for _, cls in instances:
-        if cls not in classes:
-            classes.append(cls)
-    for cls in preds:
-        if cls not in classes:  # pragma: no cover - predictions come from instances
-            classes.append(cls)
+    # Predictions come from the instances, so their classes cover them.
+    classes = list(dict.fromkeys(cls for _, cls in instances))
     index = {c: i for i, c in enumerate(classes)}
     counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for (_, actual), predicted in zip(instances, preds):
@@ -250,15 +243,20 @@ def detection_frequency(
     class_id: str,
     window: int,
     step: int,
-) -> List[Tuple[int, int]]:
-    """Count of class detections per sliding window of `window` samples."""
+) -> Iterator[Tuple[int, int]]:
+    """(start, count of class detections) per sliding window of `window` samples."""
     if window < 1 or step < 1:
         raise DataError("window and step must be >= 1")
-    hits = predictions.hits(class_id)
     length = len(predictions)
     # Clamped so a huge window or step cannot overflow int64; counts are unchanged.
-    starts = np.arange(0, length, max(1, min(step, length)))
-    ends = starts + min(window, length)
-    np.minimum(ends, length, out=ends)
-    counts = np.searchsorted(hits, ends) - np.searchsorted(hits, starts)
-    return list(zip(starts.tolist(), counts.tolist()))
+    return _window_counts(predictions.hits(class_id), length, min(window, length),
+                          max(1, min(step, length)))
+
+
+def _window_counts(hits: np.ndarray, length: int, window: int, step: int):
+    """Stream the (start, count) pairs, one `searchsorted` pair per 65,536 windows."""
+    for first in range(0, length, step << 16):
+        starts = np.arange(first, min(first + (step << 16), length), step)
+        ends = np.minimum(starts + window, length)
+        counts = np.searchsorted(hits, ends) - np.searchsorted(hits, starts)
+        yield from zip(starts.tolist(), counts.tolist())

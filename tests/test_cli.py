@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shapefeat.cli import main
 from shapefeat.data import load_predictions, load_series
 
 CONFIG = """\
@@ -455,6 +457,33 @@ class TestFreq:
         rows = out.read_text().splitlines()[1:]
         assert rows == ["0,1"]
 
+    def test_rows_stream_in_bounded_memory(self, tmp_path, capsys):
+        # 200,000 windows. Rows stream out per block of 65,536 windows;
+        # one list entry per window peaked at about 40 MB.
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "# series_length: 1000000000003\n# m: 4\n# stride: 1\n# classes: a\n"
+            "position,class,score\n5,a,0.9\n999999999999,a,0.8\n"
+        )
+        out = tmp_path / "freq.csv"
+        tracemalloc.start()
+        try:
+            code = main([
+                "freq", "--predictions", str(pred), "--class", "a",
+                "--window", "5000000", "--step", "5000000", "--out", str(out),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "200000 windows of 5000000 samples" in capsys.readouterr().out
+        rows = out.read_text().splitlines()
+        assert len(rows) == 200_001
+        assert rows[:3] == ["window_start,count", "0,1", "5000000,0"]
+        assert rows[-1] == "999995000000,1"
+        assert sum(int(row.split(",")[1]) for row in rows[1:]) == 2
+        assert peak < 16 * 2**20
+
     def test_time_units_without_rate_rejected(self, tmp_path):
         pred = tmp_path / "pred.csv"
         self.write_predictions(pred, [10])
@@ -527,6 +556,7 @@ BAD_INPUT_FILES = {
     "bag.csv": "0,10,a\n",
     "comma-class.yaml": CONFIG.replace("name: sine", "name: 'sine,x'", 1),
     "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
+    "negative-rate.txt": "# name: x\n# sample_rate_hz: -5\n1.0\n2.0\n",
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
 }
 
@@ -603,6 +633,10 @@ BAD_INPUT_CASES = {
         ["freq", "--class", "a", "--window", "nans", "--step", "5",
          "--predictions", "@rate-10.csv"], 2,
         "window 'nans' is not a finite number of samples",
+    ),
+    "series-negative-rate": (
+        [*_CLASSIFY[:-1], "@negative-rate.txt"], 2,
+        "sample_rate_hz must be a finite number > 0, got '-5'",
     ),
     "ucr-inf-label": ([*_GUN, "@inf-label.csv"], 2, "line 2: non-finite label 'inf'"),
     "ucr-nan-label": ([*_GUN, "@nan-label.csv"], 2, "line 2: non-finite label 'nan'"),

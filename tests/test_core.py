@@ -46,6 +46,13 @@ def test_timeseries_equality_is_field_by_field():
     assert a != c
 
 
+@pytest.mark.parametrize("rate", [np.inf, np.nan, -5.0, 0.0])
+def test_timeseries_rate_must_be_finite_and_positive(rate):
+    # The header a series file would carry for it could not be read back.
+    with pytest.raises(DataError, match="sample_rate_hz must be finite and > 0"):
+        TimeSeries(values=[1.0, 2.0], sample_rate_hz=rate)
+
+
 def test_label_track_rejects_overlap():
     with pytest.raises(DataError, match=r"region \[50,200\) overlaps previous end 100") as err:
         LabelTrack(

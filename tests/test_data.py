@@ -1,6 +1,13 @@
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from shapefeat import data
 from shapefeat.core import DataError, Region, TimeSeries
 from shapefeat.data import (
     MODEL_MAGIC,
@@ -16,6 +23,7 @@ from shapefeat.data import (
     load_series,
     load_ucr_instances,
     normals,
+    read_file,
     save_labels,
     save_model,
     save_predictions,
@@ -136,6 +144,12 @@ class TestSeriesIo:
         save_series(ts, path)
         assert load_series(path) == ts
 
+    def test_numpy_rate_round_trips(self, tmp_path):
+        # A header holds the number, not its repr ("np.float64(100.0)").
+        path = str(tmp_path / "series.txt")
+        save_series(TimeSeries(values=[1.0, 2.0], sample_rate_hz=np.float64(100.0)), path)
+        assert load_series(path).sample_rate_hz == 100.0
+
     def test_plain_values(self, tmp_path):
         path = str(tmp_path / "series.txt")
         path_obj = tmp_path / "series.txt"
@@ -167,6 +181,210 @@ class TestSeriesIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read .*absent.txt"):
             load_series(str(tmp_path / "absent.txt"))
+
+
+def reference_load_series(path: str) -> TimeSeries:
+    """The whole-file series parser the block-wise `load_series` replaced: one
+    read and one `splitlines` of the whole file, then a second walk to name a
+    bad line. Kept as the oracle of the differential tests."""
+    raw = read_file(path)
+
+    def data_lines():
+        for lineno, line in enumerate(raw.splitlines(), start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield lineno, text
+
+    name = ""
+    rate = None
+    rows = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text[1:].strip()
+            if ":" in body:
+                key, _, value = body.partition(":")
+                key = key.strip()
+                value = value.strip()
+                if key == "name":
+                    name = value
+                elif key == "sample_rate_hz":
+                    try:
+                        rate = float(value)
+                    except ValueError as exc:
+                        raise DataError(f"bad sample_rate_hz {value!r}", line=lineno) from exc
+            continue
+        rows.append(text)
+    if not rows:
+        raise DataError(f"{path} holds no values")
+    try:
+        values = np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None:
+        for index, (lineno, text) in enumerate(data_lines()):
+            try:
+                float(text)
+            except ValueError as exc:
+                raise DataError(f"not a number: {text!r}", line=lineno, index=index) from exc
+        raise DataError(f"{path}: unparseable series")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = int(bad[0])
+        lineno, text = list(data_lines())[index]
+        raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
+    return TimeSeries(values=values, sample_rate_hz=rate, name=name)
+
+
+# Every line break `str.splitlines` knows.
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Bytes that are not UTF-8: a stray continuation, a lone lead byte, a
+# truncated sequence, an encoded surrogate.
+NOT_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+# Blocks that cut through \r\n pairs and multi-byte characters, and lines
+# longer than a block.
+BLOCK_SIZES = [1, 2, 7, 64]
+
+
+@st.composite
+def text_files(draw, lines, corrupt=True):
+    """The drawn `lines`, each ended by any line break (the last maybe by
+    none), as UTF-8; when `corrupt`, maybe with bytes that are not UTF-8
+    spliced in between two characters of the later half."""
+    lines = draw(lines)
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    if seps and draw(st.booleans()):
+        seps[-1] = ""
+    text = "".join(a + b for a, b in zip(lines, seps))
+    if not (corrupt and text and draw(st.booleans())):
+        return text.encode("utf-8")
+    cut = draw(st.integers(len(text) // 2, len(text)))
+    return text[:cut].encode("utf-8") + draw(st.sampled_from(NOT_UTF8)) + text[cut:].encode("utf-8")
+
+
+ANY_LINE = st.text(st.sampled_from(list("0123456789.-e #:x\t\xa0\xe9\u20ac\U0001f600")), max_size=80)
+
+
+def numbered(lines, first=1):
+    """(line number, stripped text) of the non-blank lines."""
+    return [(n, line.strip()) for n, line in enumerate(lines, first) if line.strip()]
+
+
+class TestBlockReader:
+    """`_read_lines` against one whole-file decode and `str.splitlines`."""
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @given(raw=text_files(st.lists(ANY_LINE, max_size=30)))
+    def test_lines_match_whole_file_splitlines(self, tmp_path_factory, block, raw):
+        path = tmp_path_factory.getbasetemp() / f"reader-{block}.txt"
+        path.write_bytes(raw)
+        got = []
+        try:
+            with mock.patch.object(data, "_BLOCK_BYTES", block):
+                for first, lines in data._read_lines(str(path)):
+                    got.extend(numbered(lines, first))
+        except DataError as err:
+            with pytest.raises(UnicodeDecodeError) as whole:
+                raw.decode("utf-8")
+            assert str(err) == f"{path} is not UTF-8: byte offset {whole.value.start}"
+            # The blocks before the bad one yield the whole file's first lines.
+            assert got == numbered(raw[: whole.value.start].decode("utf-8").splitlines())[: len(got)]
+        else:
+            assert got == numbered(raw.decode("utf-8").splitlines())
+
+    def test_offset_in_a_late_block(self, tmp_path):
+        path = tmp_path / "late.txt"
+        path.write_bytes(b"1.5\n" * 300_000 + b"2\xff\n")
+        with pytest.raises(DataError, match="is not UTF-8: byte offset 1200001"):
+            load_series(str(path))
+
+
+GOOD_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "\u0661\u0662", "\u0661.\u0665", " 2.5 ", "+3", "-0.0", ".5", "1e-320"]),
+)
+# Headers whose meaning did not change; a bad sample_rate_hz has a new rule,
+# pinned by TestSampleRateHeader.
+GOOD_HEADER = st.sampled_from(
+    ["# name: fixture", "# sample_rate_hz: 100.0", "# sample_rate_hz: 0.25", "# a comment",
+     "#", "  # name: a: b", "# name:", "#sample_rate_hz:3"]
+)
+FAULT = st.sampled_from(["abc", "nan", "inf", "-Infinity", "1 2", "0x10", "1,5", "1e999"])
+
+
+@st.composite
+def series_files(draw):
+    """Series files with at most one fault: a bad value, bytes that are not
+    UTF-8, or no value at all."""
+    lines = draw(st.lists(st.one_of(GOOD_VALUE, GOOD_HEADER, st.sampled_from(["", "  "])), max_size=25))
+    fault = draw(st.booleans())
+    if fault:
+        lines.insert(draw(st.integers(0, len(lines))), draw(FAULT))
+    return draw(text_files(st.just(lines), corrupt=not fault))
+
+
+def outcome(load, path):
+    try:
+        ts = load(path)
+    except DataError as exc:
+        return ("error", str(exc), exc.line, exc.index)
+    return ("ok", ts.values.tobytes(), ts.name, ts.sample_rate_hz)
+
+
+class TestLoadSeriesDifferential:
+    """The block-wise `load_series` against `reference_load_series`."""
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @given(raw=series_files())
+    def test_matches_whole_file_parser(self, tmp_path_factory, block, raw):
+        path = tmp_path_factory.getbasetemp() / f"series-{block}.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            assert outcome(load_series, str(path)) == outcome(reference_load_series, str(path))
+
+    def test_memory_stays_near_one_block(self, tmp_path):
+        # 10**6 lines: the whole-file parser peaked at about 110 MB.
+        path = str(tmp_path / "long.txt")
+        save_series(TimeSeries(values=normals(5, 10**6), sample_rate_hz=50.0), path)
+        tracemalloc.start()
+        try:
+            ts = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ts) == 10**6
+        assert peak < 40 * 2**20
+
+
+class TestSampleRateHeader:
+    """One rule for a `# sample_rate_hz:` header, in every text file: a
+    finite number > 0, or a DataError that names the header's line."""
+
+    @pytest.mark.parametrize("rate", ["abc", "inf", "-5", "0", "nan", ""])
+    @pytest.mark.parametrize(
+        "load, body",
+        [
+            (load_series, "1.0\n2.0\n"),
+            (load_predictions, "# series_length: 10\n# m: 2\n# stride: 1\n# classes: a\n"
+             "position,class,score\n"),
+            (lambda path: load_labels(path, 10), "0,5,a\n"),
+        ],
+    )
+    def test_bad_rate_names_its_line(self, tmp_path, rate, load, body):
+        path = tmp_path / "f.txt"
+        path.write_text(f"# name: x\n# sample_rate_hz: {rate}\n" + body)
+        message = f"sample_rate_hz must be a finite number > 0, got {rate!r}"
+        with pytest.raises(DataError, match=re.escape(message)) as err:
+            load(str(path))
+        assert err.value.line == 2
+
+    def test_good_rate_loads(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# sample_rate_hz: 2.5e3\n1.0\n")
+        assert load_series(str(path)).sample_rate_hz == 2500.0
 
 
 class TestLabelIo:

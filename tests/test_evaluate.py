@@ -436,9 +436,9 @@ class TestDetectionFrequency:
                     (start, sum(lab == cls for lab in labels[start : start + window]))
                     for start in range(0, length, step)
                 ]
-                assert detection_frequency(track, cls, window, step) == expected
+                assert list(detection_frequency(track, cls, window, step)) == expected
         track = track_from(["a", None, "a"], ["a"])
-        assert detection_frequency(track, "a", 10**30, 10**30) == [(0, 2)]
+        assert list(detection_frequency(track, "a", 10**30, 10**30)) == [(0, 2)]
 
     def test_bad_params(self):
         track = track_from([None] * 5, ["a"])

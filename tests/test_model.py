@@ -171,7 +171,7 @@ class TestComputeProbability:
         # Past the last edge both sides take their floor 1 / ((total + 1) * 2).
         assert out[2] == pytest.approx(0.1 / (0.1 + 0.25))
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(
         _samples,
         _samples,
@@ -453,7 +453,7 @@ def _distributions_or_error(fn, *args):
 
 
 class TestComputeDistributions:
-    @settings(max_examples=400, deadline=None, database=None)
+    @settings(max_examples=400)
     @given(claim_layouts())
     def test_matches_claim_loop(self, layout):
         ts, labels, features, m, e = layout
@@ -576,7 +576,7 @@ class TestTrain:
         with pytest.raises(ModelError, match="ghost"):
             train(ts, labels, [ClassSpec("ghost", m, m, (FeatureSpec(kind=COMPLEXITY),))])
 
-    @pytest.mark.parametrize("class_id", ["a,b", "a\nb", "a\r", "a\u2028b"])
+    @pytest.mark.parametrize("class_id", ["a,b", "a\nb", "a\r", "a\u2028b", "", " a", "a\t"])
     def test_class_id_must_fit_a_csv_row(self, class_id):
         message = "must not contain a comma or a line break"
         with pytest.raises(DataError, match=message):

@@ -21,7 +21,6 @@ from .core import (
     LabelTrack,
     Region,
     TimeSeries,
-    validate_series,
 )
 from .data import (
     DatasetBundle,

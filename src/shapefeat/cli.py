@@ -85,7 +85,7 @@ def _convert(kind, value, what: str):
     """`kind(value)` for kind int or float; a value it rejects is a DataError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         noun = "an integer" if kind is int else "a number"
         raise DataError(f"{what} must be {noun}, got {value!r}") from exc
 

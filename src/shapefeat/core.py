@@ -93,15 +93,6 @@ class TimeSeries:
         )
 
 
-def validate_series(ts: TimeSeries) -> None:
-    """Raise DataError unless the series is non-empty and finite."""
-    if len(ts) < 1:
-        raise DataError("time series is empty")
-    bad = np.flatnonzero(~np.isfinite(ts.values))
-    if bad.size:
-        raise DataError(f"non-finite value at index {int(bad[0])}", index=int(bad[0]))
-
-
 def check_class_id(class_id: str) -> None:
     """Raise DataError for a class id that a CSV row or header cannot hold."""
     if "," in class_id or len(class_id.splitlines()) != 1 or class_id.strip() != class_id:
@@ -208,11 +199,20 @@ class Histogram:
 
     def __post_init__(self):
         edges = _frozen_array(self.edges)
-        counts = _frozen_array(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        try:
+            with np.errstate(invalid="ignore"):  # a count the cast changes (1.5, NaN) fails below
+                counts = _frozen_array(raw, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            counts = None
+        if counts is None or not np.array_equal(counts, raw):
+            raise DataError("histogram counts must be whole numbers below 2**63")
         if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
             raise DataError("histogram needs len(edges) == len(counts) + 1")
         if counts.size < 1:
             raise DataError("histogram needs at least one bin")
+        if not np.all(np.isfinite(edges)):
+            raise DataError("histogram edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise DataError("histogram edges must be strictly increasing")
         if np.any(counts < 0):

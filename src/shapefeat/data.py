@@ -568,7 +568,7 @@ def load_model(path: str) -> List[ClassModel]:
                     prior=float(obj["prior"]),
                 )
             )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path} is corrupt: {exc}") from exc
     return models
 

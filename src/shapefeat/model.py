@@ -1,11 +1,14 @@
 """Per-class local models: training, probability profiles, and classification.
 
-Training turns each feature profile into a pair of value histograms (class /
-non-class). Classification scores a test series once (`score_locals`: every
-(class, feature) local probability, with the per-series state shared by all
-profiles), combines the locals per class with a Naive Bayes product, weights
-by per-class thresholds, and sweeps left to right with exclusion-zone
-suppression. Variant and threshold sweeps re-combine the same scores.
+Both training and scoring build their profiles in one pass of
+`profiles.feature_profiles`, which shares one `sliding_stats` and one series
+spectrum across the profiles of a pass. Training turns each feature profile
+into a pair of value histograms (class / non-class). Classification scores a
+test series once (`score_locals`: every (class, feature) local probability),
+combines the locals per class with a Naive Bayes product, weights by
+per-class thresholds (`weighted_table`), and sweeps left to right with
+exclusion-zone suppression (`sweep`). Variant and threshold sweeps
+re-combine the same scores.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .core import (
     TimeSeries,
     check_class_id,
 )
-from .profiles import generate_profile, series_spectrum, sliding_stats, znormalize
+from .profiles import feature_profiles, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -232,9 +235,8 @@ def compute_distributions(
     touch = np.zeros(length, dtype=bool)
     for lo, hi in spans:
         touch[lo:hi] = True
-    out: List[Tuple[Histogram, Histogram]] = []
-    for feature in features:
-        v = generate_profile(train, feature, m)
+    out: List[Tuple[Histogram, Histogram]] = [None] * len(features)
+    for k, v in feature_profiles(train, features, m):
         claimed = np.zeros(length, dtype=bool)
         for lo, hi in spans:
             free = lo + np.flatnonzero(~claimed[lo:hi])
@@ -250,7 +252,7 @@ def compute_distributions(
             raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
         # Ascending, the order claims are made in: np.max keeps a zero's sign.
         p_values = np.sort(v[claimed], kind="stable")
-        out.append((histogram_build(p_values), histogram_build(n_values)))
+        out[k] = (histogram_build(p_values), histogram_build(n_values))
     return out
 
 
@@ -348,26 +350,14 @@ class LocalScores:
 def score_locals(
     models: Sequence[ClassModel], test: TimeSeries, small_value_mode: str = FLOOR_UNION
 ) -> LocalScores:
-    """One scoring pass: every local probability of every class.
-
-    `sliding_stats` and the series spectrum are computed once and shared by
-    every profile. Shape features are scored first, so the spectrum is
-    released before the other profiles are built.
-    """
+    """One scoring pass (`feature_profiles`) over the locals of every class."""
     m = _check_models(models)
     if len(test) < m:
         raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
     values = np.empty((len(locals_), len(test) - m + 1))
-    stats = sliding_stats(test, m)
-    spectrum = None
-    for r in sorted(range(len(locals_)), key=lambda r: locals_[r][0].kind != SHAPE):
-        spec, pos_h, neg_h = locals_[r]
-        if spec.kind != SHAPE:
-            spectrum = None
-        elif spectrum is None:
-            spectrum = series_spectrum(test)
-        prof = generate_profile(test, spec, m, stats, spectrum)
+    for r, prof in feature_profiles(test, [spec for spec, _, _ in locals_], m):
+        _, pos_h, neg_h = locals_[r]
         values[r] = compute_probability(pos_h, neg_h, prof, small_value_mode)
     return LocalScores(models=tuple(models), values=values, test=test)
 
@@ -404,30 +394,24 @@ def class_probabilities(
     test: TimeSeries,
     cfg: ClassifierConfig,
 ) -> Tuple[tuple, np.ndarray]:
-    """Stacked per-class combined probabilities over the test series.
-
-    Returns (class_ids, matrix of shape [n_classes, n - m + 1]); rows are
-    multiplied by the per-class threshold weights.
-    """
+    """(class_ids, [class, position] table): the `weighted_table` of one
+    `score_locals` pass."""
     return weighted_table(score_locals(models, test, cfg.small_value_mode), cfg)
 
 
-def _suppression_sweep(
-    class_ids: tuple,
-    weighted: np.ndarray,
-    exclusion_zones: Sequence[int],
-    cfg: ClassifierConfig,
-    m: int,
-    series_length: int,
-    sample_rate_hz: Optional[float],
+def sweep(
+    scores: LocalScores, class_ids: tuple, weighted: np.ndarray, cfg: ClassifierConfig
 ) -> PredictionTrack:
-    """Visit positions 0, stride, 2 * stride, ...; a visit at or above the
-    floor emits its argmax class and jumps max(stride, e + 1) instead.
+    """Suppression sweep of a `weighted_table` of `scores`.
 
-    Between detections the visits stay in one stride phase, so one binary
-    search finds the next one. A detection scores its class's weighted
-    probability.
+    Visit positions 0, stride, 2 * stride, ...; a visit at or above the
+    floor emits its argmax class and jumps max(stride, e + 1) instead, e
+    that class's exclusion zone. Between detections the visits stay in one
+    stride phase, so one binary search finds the next one. A detection
+    scores its class's weighted probability.
     """
+    zone_of = {mo.class_id: mo.exclusion_zone for mo in scores.models}
+    zones = [zone_of[c] for c in class_ids]
     length = weighted.shape[1]
     # A stride past the end visits position 0 only, as `length` does.
     stride = min(cfg.stride, max(length, 1))
@@ -435,7 +419,7 @@ def _suppression_sweep(
     hits = np.flatnonzero((weighted >= cfg.decision_floor).any(axis=0))
     # Above-floor positions ordered by (phase, position); phase < length.
     keys = np.sort(hits % stride * length + hits)
-    positions, labels, scores = [], [], []
+    positions, codes, values = [], [], []
     pos = 0
     while pos < length:
         base = pos % stride * length
@@ -445,30 +429,18 @@ def _suppression_sweep(
         hit = int(keys[k]) - base
         w = int(np.argmax(weighted[:, hit]))
         positions.append(hit)
-        labels.append(w)
-        scores.append(weighted[w, hit])
-        pos = hit + max(stride, int(exclusion_zones[w]) + 1)
+        codes.append(w)
+        values.append(weighted[w, hit])
+        pos = hit + max(stride, int(zones[w]) + 1)
     return PredictionTrack(
         class_ids=class_ids,
         positions=np.array(positions, dtype=np.int64),
-        label_codes=np.array(labels, dtype=np.int32),
-        scores=np.array(scores, dtype=np.float64),
-        m=m,
-        series_length=series_length,
+        label_codes=np.array(codes, dtype=np.int32),
+        scores=np.array(values, dtype=np.float64),
+        m=scores.models[0].m,
+        series_length=len(scores.test),
         stride=cfg.stride,
-        sample_rate_hz=sample_rate_hz,
-    )
-
-
-def sweep(
-    scores: LocalScores, class_ids: tuple, weighted: np.ndarray, cfg: ClassifierConfig
-) -> PredictionTrack:
-    """Suppression sweep of a `weighted_table` of `scores`."""
-    zones = {mo.class_id: mo.exclusion_zone for mo in scores.models}
-    test = scores.test
-    return _suppression_sweep(
-        class_ids, weighted, [zones[c] for c in class_ids], cfg,
-        scores.models[0].m, len(test), test.sample_rate_hz,
+        sample_rate_hz=scores.test.sample_rate_hz,
     )
 
 
@@ -484,13 +456,5 @@ def classify(
     floor; a detection suppresses the next exclusion_zone positions of every
     class. All other positions carry OTHER_CLASS.
     """
-    ids, weighted = class_probabilities(models, test, cfg)
-    return _suppression_sweep(
-        ids,
-        weighted,
-        [mo.exclusion_zone for mo in models],
-        cfg,
-        models[0].m,
-        len(test),
-        test.sample_rate_hz,
-    )
+    scores = score_locals(models, test, cfg.small_value_mode)
+    return sweep(scores, *weighted_table(scores, cfg), cfg)

@@ -7,11 +7,14 @@ subsequences. Two implementations are provided: a brute-force reference
 the MASS similarity-search algorithm. The kernels take optional per-series
 state that a scoring pass shares across features: `stats`, the series'
 `sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
-state is computed from the series.
+state is computed from the series. `feature_profiles` is the one profile
+pass that training and scoring share: it decides when that state is built
+and when it is dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -231,3 +234,23 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
     if feature.kind in (SLIDING_MEAN, SLIDING_STD):
         return sliding_feature_profile(ts, m, feature.kind, stats)
     raise DataError(f"unknown feature kind {feature.kind!r}")
+
+
+def feature_profiles(
+    ts, features: Sequence[FeatureSpec], m: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (index, profile) for every feature, shape features first.
+
+    One `sliding_stats` is shared by every profile and one `series_spectrum`
+    by the shape profiles; the spectrum is released before the first other
+    profile is built.
+    """
+    stats = sliding_stats(ts, m)
+    spectrum = None
+    for i in sorted(range(len(features)), key=lambda i: features[i].kind != SHAPE):
+        feature = features[i]
+        if feature.kind != SHAPE:
+            spectrum = None
+        elif spectrum is None:
+            spectrum = series_spectrum(ts)
+        yield i, generate_profile(ts, feature, m, stats, spectrum)

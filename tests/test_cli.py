@@ -558,6 +558,8 @@ BAD_INPUT_FILES = {
     "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
     "negative-rate.txt": "# name: x\n# sample_rate_hz: -5\n1.0\n2.0\n",
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
+    "stride-inf.yaml": CONFIG.replace("stride: 1", "stride: .inf", 1),
+    "m-inf.yaml": CONFIG.replace("m: 64", "m: .inf", 1),
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -640,14 +642,53 @@ BAD_INPUT_CASES = {
     ),
     "ucr-inf-label": ([*_GUN, "@inf-label.csv"], 2, "line 2: non-finite label 'inf'"),
     "ucr-nan-label": ([*_GUN, "@nan-label.csv"], 2, "line 2: non-finite label 'nan'"),
+    "config-stride-inf": (
+        [*_CLASSIFY, "--config", "@stride-inf.yaml"], 2, "stride must be an integer, got inf"
+    ),
+    "config-m-inf": (
+        [*_TRAIN, "--config", "@m-inf.yaml"], 2, "m of class 'sine' must be an integer, got inf"
+    ),
+    "model-m-1e999": (
+        ["classify", "--model", "@m-1e999.sfcm", "--series", "@test.txt"], 2,
+        "is corrupt: cannot convert float infinity to integer",
+    ),
+    "model-exclusion-zone-1e999": (
+        ["classify", "--model", "@zone-1e999.sfcm", "--series", "@test.txt"], 2,
+        "is corrupt: cannot convert float infinity to integer",
+    ),
+    "model-count-2**70": (
+        ["classify", "--model", "@count-2**70.sfcm", "--series", "@test.txt"], 2,
+        "histogram counts must be whole numbers below 2**63",
+    ),
+    "model-count-1.5": (
+        ["classify", "--model", "@count-1.5.sfcm", "--series", "@test.txt"], 2,
+        "histogram counts must be whole numbers below 2**63",
+    ),
+    "model-edge-nan": (
+        ["classify", "--model", "@edge-nan.sfcm", "--series", "@test.txt"], 2,
+        "histogram edges must be finite",
+    ),
+    "model-edge-inf": (
+        ["classify", "--model", "@edge-inf.sfcm", "--series", "@test.txt"], 2,
+        "histogram edges must be finite",
+    ),
 }
+
+
+def _replace_item(blob: bytes, key: bytes, index: int, value: bytes) -> bytes:
+    """`blob` with item `index` of the first `"key":[...]` list set to `value`."""
+    start = blob.index(b'"' + key + b'":[') + len(key) + 4
+    end = blob.index(b"]", start)
+    items = blob[start:end].split(b",")
+    items[index] = value
+    return blob[:start] + b",".join(items) + blob[end:]
 
 
 @pytest.fixture(scope="module")
 def bad_inputs(workspace):
     """The workspace plus every malformed input, a model with a bogus kind,
-    one with a histogram of zero counts and one whose class id holds a line
-    break."""
+    one with a histogram of zero counts, one whose class id holds a line
+    break, and models with out-of-range numbers."""
     for name, text in BAD_INPUT_FILES.items():
         (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     model = (workspace / "model.sfcm").read_bytes()
@@ -664,6 +705,17 @@ def bad_inputs(workspace):
     (workspace / "line-break-class.sfcm").write_bytes(
         model.replace(b'"class_id":"sine"', b'"class_id":"sine\\nx"')
     )
+    assert b'"m":64' in model and b'"exclusion_zone":64' in model
+    bad_models = {
+        "m-1e999.sfcm": model.replace(b'"m":64', b'"m":1e999'),
+        "zone-1e999.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":1e999'),
+        "count-2**70.sfcm": _replace_item(model, b"counts", 0, str(2**70).encode()),
+        "count-1.5.sfcm": _replace_item(model, b"counts", 0, b"1.5"),
+        "edge-nan.sfcm": _replace_item(model, b"edges", 1, b"NaN"),
+        "edge-inf.sfcm": _replace_item(model, b"edges", 0, b"-Infinity"),
+    }
+    for name, blob in bad_models.items():
+        (workspace / name).write_bytes(blob)
     return workspace
 
 

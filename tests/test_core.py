@@ -11,25 +11,7 @@ from shapefeat.core import (
     LabelTrack,
     Region,
     TimeSeries,
-    validate_series,
 )
-
-
-def test_validate_series_ok():
-    assert validate_series(TimeSeries(values=[1.0, 2.0, 3.0])) is None
-
-
-def test_validate_series_non_finite_reports_index():
-    ts = TimeSeries(values=[1.0, np.nan])
-    with pytest.raises(DataError, match="non-finite value at index 1") as err:
-        validate_series(ts)
-    assert err.value.index == 1
-    assert err.value.line is None
-
-
-def test_validate_series_empty():
-    with pytest.raises(DataError, match="time series is empty"):
-        validate_series(TimeSeries(values=[]))
 
 
 def test_timeseries_values_are_read_only():

@@ -248,7 +248,8 @@ COUNTED = ("profiles.sliding_stats", "profiles.distance_profile_mass", "model.co
 
 
 class TestScoreOnce:
-    """compare and roc score the series once, however many variants or weights."""
+    """classify, compare and roc score the series once, however many variants
+    or weights; train builds one profile pass per class."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -261,8 +262,14 @@ class TestScoreOnce:
             for name, kinds in FOUR_CLASS.items()
         ]
         save_model(train(train_b.series, train_b.labels, specs), str(root / "model.sfcm"))
+        save_series(train_b.series, str(root / "train.txt"))
+        save_labels(train_b.labels, str(root / "train.csv"))
         save_series(test_b.series, str(root / "test.txt"))
         save_labels(test_b.labels, str(root / "test.csv"))
+        (root / "config.yaml").write_text("classes:\n" + "".join(
+            f"  - {{name: {name}, m: 48, exclusion_zone: 47, prior: 0.5, features: [{', '.join(kinds)}]}}\n"
+            for name, kinds in FOUR_CLASS.items()
+        ))
         return root
 
     @staticmethod
@@ -286,24 +293,28 @@ class TestScoreOnce:
     @pytest.mark.parametrize(
         "command",
         [
-            ["compare"],
-            ["roc", "--class", "sine", "--weights", "0.5,1,2,4,8"],
-            ["roc", "--class", "hum", "--weights", "0.5,2"],
+            ["compare", "--model", "@model.sfcm", "--series", "@test.txt", "--labels", "@test.csv"],
+            ["roc", "--class", "sine", "--weights", "0.5,1,2,4,8", "--model", "@model.sfcm",
+             "--series", "@test.txt", "--labels", "@test.csv"],
+            ["roc", "--class", "hum", "--weights", "0.5,2", "--model", "@model.sfcm",
+             "--series", "@test.txt", "--labels", "@test.csv"],
+            ["classify", "--model", "@model.sfcm", "--series", "@test.txt"],
+            ["train", "--config", "@config.yaml", "--series", "@train.txt", "--labels", "@train.csv"],
         ],
     )
     def test_one_scoring_pass(self, files, monkeypatch, tmp_path, command):
         counts = self.count_calls(monkeypatch)
-        argv = [
-            *command, "--model", str(files / "model.sfcm"),
-            "--series", str(files / "test.txt"), "--labels", str(files / "test.csv"),
-            "--out", str(tmp_path / "out.csv"),
-        ]
-        assert cli.main(argv) == 0
-        assert counts == {
-            "profiles.sliding_stats": 1,
-            "profiles.distance_profile_mass": 3,
-            "model.compute_probability": 10,
-        }
+        argv = [str(files / a[1:]) if a.startswith("@") else a for a in command]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        if command[0] == "train":
+            # One sliding_stats per class (4), not one per feature (10).
+            assert counts == {"profiles.sliding_stats": 4, "profiles.distance_profile_mass": 3}
+        else:
+            assert counts == {
+                "profiles.sliding_stats": 1,
+                "profiles.distance_profile_mass": 3,
+                "model.compute_probability": 10,
+            }
 
 
 class TestLoocv:

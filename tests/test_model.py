@@ -29,7 +29,7 @@ from shapefeat.core import (
 from shapefeat.data import normals, uniforms
 from shapefeat.model import (
     ClassSpec,
-    _suppression_sweep,
+    LocalScores,
     class_probabilities,
     classify,
     combine_naive_bayes,
@@ -37,6 +37,7 @@ from shapefeat.model import (
     compute_probability,
     histogram_build,
     select_prototype,
+    sweep,
     train,
 )
 from shapefeat.profiles import distance_profile_mass, generate_profile, znormalize
@@ -747,9 +748,17 @@ def assert_detections_match(track, labels, scores):
 
 class TestSuppressionSweep:
     def sweep(self, table, zones, floor, stride):
-        ids = tuple(f"c{k}" for k in range(table.shape[0]))
-        cfg = ClassifierConfig(decision_floor=floor, stride=stride)
-        return _suppression_sweep(ids, table, zones, cfg, 1, table.shape[1], None)
+        """Sweep `table` as the weighted table of a minimal LocalScores: one
+        m=1 model per zone (one with zone 0 when there are none, as when
+        every class drops out of a compare run) over a series of zeros."""
+        hist = Histogram(edges=[0.0, 1.0], counts=[1])
+        models = tuple(
+            ClassModel(f"c{k}", 1, z, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)
+            for k, z in enumerate(zones or [0])
+        )
+        scores = LocalScores(models, table, TimeSeries(values=np.zeros(table.shape[1])))
+        ids = tuple(mo.class_id for mo in models[: table.shape[0]])
+        return sweep(scores, ids, table, ClassifierConfig(decision_floor=floor, stride=stride))
 
     def test_matches_per_position_reference(self):
         rng = np.random.default_rng(2024)

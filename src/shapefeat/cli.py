@@ -9,7 +9,8 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Iterable, List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional, Sequence
 
 import yaml
 
@@ -24,6 +25,7 @@ from .core import (
     FeatureSpec,
     ModelError,
     TimeSeries,
+    whole_number,
 )
 from .evaluate import compare_variants, detection_frequency, metrics, mil_confusion, roc_sweep
 from .model import ClassSpec, classify, train
@@ -55,8 +57,8 @@ _FEATURE_KEYS = {"kind", "id", "prototype"}
 
 def _parse_samples(value, sample_rate_hz: Optional[float], what: str) -> int:
     """Accept plain sample counts or time suffixes (s, ms, min, h)."""
-    if isinstance(value, int):
-        return value
+    if isinstance(value, (int, float)):
+        return _convert(int, value, what)
     text = str(value).strip()
     try:
         return int(text)
@@ -82,9 +84,9 @@ def _parse_samples(value, sample_rate_hz: Optional[float], what: str) -> int:
 
 
 def _convert(kind, value, what: str):
-    """`kind(value)` for kind int or float; a value it rejects is a DataError."""
+    """`value` as a whole number (kind int) or a float, else a DataError."""
     try:
-        return kind(value)
+        return whole_number(value) if kind is int else float(value)
     except (OverflowError, TypeError, ValueError) as exc:
         noun = "an integer" if kind is int else "a number"
         raise DataError(f"{what} must be {noun}, got {value!r}") from exc
@@ -190,11 +192,6 @@ def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> Classifi
     else:
         cfg = ClassifierConfig()
     return _apply_overrides(cfg, args)
-
-
-def _write_csv(path: str, header: str, rows: Iterable[str]) -> None:
-    lines = (line for part in ([header], rows) for line in part)
-    dataio._atomic_write(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 def _fmt(x: float) -> str:
@@ -303,7 +300,7 @@ def cmd_eval(args) -> int:
             f"{class_id}: tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn} "
             f"precision={precision:.4g} recall={recall:.4g} accuracy={accuracy:.4g}"
         )
-    _write_csv(args.out, "class,tp,fp,fn,tn,precision,recall,accuracy", rows)
+    dataio.write_lines(args.out, ["class,tp,fp,fn,tn,precision,recall,accuracy", *rows])
     print(f"wrote {args.out}")
     return 0
 
@@ -314,7 +311,7 @@ def cmd_compare(args) -> int:
     bags = dataio.load_labels(args.labels, len(series))
     cfg = _classifier_config(args, series.sample_rate_hz)
     rows = compare_variants(models, series, bags, cfg)
-    lines = []
+    lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
     for name, class_id, cm, precision, recall, accuracy in rows:
         lines.append(
             f"{name},{class_id},{cm.tp},{cm.fp},{cm.fn},{cm.tn},"
@@ -324,7 +321,7 @@ def cmd_compare(args) -> int:
             f"{name:>8} {class_id}: precision={precision:.4g} "
             f"recall={recall:.4g} accuracy={accuracy:.4g}"
         )
-    _write_csv(args.out, "variant,class,tp,fp,fn,tn,precision,recall,accuracy", lines)
+    dataio.write_lines(args.out, lines)
     print(f"wrote {args.out}")
     return 0
 
@@ -345,7 +342,7 @@ def cmd_roc(args) -> int:
         f"{pt.tp},{pt.fp},{pt.fn},{pt.tn}"
         for pt in points
     ]
-    _write_csv(args.out, "weight,precision,recall,tp,fp,fn,tn", rows)
+    dataio.write_lines(args.out, ["weight,precision,recall,tp,fp,fn,tn", *rows])
     print(f"wrote {args.out} ({len(points)} operating points for {args.class_id})")
     return 0
 
@@ -355,7 +352,8 @@ def cmd_freq(args) -> int:
     window = _parse_samples(args.window, track.sample_rate_hz, "window")
     step = _parse_samples(args.step, track.sample_rate_hz, "step")
     series = detection_frequency(track, args.class_id, window, step)
-    _write_csv(args.out, "window_start,count", (f"{start},{count}" for start, count in series))
+    rows = (f"{start},{count}" for start, count in series)
+    dataio.write_lines(args.out, chain(["window_start,count"], rows))
     windows = -(-len(track) // step)  # one per start 0, step, 2 * step, ... below len(track)
     print(f"wrote {args.out} ({windows} windows of {window} samples, step {step})")
     return 0

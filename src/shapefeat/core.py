@@ -5,7 +5,7 @@ Indices are 0-based throughout; label regions are half-open [start, end).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -61,36 +61,55 @@ class ModelError(ShapefeatError):
 # Value objects
 # ---------------------------------------------------------------------------
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+def frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of `values` as a `dtype` array."""
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
 
 
+def value_eq(a, b):
+    """Equality of two dataclasses of one type, field by field: by
+    `np.array_equal` where either side is an ndarray, else by ``==``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
+               else x == y for x, y in pairs)
+
+
+def whole_number(value) -> int:
+    """`value` as an int: an int, or a float with a whole value. Any other
+    value raises TypeError, ValueError or OverflowError, as `int` does."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A 1-D real-valued sequence, optionally with a physical sample rate."""
+    """A 1-D real-valued sequence, optionally with a physical sample rate
+    and a name that fits one header line."""
 
     values: np.ndarray
     sample_rate_hz: Optional[float] = None
     name: str = ""
 
+    __eq__ = value_eq
+
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", frozen_array(self.values))
         if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
             raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        if len(self.name.splitlines()) > 1 or self.name.strip() != self.name:
+            raise DataError(f"series name {self.name!r} must not contain a line break "
+                            "or start or end with whitespace")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            np.array_equal(self.values, other.values)
-            and self.sample_rate_hz == other.sample_rate_hz
-            and self.name == other.name
-        )
 
 
 def check_class_id(class_id: str) -> None:
@@ -109,17 +128,16 @@ class Region:
     class_id: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LabelTrack:
     """Ordered, non-overlapping weak labels over a series of known length.
 
     Gaps between regions implicitly belong to OTHER_CLASS; no region may
-    carry it explicitly.
+    carry it explicitly, and each class id must fit a CSV row.
     """
 
     series_length: int
     regions: tuple
-    classes: tuple = ()
 
     def __post_init__(self):
         regions = tuple(self.regions)
@@ -128,6 +146,7 @@ class LabelTrack:
             raise DataError("series_length must be >= 0")
         prev = None
         for k, r in enumerate(regions):
+            check_class_id(r.class_id)
             where = f"region [{r.start},{r.end})"
             if r.class_id == OTHER_CLASS:
                 raise DataError(f"{where} carries reserved class {OTHER_CLASS}", index=k)
@@ -138,20 +157,9 @@ class LabelTrack:
             if prev is not None and r.start < prev.end:
                 raise DataError(f"{where} overlaps previous end {prev.end}", index=k)
             prev = r
-        vocab = dict.fromkeys([*self.classes, *(r.class_id for r in regions), OTHER_CLASS])
-        object.__setattr__(self, "classes", tuple(vocab))
 
     def class_regions(self, class_id: str) -> tuple:
         return tuple(r for r in self.regions if r.class_id == class_id)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelTrack):
-            return NotImplemented
-        return (
-            self.series_length == other.series_length
-            and self.regions == other.regions
-            and self.classes == other.classes
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +174,8 @@ class FeatureSpec:
     id: str = ""
     query: Optional[np.ndarray] = None
 
+    __eq__ = value_eq
+
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise DataError(f"unknown feature kind {self.kind!r}")
@@ -174,20 +184,11 @@ class FeatureSpec:
         if self.query is not None:
             if self.kind != SHAPE:
                 raise DataError(f"feature kind {self.kind!r} takes no query")
-            q = _frozen_array(self.query)
+            q = frozen_array(self.query)
             if not np.all(np.isfinite(q)):
                 bad = int(np.flatnonzero(~np.isfinite(q))[0])
                 raise DataError(f"non-finite value at index {bad}", index=bad)
             object.__setattr__(self, "query", q)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureSpec):
-            return NotImplemented
-        if self.kind != other.kind or self.id != other.id:
-            return False
-        if (self.query is None) != (other.query is None):
-            return False
-        return self.query is None or np.array_equal(self.query, other.query)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +198,14 @@ class Histogram:
     edges: np.ndarray
     counts: np.ndarray
 
+    __eq__ = value_eq
+
     def __post_init__(self):
-        edges = _frozen_array(self.edges)
+        edges = frozen_array(self.edges)
         raw = np.asarray(self.counts)
         try:
             with np.errstate(invalid="ignore"):  # a count the cast changes (1.5, NaN) fails below
-                counts = _frozen_array(raw, dtype=np.int64)
+                counts = frozen_array(raw, dtype=np.int64)
         except (OverflowError, TypeError, ValueError):
             counts = None
         if counts is None or not np.array_equal(counts, raw):
@@ -230,13 +233,8 @@ class Histogram:
     def range_width(self) -> float:
         return float(self.edges[-1] - self.edges[0])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return np.array_equal(self.edges, other.edges) and np.array_equal(self.counts, other.counts)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassModel:
     """Per-class local model: one (pos, neg) histogram pair per feature."""
 
@@ -258,17 +256,6 @@ class ClassModel:
         for spec, pos_hist, neg_hist in self.features:
             if spec.kind == SHAPE and (spec.query is None or spec.query.size != self.m):
                 raise DataError(f"shape feature {spec.id!r} needs a length-{self.m} query")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassModel):
-            return NotImplemented
-        return (
-            self.class_id == other.class_id
-            and self.m == other.m
-            and self.exclusion_zone == other.exclusion_zone
-            and self.prior == other.prior
-            and self.features == other.features
-        )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .core import (
     LabelTrack,
     Region,
     TimeSeries,
+    whole_number,
 )
 from .model import PredictionTrack
 
@@ -129,24 +131,34 @@ class DatasetBundle:
     provenance: str
 
 
+# Fixed shape of the two-modality fixture; lengths are in units of m.
+GAP_LEN = (1.5, 2.5)
+SINE_AMP, AMP_JITTER, SURGE_AMP = 1.0, 0.08, 3.0
+FLAT_LEVEL, FLAT_LEVEL_JITTER = 1.0, 0.5
+GAP_STD = 2.0
+HUM_STD = SINE_AMP / np.sqrt(2.0)
+HUM_BAND = (0.2, 0.35)  # the carrier's band, in cycles per sample
+
+
 @dataclass(frozen=True)
 class TwoModalityParams:
     """Knobs for the planted two-modality fixture.
 
     Four region types are planted in a band-limited high-frequency carrier
-    (the unlabeled filler, scaled to `gap_std`):
+    (the unlabeled filler in `HUM_BAND`, scaled to `GAP_STD`):
 
     * ``sine`` (the shape class): sine bursts, aligned phase, per-region
       amplitude jitter, relative noise `noise_level`;
     * ``flat`` (the feature class): exactly constant stretches;
-    * ``surge``: sine bursts scaled by `surge_amp`, label-only confusers
+    * ``surge``: sine bursts scaled by `SURGE_AMP`, label-only confusers
       that are shape-identical to the sine class after z-normalization but
       amplitude-distinct (they defeat a shape-only run);
     * ``hum``: labeled stretches of the carrier scaled to the sine bursts'
-      window deviation (they defeat a feature-only run).
+      window deviation, `HUM_STD` (they defeat a feature-only run).
 
-    Lengths are in units of m. Labels stop m samples before each material
-    block ends so every labeled position's window lies inside its material.
+    Lengths are in units of m; gaps are `GAP_LEN` long. Labels stop m
+    samples before each material block ends so every labeled position's
+    window lies inside its material.
     """
 
     m: int = 64
@@ -155,17 +167,8 @@ class TwoModalityParams:
     n_surge: int = 12
     n_hum: int = 12
     region_len: Tuple[float, float] = (2.0, 3.0)
-    gap_len: Tuple[float, float] = (1.5, 2.5)
     noise_level: float = 0.05
     sine_cycles: float = 2.0
-    sine_amp: float = 1.0
-    amp_jitter: float = 0.08
-    flat_level: float = 1.0
-    flat_level_jitter: float = 0.5
-    surge_amp: float = 3.0
-    gap_std: float = 2.0
-    hum_std: Optional[float] = None  # default: sine_amp / sqrt(2)
-    hum_band: Tuple[float, float] = (0.2, 0.35)
     align: int = 1  # quantize block lengths to this many samples
     sample_rate_hz: Optional[float] = 100.0
 
@@ -178,14 +181,8 @@ class TwoModalityParams:
             raise DataError("region counts must be >= 0")
         if self.region_len[0] < 1.5:
             raise DataError("regions must be at least 1.5 windows long")
-        if self.gap_len[0] < 1.0:
-            raise DataError("gaps must be at least one window long")
         if not (0.0 <= self.noise_level < 1.0):
             raise DataError("noise_level must be in [0, 1)")
-        if not (0.0 < self.hum_band[0] < self.hum_band[1] <= 0.5):
-            raise DataError("hum_band must satisfy 0 < lo < hi <= 0.5")
-        if not self.gap_std > 0:
-            raise DataError("gap_std must be positive")
         if self.align < 1:
             raise DataError("align must be >= 1")
 
@@ -223,20 +220,19 @@ def gen_two_modality_dataset(params: TwoModalityParams, seed: int) -> DatasetBun
     u_amp = uniforms(derive_seed(seed, 3), n_blocks)
 
     lens = [_span_samples(p.region_len, m, u, p.align) for u in u_len]
-    gaps = [_span_samples(p.gap_len, m, u, p.align) for u in u_gap]
+    gaps = [_span_samples(GAP_LEN, m, u, p.align) for u in u_gap]
     n = sum(lens) + sum(gaps)
 
     carrier = normals(derive_seed(seed, 4), n)
     spectrum = np.fft.rfft(carrier)
     freq = np.fft.rfftfreq(n)
-    keep = (freq >= p.hum_band[0]) & (freq <= p.hum_band[1])
+    keep = (freq >= HUM_BAND[0]) & (freq <= HUM_BAND[1])
     spectrum[~keep] = 0.0
     carrier = np.fft.irfft(spectrum, n)
     carrier_std = float(carrier.std())
     if carrier_std > 0:
         carrier /= carrier_std
-    hum_std = p.hum_std if p.hum_std is not None else p.sine_amp / np.sqrt(2.0)
-    x = carrier * p.gap_std
+    x = carrier * GAP_STD
 
     noise = normals(derive_seed(seed, 5), n)
     regions: List[Region] = []
@@ -245,32 +241,27 @@ def gen_two_modality_dataset(params: TwoModalityParams, seed: int) -> DatasetBun
         pos += gaps[b]
         length = lens[b]
         t = np.arange(length, dtype=np.float64)
-        jitter = 1.0 + p.amp_jitter * (2.0 * u_amp[b] - 1.0)
+        jitter = 1.0 + AMP_JITTER * (2.0 * u_amp[b] - 1.0)
         if kind == SINE_CLASS or kind == SURGE_CLASS:
-            amp = p.sine_amp * jitter if kind == SINE_CLASS else p.surge_amp * jitter
+            amp = SINE_AMP * jitter if kind == SINE_CLASS else SURGE_AMP * jitter
             x[pos : pos + length] = amp * (
                 np.sin(2.0 * np.pi * p.sine_cycles * t / m)
                 + p.noise_level * noise[pos : pos + length]
             )
         elif kind == FLAT_CLASS:
-            level = p.flat_level + p.flat_level_jitter * (2.0 * u_amp[b] - 1.0)
+            level = FLAT_LEVEL + FLAT_LEVEL_JITTER * (2.0 * u_amp[b] - 1.0)
             x[pos : pos + length] = level
         else:  # HUM_CLASS: the carrier again, but at the bursts' deviation
-            x[pos : pos + length] = carrier[pos : pos + length] * hum_std
+            x[pos : pos + length] = carrier[pos : pos + length] * HUM_STD
         regions.append(Region(start=pos, end=pos + length - m, class_id=kind))
         pos += length
 
-    labels = LabelTrack(
-        series_length=n,
-        regions=tuple(regions),
-        classes=(SINE_CLASS, FLAT_CLASS, SURGE_CLASS, HUM_CLASS),
-    )
     series = TimeSeries(
         values=x, sample_rate_hz=p.sample_rate_hz, name=f"two-modality(seed={seed})"
     )
     return DatasetBundle(
         series=series,
-        labels=labels,
+        labels=LabelTrack(series_length=n, regions=tuple(regions)),
         provenance=f"gen_two_modality_dataset(seed={seed}, m={m}, blocks={n_blocks})",
     )
 
@@ -397,8 +388,14 @@ def _header_lines(**fields) -> List[str]:
     return [f"# {key}: {value}" for key, value in fields.items() if value is not None]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, [text.encode("utf-8")])
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a ``\n`` to `path` atomically, 65,536 lines per chunk."""
+    def chunks():
+        rest = iter(lines)
+        while batch := list(islice(rest, 1 << 16)):
+            yield "".join(f"{line}\n" for line in batch).encode("utf-8")
+
+    _atomic_write(path, chunks())
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -447,6 +444,7 @@ def load_series(path: str) -> TimeSeries:
             values = _walk_block(path, lines, first, sum(map(len, parts)), meta)
         parts.append(values)
     values = np.concatenate(parts)
+    del parts  # so the loader holds the series twice at most, not three times
     if not values.size:
         raise DataError(f"{path} holds no values")
     return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""))
@@ -471,9 +469,8 @@ def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict)
 
 
 def save_labels(track: LabelTrack, path: str) -> None:
-    lines = _header_lines(series_length=track.series_length)
-    lines.extend(f"{r.start},{r.end},{r.class_id}" for r in track.regions)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{r.start},{r.end},{r.class_id}" for r in track.regions)
+    write_lines(path, chain(_header_lines(series_length=track.series_length), rows))
 
 
 def load_labels(path: str, series_len: int) -> LabelTrack:
@@ -562,8 +559,8 @@ def load_model(path: str) -> List[ClassModel]:
             models.append(
                 ClassModel(
                     class_id=obj["class_id"],
-                    m=int(obj["m"]),
-                    exclusion_zone=int(obj["exclusion_zone"]),
+                    m=whole_number(obj["m"]),
+                    exclusion_zone=whole_number(obj["exclusion_zone"]),
                     features=features,
                     prior=float(obj["prior"]),
                 )
@@ -579,9 +576,8 @@ def save_predictions(track: PredictionTrack, path: str) -> None:
         classes=",".join(track.class_ids), sample_rate_hz=track.sample_rate_hz,
     )
     lines.append("position,class,score")
-    for pos, cls, score in track.detections():
-        lines.append(f"{pos},{cls},{score!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{pos},{cls},{score!r}" for pos, cls, score in track.detections())
+    write_lines(path, chain(lines, rows))
 
 
 def load_predictions(path: str) -> PredictionTrack:
@@ -675,7 +671,5 @@ def load_ucr_instances(path: str) -> List[Tuple[str, np.ndarray]]:
 
 def save_instances(instances: Sequence[Tuple[np.ndarray, str]], path: str) -> None:
     """Instance bundle: one CSV line per instance, class label first."""
-    lines = []
-    for values, class_id in instances:
-        lines.append(class_id + "," + ",".join(repr(float(v)) for v in values))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, (class_id + "," + ",".join(repr(float(v)) for v in values)
+                       for values, class_id in instances))

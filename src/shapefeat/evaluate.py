@@ -21,6 +21,8 @@ from .core import (
     LabelTrack,
     ModelError,
     TimeSeries,
+    frozen_array,
+    value_eq,
 )
 from .model import PredictionTrack, score_locals, sweep, weighted_table
 from .profiles import znormalize
@@ -155,25 +157,16 @@ class InstanceConfusion:
     classes: tuple
     counts: np.ndarray
 
+    __eq__ = value_eq
+
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", frozen_array(self.counts, dtype=np.int64))
 
     def cell(self, actual: str, predicted: str) -> int:
         return int(self.counts[self.classes.index(actual), self.classes.index(predicted)])
 
-    def row(self, actual: str) -> np.ndarray:
-        return self.counts[self.classes.index(actual)]
-
     def error_rate(self) -> float:
-        total = int(self.counts.sum())
-        return 1.0 - int(np.trace(self.counts)) / total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InstanceConfusion):
-            return NotImplemented
-        return self.classes == other.classes and np.array_equal(self.counts, other.counts)
+        return 1.0 - int(np.trace(self.counts)) / int(self.counts.sum())
 
 
 def _complexity_of(z: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from .core import (
     ModelError,
     TimeSeries,
     check_class_id,
+    value_eq,
 )
 from .profiles import feature_profiles, znormalize
 
@@ -39,7 +40,7 @@ from .profiles import feature_profiles, znormalize
 EPS_PROB = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionTrack:
     """The detections over the n - m + 1 subsequence start positions.
 
@@ -56,6 +57,8 @@ class PredictionTrack:
     series_length: int
     stride: int = 1
     sample_rate_hz: Optional[float] = None
+
+    __eq__ = value_eq
 
     def __len__(self) -> int:
         return self.series_length - self.m + 1
@@ -96,16 +99,14 @@ def histogram_build(values) -> Histogram:
     if np.any(edges[:-1] >= edges[1:]):
         eps = 1e-8 * max(1.0, abs(lo))
         edges = np.array([lo - eps / 2.0, lo + eps / 2.0])
-        counts = np.array([v.size], dtype=np.int64)
-        return Histogram(edges=edges, counts=counts)
+        return Histogram(edges=edges, counts=[v.size])
     counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
     return Histogram(edges=edges, counts=counts.astype(np.int64))
 
 
 def _floor_density(hist: Histogram, union_width: float, mode: str) -> float:
     width = union_width if mode == FLOOR_UNION else hist.range_width
-    width = max(width, 1e-12)
-    return 1.0 / ((hist.total + 1) * width)
+    return 1.0 / ((hist.total + 1) * max(width, 1e-12))
 
 
 def _density_lookup(hist: Histogram, values: np.ndarray, floor: float) -> np.ndarray:
@@ -300,11 +301,7 @@ def train(
         dists = compute_distributions(
             train_series, labels, spec.class_id, resolved, spec.m, spec.exclusion_zone
         )
-        length = n - spec.m + 1
-        if spec.prior is not None:
-            prior = spec.prior
-        else:
-            prior = dists[0][0].total / length
+        prior = spec.prior if spec.prior is not None else dists[0][0].total / (n - spec.m + 1)
         features = tuple(
             (f, pos_h, neg_h) for f, (pos_h, neg_h) in zip(resolved, dists)
         )

@@ -40,7 +40,7 @@ def _flat_eps(mean) -> np.ndarray:
     return 1e-8 * np.maximum(1.0, np.abs(mean))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlidingStats:
     """Per-window mean and population standard deviation."""
 

@@ -179,6 +179,19 @@ class TestTrain:
         assert code == 3
         assert "sine" in err
 
+    def test_whole_float_config_values(self, workspace, tmp_path):
+        # 64.0 is a whole number: the model is the one `m: 64` trains.
+        config = tmp_path / "config.yaml"
+        config.write_text("seed: 3.0\n" + CONFIG.replace("m: 64", "m: 64.0").replace(
+            "exclusion_zone: 64", "exclusion_zone: 64.0").replace("stride: 1", "stride: 1.0"))
+        out = tmp_path / "model.sfcm"
+        code, _, err = run_cli(
+            "train", "--config", str(config), "--series", str(workspace / "train.txt"),
+            "--labels", str(workspace / "train-labels.csv"), "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.read_bytes() == (workspace / "model.sfcm").read_bytes()
+
     def test_class_values_in_a_tiny_range(self, tmp_path):
         # Two values one step apart: too narrow for 13 equal-width bins.
         series = tmp_path / "series.txt"
@@ -560,6 +573,10 @@ BAD_INPUT_FILES = {
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
     "stride-inf.yaml": CONFIG.replace("stride: 1", "stride: .inf", 1),
     "m-inf.yaml": CONFIG.replace("m: 64", "m: .inf", 1),
+    "m-fraction.yaml": CONFIG.replace("m: 64", "m: 64.9", 1),
+    "stride-fraction.yaml": CONFIG.replace("stride: 1", "stride: 1.9", 1),
+    "seed-fraction.yaml": "seed: 2.5\n" + CONFIG,
+    "zone-bool.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: true", 1),
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -672,6 +689,29 @@ BAD_INPUT_CASES = {
         ["classify", "--model", "@edge-inf.sfcm", "--series", "@test.txt"], 2,
         "histogram edges must be finite",
     ),
+    "config-m-fraction": (
+        [*_TRAIN, "--config", "@m-fraction.yaml"], 2,
+        "m of class 'sine' must be an integer, got 64.9",
+    ),
+    "config-stride-fraction": (
+        [*_CLASSIFY, "--config", "@stride-fraction.yaml"], 2,
+        "stride must be an integer, got 1.9",
+    ),
+    "config-seed-fraction": (
+        [*_TRAIN, "--config", "@seed-fraction.yaml"], 2, "seed must be an integer, got 2.5"
+    ),
+    "config-exclusion-zone-bool": (
+        [*_TRAIN, "--config", "@zone-bool.yaml"], 2,
+        "exclusion_zone must be an integer, got True",
+    ),
+    "model-m-fraction": (
+        ["classify", "--model", "@m-fraction.sfcm", "--series", "@test.txt"], 2,
+        "m-fraction.sfcm is corrupt: 64.7 is not a whole number",
+    ),
+    "model-exclusion-zone-fraction": (
+        ["classify", "--model", "@zone-fraction.sfcm", "--series", "@test.txt"], 2,
+        "zone-fraction.sfcm is corrupt: 64.9 is not a whole number",
+    ),
 }
 
 
@@ -709,6 +749,8 @@ def bad_inputs(workspace):
     bad_models = {
         "m-1e999.sfcm": model.replace(b'"m":64', b'"m":1e999'),
         "zone-1e999.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":1e999'),
+        "m-fraction.sfcm": model.replace(b'"m":64', b'"m":64.7'),
+        "zone-fraction.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":64.9'),
         "count-2**70.sfcm": _replace_item(model, b"counts", 0, str(2**70).encode()),
         "count-1.5.sfcm": _replace_item(model, b"counts", 0, b"1.5"),
         "edge-nan.sfcm": _replace_item(model, b"edges", 1, b"NaN"),

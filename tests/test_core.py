@@ -1,6 +1,12 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import shapefeat
 from shapefeat.core import (
     OTHER_CLASS,
     ClassifierConfig,
@@ -11,7 +17,10 @@ from shapefeat.core import (
     LabelTrack,
     Region,
     TimeSeries,
+    value_eq,
+    whole_number,
 )
+from shapefeat.model import PredictionTrack
 
 
 def test_timeseries_values_are_read_only():
@@ -26,6 +35,67 @@ def test_timeseries_equality_is_field_by_field():
     c = TimeSeries(values=[1.0, 2.5], sample_rate_hz=10.0, name="a")
     assert a == b
     assert a != c
+
+
+def _track(scores, stride=1):
+    return PredictionTrack(class_ids=("a", "b"), positions=np.array([3, 9]),
+                           label_codes=np.array([0, 1]), scores=np.array(scores),
+                           m=4, series_length=20, stride=stride)
+
+
+def test_prediction_tracks_compare_by_value():
+    a = _track([0.75, 0.5])
+    assert a == _track([0.75, 0.5])
+    assert a != _track([0.75, 0.25])
+    assert a != _track([0.75, 0.5], stride=2)
+
+
+def test_value_eq_needs_one_type():
+    a = FeatureSpec(kind="shape", query=[1.0, 2.0])
+    assert value_eq(a, TimeSeries(values=[1.0, 2.0])) is NotImplemented
+    assert a != FeatureSpec(kind="shape")
+    assert FeatureSpec(kind="shape") == FeatureSpec(kind="shape")
+    assert a != [1.0, 2.0]
+
+
+def _package_dataclasses():
+    for info in pkgutil.iter_modules(shapefeat.__path__):
+        module = importlib.import_module(f"shapefeat.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_dataclasses_with_arrays_use_the_one_rule():
+    # An array field under the generated __eq__ makes `==` raise ValueError.
+    checked = []
+    for cls in _package_dataclasses():
+        if any("ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+            assert cls.__eq__ in (value_eq, object.__eq__), cls.__name__
+            checked.append(cls.__name__)
+    assert {"TimeSeries", "Histogram", "PredictionTrack", "SlidingStats"} <= set(checked)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", " padded ", "tab\t", "\n", "a\rb", "a\u2028b"])
+def test_timeseries_name_must_fit_one_header_line(name):
+    with pytest.raises(DataError, match="must not contain a line break"):
+        TimeSeries(values=[1.0], name=name)
+
+
+@pytest.mark.parametrize("value, expected", [(64, 64), (64.0, 64), (-3.0, -3), (2**70, 2**70)])
+def test_whole_number_accepts_whole_values(value, expected):
+    number = whole_number(value)
+    assert number == expected and type(number) is int
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(2.5, ValueError), (True, TypeError), ("64", TypeError), (None, TypeError),
+     (float("nan"), ValueError), (float("inf"), OverflowError)],
+)
+def test_whole_number_rejects_the_rest(value, error):
+    with pytest.raises(error):
+        whole_number(value)
 
 
 @pytest.mark.parametrize("rate", [np.inf, np.nan, -5.0, 0.0])
@@ -67,11 +137,17 @@ def test_label_track_rejects_out_of_bounds():
     assert not str(err.value).startswith("line")
 
 
+@pytest.mark.parametrize("class_id", ["a,b", " a", "a\nb", ""])
+def test_label_track_class_id_must_fit_a_csv_row(class_id):
+    # save_labels would write a row that load_labels rejects or strips.
+    with pytest.raises(DataError, match="must not contain a comma or a line break"):
+        LabelTrack(series_length=10, regions=(Region(0, 4, class_id),))
+
+
 def test_label_track_vocabulary_includes_other():
     track = LabelTrack(series_length=10, regions=(Region(0, 4, "a"),))
-    assert "a" in track.classes
-    assert OTHER_CLASS in track.classes
     assert track.class_regions("a") == (Region(0, 4, "a"),)
+    assert track.class_regions(OTHER_CLASS) == ()
 
 
 def test_feature_spec_defaults_and_validation():

@@ -29,6 +29,7 @@ from shapefeat.data import (
     save_predictions,
     save_series,
     uniforms,
+    write_lines,
 )
 from shapefeat.model import ClassSpec, classify, train
 from shapefeat.core import ClassifierConfig, FeatureSpec, LabelTrack
@@ -116,11 +117,7 @@ class TestTwoModality:
         track = bundle.labels
         assert track.series_length == len(bundle.series)
         # Reconstructing the track re-runs every core invariant check.
-        LabelTrack(
-            series_length=track.series_length,
-            regions=track.regions,
-            classes=track.classes,
-        )
+        assert LabelTrack(series_length=track.series_length, regions=track.regions) == track
         for r in track.regions:
             assert r.end + 64 <= track.series_length + 64  # window room by construction
 
@@ -135,6 +132,26 @@ class TestTwoModality:
             TwoModalityParams(m=2)
         with pytest.raises(DataError, match=r"noise_level must be in \[0, 1\)"):
             TwoModalityParams(noise_level=1.5)
+
+
+class TestWriteLines:
+    def test_lines_span_chunks(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        write_lines(str(path), (str(i) for i in range(70_000)))
+        assert path.read_bytes() == "".join(f"{i}\n" for i in range(70_000)).encode()
+
+    def test_no_lines_is_an_empty_file(self, tmp_path):
+        write_lines(str(tmp_path / "empty.txt"), [])
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+
+    def test_a_failing_source_leaves_no_file(self, tmp_path):
+        def lines():
+            yield "kept?"
+            raise DataError("bad row")
+
+        with pytest.raises(DataError, match="bad row"):
+            write_lines(str(tmp_path / "out.txt"), lines())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeriesIo:
@@ -357,6 +374,19 @@ class TestLoadSeriesDifferential:
             tracemalloc.stop()
         assert len(ts) == 10**6
         assert peak < 40 * 2**20
+
+    def test_peak_below_two_and_a_half_series(self, tmp_path):
+        # The blocks' arrays go once they are joined: the joined array and
+        # TimeSeries's copy of it, plus one block, are alive at the peak.
+        path = str(tmp_path / "long.txt")
+        save_series(TimeSeries(values=normals(6, 10**6)), path)
+        tracemalloc.start()
+        try:
+            ts = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ts.values.nbytes
 
 
 class TestSampleRateHeader:

@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, no
+module uses another module's underscore names, and no module writes its
+own `__eq__`.
 
 Parsed with `ast`, so nothing is imported or executed. `__init__.py` is
-left out: its imports are the package's re-exports.
+left out of the unused-import check: its imports are the package's
+re-exports.
 """
 import ast
 from pathlib import Path
@@ -9,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shapefeat"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +41,47 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(source: str) -> list:
+    """Underscore names a module imports from, or reads off, another module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.extend(a.name for a in node.names if _private(a.name))
+            if node.module is None:  # `from . import data`: the names are modules
+                modules.update(a.asname or a.name for a in node.names)
+    found.extend(
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and _private(node.attr)
+    )
+    return found
+
+
+def test_checker_finds_foreign_private_names():
+    source = (
+        "import os.path\nimport numpy as np\nfrom . import data as dataio\n"
+        "from .core import _frozen, value_eq\n"
+        "dataio._atomic_write(np.__version__, os._exit, value_eq._x, _local)\n"
+    )
+    assert foreign_private_names(source) == ["_frozen", "dataio._atomic_write", "os._exit"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert foreign_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_hand_written_eq(path):
+    # Value objects compare through `core.value_eq` or the generated __eq__.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "__eq__"]

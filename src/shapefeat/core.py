@@ -216,8 +216,11 @@ class Histogram:
             raise DataError("histogram needs at least one bin")
         if not np.all(np.isfinite(edges)):
             raise DataError("histogram edges must be finite")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(edges[:-1] < edges[1:]):
             raise DataError("histogram edges must be strictly increasing")
+        # Python floats: a span past float64's range is inf, with no warning.
+        if not np.isfinite(float(edges[-1]) - float(edges[0])):
+            raise DataError("histogram edges must span a finite width")
         if np.any(counts < 0):
             raise DataError("histogram counts must be non-negative")
         if not counts.any():

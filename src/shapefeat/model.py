@@ -109,18 +109,46 @@ def _floor_density(hist: Histogram, union_width: float, mode: str) -> float:
     return 1.0 / ((hist.total + 1) * max(width, 1e-12))
 
 
-def _density_lookup(hist: Histogram, values: np.ndarray, floor: float) -> np.ndarray:
-    """Density of each value, read from a table of nbins + 2 slots: the
-    floor below the first edge, one density per bin (the floor for an empty
-    bin), and the floor past the last edge (and for NaN)."""
-    edges = hist.edges
-    dens = hist.counts / (hist.total * np.diff(edges))
+def _density_table(hist: Histogram, floor: float) -> np.ndarray:
+    """nbins + 2 densities, one per lookup slot: the floor below the first
+    edge, one density per bin (the floor for an empty bin), and the floor
+    past the last edge (and for NaN)."""
+    dens = hist.counts / (hist.total * np.diff(hist.edges))
     dens[dens == 0.0] = floor
-    table = np.concatenate(([floor], dens, [floor]))
-    slot = np.searchsorted(edges, values, side="right")
-    # Values equal to the last edge belong to the last bin.
-    slot[values == edges[-1]] = dens.size
-    return table[slot]
+    return np.concatenate(([floor], dens, [floor]))
+
+
+def _slots(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lookup slot of each value: searchsorted(edges, v, side="right"),
+    except that a value equal to the last edge falls in the last bin.
+
+    The slot is first estimated as if the bins were equal-width, then
+    checked against its two bounds; only the misses (uneven bins, rounding
+    next to an edge, NaN) are searched, so any strictly increasing edges
+    give the searched slot.
+    """
+    nbins = edges.size - 1
+    # Raising the last edge one ulp puts a value equal to it in the last
+    # bin and moves nothing else.
+    bounds = np.concatenate(([-np.inf], edges, [np.inf]))
+    bounds[-2] = np.nextafter(bounds[-2], np.inf)
+    with np.errstate(all="ignore"):  # a bad estimate only misses the check
+        est = np.subtract(v, edges[0])
+        est *= nbins / (edges[-1] - edges[0])
+        est += 1.0
+    np.fmax(est, 0.0, out=est)  # NaN goes to 0, and misses
+    np.fmin(est, nbins + 1, out=est)
+    slot = est.astype(np.intp)
+    hit = bounds[:-1][slot] <= v
+    hit &= v < bounds[1:][slot]
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        slot[miss] = np.searchsorted(bounds[1:-1], v[miss], side="right")
+    return slot
+
+
+#: Positions per block of `compute_probability`'s lookup.
+LOOKUP_BLOCK = 65_536
 
 
 def compute_probability(
@@ -128,22 +156,35 @@ def compute_probability(
     neg_hist: Histogram,
     profile: np.ndarray,
     small_value_mode: str = FLOOR_UNION,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-position P(class) = dens_pos / (dens_pos + dens_neg).
 
     A value outside a histogram's range, or in an empty bin, takes that
     histogram's floor density 1 / ((total + 1) * full_range_width); with the
     default policy the full range spans both histograms, so floors stay small
-    even for narrowly concentrated class histograms.
+    even for narrowly concentrated class histograms. The result is written
+    into `out` (a buffer of the profile's length) when given, and the lookup
+    runs in blocks of LOOKUP_BLOCK positions.
     """
     union_width = float(
         max(pos_hist.edges[-1], neg_hist.edges[-1])
         - min(pos_hist.edges[0], neg_hist.edges[0])
     )
-    dp = _density_lookup(pos_hist, profile, _floor_density(pos_hist, union_width, small_value_mode))
-    dn = _density_lookup(neg_hist, profile, _floor_density(neg_hist, union_width, small_value_mode))
-    dn += dp
-    return np.divide(dp, dn, out=dp)
+    pos_table, neg_table = (
+        _density_table(h, _floor_density(h, union_width, small_value_mode))
+        for h in (pos_hist, neg_hist)
+    )
+    if out is None:
+        out = np.empty(profile.size)
+    neg_block = np.empty(min(profile.size, LOOKUP_BLOCK))
+    for start in range(0, profile.size, LOOKUP_BLOCK):
+        v = profile[start : start + LOOKUP_BLOCK]
+        dp = np.take(pos_table, _slots(pos_hist.edges, v), out=out[start : start + v.size])
+        dn = np.take(neg_table, _slots(neg_hist.edges, v), out=neg_block[: v.size])
+        dn += dp
+        np.divide(dp, dn, out=dp)
+    return out
 
 
 def combine_naive_bayes(
@@ -355,7 +396,8 @@ def score_locals(
     values = np.empty((len(locals_), len(test) - m + 1))
     for r, prof in feature_profiles(test, [spec for spec, _, _ in locals_], m):
         _, pos_h, neg_h = locals_[r]
-        values[r] = compute_probability(pos_h, neg_h, prof, small_value_mode)
+        compute_probability(pos_h, neg_h, prof, small_value_mode, out=values[r])
+        del prof  # before the next profile is built
     return LocalScores(models=tuple(models), values=values, test=test)
 
 

@@ -35,17 +35,23 @@ def _as_values(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _flat_eps(mean) -> np.ndarray:
-    """Threshold below which a window's std counts as flat."""
-    return 1e-8 * np.maximum(1.0, np.abs(mean))
+def _flat(std, mean) -> np.ndarray:
+    """The one flat-window rule: std below 1e-8 * max(1, |mean|)."""
+    # `out` keeps a scalar mean's eps an array for the in-place steps.
+    eps = np.abs(mean, out=np.empty(np.shape(mean)))
+    np.maximum(eps, 1.0, out=eps)
+    eps *= 1e-8
+    return std < eps
 
 
 @dataclass(frozen=True, eq=False)
 class SlidingStats:
-    """Per-window mean and population standard deviation."""
+    """Per-window mean, population standard deviation, and the flat mask:
+    std below 1e-8 * max(1, |mean|), the rule every kernel reads."""
 
     means: np.ndarray
     stds: np.ndarray
+    flat: np.ndarray
 
 
 def _znormalize_rows(w: np.ndarray) -> np.ndarray:
@@ -53,7 +59,7 @@ def _znormalize_rows(w: np.ndarray) -> np.ndarray:
     1e-8 * max(1, |mean|)) maps to all zeros instead of dividing by ~0."""
     mu = w.mean(axis=-1, keepdims=True)
     sd = w.std(axis=-1, keepdims=True)
-    flat = sd < _flat_eps(mu)
+    flat = _flat(sd, mu)
     return np.where(flat, 0.0, (w - mu) / np.where(flat, 1.0, sd))
 
 
@@ -72,7 +78,9 @@ def sliding_stats(ts, m: int) -> SlidingStats:
     the variance computation well conditioned for offset data. Windows whose
     values are all identical are detected exactly (integer change counts)
     and forced to std 0, so cumsum cancellation noise can never push a
-    truly constant window past the flat threshold.
+    truly constant window past the flat threshold. Both running sums share
+    one buffer, and the arithmetic runs in place: the peak stays near three
+    series lengths of float64.
     """
     x = _as_values(ts)
     n = x.size
@@ -81,28 +89,35 @@ def sliding_stats(ts, m: int) -> SlidingStats:
     if m < 1:
         raise DataError(f"window must be >= 1, got {m}")
     if m == 1:
-        return SlidingStats(means=x.copy(), stds=np.zeros(n))
+        stds = np.zeros(n)
+        return SlidingStats(means=x.copy(), stds=stds, flat=_flat(stds, x))
+    length = n - m + 1
     shift = float(x.mean())
-    xc = x - shift
-    c1 = np.empty(n + 1)
-    c1[0] = 0.0
-    np.cumsum(xc, out=c1[1:])
-    c2 = np.empty(n + 1)
-    c2[0] = 0.0
-    np.cumsum(xc * xc, out=c2[1:])
-    s1 = c1[m:] - c1[:-m]
-    s2 = c2[m:] - c2[:-m]
-    means = s1 / m + shift
-    var = s2 / m - (s1 / m) ** 2
+    xc = np.subtract(x, shift)
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(xc, out=c[1:])
+    means = np.subtract(c[m:], c[:-m])  # the window sums
+    np.multiply(xc, xc, out=xc)
+    np.cumsum(xc, out=c[1:])
+    # The sums of squares overwrite xc, which the second cumsum consumed.
+    var = np.subtract(c[m:], c[:-m], out=xc[:length])
+    means /= m
+    var /= m
+    var -= np.multiply(means, means, out=c[:length])
+    del c
+    means += shift
     np.maximum(var, 0.0, out=var)
-    stds = np.sqrt(var)
-    changes = (x[1:] != x[:-1]).astype(np.int64)
-    cc = np.concatenate(([0], np.cumsum(changes)))
-    constant = (cc[m - 1 :] - cc[: -(m - 1)]) == 0
-    if constant.any():
-        stds[constant] = 0.0
-        means[constant] = x[: n - m + 1][constant]
-    return SlidingStats(means=means, stds=stds)
+    stds = np.sqrt(var, out=var)
+    changes = np.empty(n, dtype=np.int64)
+    changes[0] = 0
+    np.not_equal(x[1:], x[:-1], out=changes[1:])
+    np.cumsum(changes[1:], out=changes[1:])
+    constant = np.equal(changes[m - 1 :], changes[: -(m - 1)])
+    del changes
+    np.copyto(stds, 0.0, where=constant)
+    np.copyto(means, x[:length], where=constant)
+    return SlidingStats(means=means, stds=stds, flat=_flat(stds, means))
 
 
 def _check_query(x: np.ndarray, query) -> np.ndarray:
@@ -140,8 +155,9 @@ def _sliding_dot_product(x: np.ndarray, q: np.ndarray, spectrum=None) -> np.ndar
     """dot(q, x[i:i+m]) for every i, via one FFT of the next power-of-two size."""
     fx = series_spectrum(x) if spectrum is None else spectrum
     size = 2 * (fx.size - 1)
-    prod = np.fft.irfft(fx * np.fft.rfft(q[::-1], size), size)
-    return prod[q.size - 1 : x.size]
+    fq = np.fft.rfft(q[::-1], size)
+    np.multiply(fx, fq, out=fq)
+    return np.fft.irfft(fq, size)[q.size - 1 : x.size]
 
 
 def distance_profile_mass(ts, query, stats=None, spectrum=None) -> np.ndarray:
@@ -159,18 +175,23 @@ def distance_profile_mass(ts, query, stats=None, spectrum=None) -> np.ndarray:
     m = q.size
     if stats is None:
         stats = sliding_stats(x, m)
-    flat_w = stats.stds < _flat_eps(stats.means)
     mu_q = float(q.mean())
     sd_q = float(q.std())
-    if sd_q < _flat_eps(mu_q):
+    if _flat(sd_q, mu_q):
         # Flat query: distance is 0 to flat windows, sqrt(m) otherwise.
-        return np.where(flat_w, 0.0, np.sqrt(m))
+        return np.where(stats.flat, 0.0, np.sqrt(m))
     qt = _sliding_dot_product(x, q - mu_q, spectrum)
-    denom = np.where(flat_w, 1.0, stats.stds) * (m * sd_q)
-    corr = qt / denom
-    d = np.sqrt(2.0 * m * np.clip(1.0 - corr, 0.0, 2.0))
-    d[flat_w] = np.sqrt(m)
-    suspects = np.flatnonzero((d < 0.05 * np.sqrt(m)) & ~flat_w)
+    # One buffer: denominator, then correlation, then distance.
+    d = np.where(stats.flat, 1.0, stats.stds)
+    d *= m * sd_q
+    np.divide(qt, d, out=d)
+    np.subtract(1.0, d, out=d)
+    np.clip(d, 0.0, 2.0, out=d)
+    d *= 2.0 * m
+    np.sqrt(d, out=d)
+    np.copyto(d, np.sqrt(m), where=stats.flat)
+    # Flat windows sit at sqrt(m), never below the threshold.
+    suspects = np.flatnonzero(d < 0.05 * np.sqrt(m))
     if suspects.size:
         zq = znormalize(q)
         offsets = np.arange(m)
@@ -193,15 +214,19 @@ def complexity_profile(ts, m: int, stats=None) -> np.ndarray:
         raise DataError(f"complexity needs window >= 2, got {m}")
     if stats is None:
         stats = sliding_stats(x, m)
-    d2 = np.diff(x) ** 2
-    c = np.empty(d2.size + 1)
+    d = np.diff(x)
+    np.multiply(d, d, out=d)
+    c = np.empty(d.size + 1)
     c[0] = 0.0
-    np.cumsum(d2, out=c[1:])
-    sums = c[m - 1 :] - c[: -(m - 1)]
+    np.cumsum(d, out=c[1:])
+    # The window sums overwrite the squared diffs, which the cumsum consumed.
+    sums = np.subtract(c[m - 1 :], c[: -(m - 1)], out=d[: x.size - m + 1])
+    del c
     np.maximum(sums, 0.0, out=sums)
-    flat = stats.stds < _flat_eps(stats.means)
-    denom = np.where(flat, 1.0, stats.stds)
-    return np.where(flat, 0.0, np.sqrt(sums) / denom)
+    np.sqrt(sums, out=sums)
+    np.divide(sums, stats.stds, out=sums, where=~stats.flat)
+    np.copyto(sums, 0.0, where=stats.flat)
+    return sums
 
 
 def sliding_feature_profile(ts, m: int, stat: str, stats=None) -> np.ndarray:

@@ -689,6 +689,10 @@ BAD_INPUT_CASES = {
         ["classify", "--model", "@edge-inf.sfcm", "--series", "@test.txt"], 2,
         "histogram edges must be finite",
     ),
+    "model-edge-span-overflow": (
+        ["classify", "--model", "@edge-span.sfcm", "--series", "@test.txt"], 2,
+        "histogram edges must span a finite width",
+    ),
     "config-m-fraction": (
         [*_TRAIN, "--config", "@m-fraction.yaml"], 2,
         "m of class 'sine' must be an integer, got 64.9",
@@ -755,6 +759,9 @@ def bad_inputs(workspace):
         "count-1.5.sfcm": _replace_item(model, b"counts", 0, b"1.5"),
         "edge-nan.sfcm": _replace_item(model, b"edges", 1, b"NaN"),
         "edge-inf.sfcm": _replace_item(model, b"edges", 0, b"-Infinity"),
+        "edge-span.sfcm": _replace_item(
+            _replace_item(model, b"edges", 0, b"-1e308"), b"edges", -1, b"1e308"
+        ),
     }
     for name, blob in bad_models.items():
         (workspace / name).write_bytes(blob)

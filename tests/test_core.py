@@ -174,6 +174,15 @@ def test_histogram_invariants():
         Histogram(edges=[0.0, 1.0], counts=[0])
 
 
+@pytest.mark.parametrize("edges", [[-1e308, 1e308], [-1e308, 0.0, 1e308], [-1.7e308, 1.7e308]])
+def test_histogram_edges_must_span_a_finite_width(edges):
+    # Each step is finite but the whole span overflows float64: its density
+    # and floor would be 0, and the lookup 0 / 0.
+    with pytest.raises(DataError, match="histogram edges must span a finite width"):
+        Histogram(edges=edges, counts=[1] * (len(edges) - 1))
+    assert Histogram(edges=[-8e307, 8e307], counts=[1]).range_width == 1.6e308
+
+
 def test_classifier_config_validation():
     cfg = ClassifierConfig(thresholds={"a": 2.0})
     assert cfg.threshold_for("a") == 2.0

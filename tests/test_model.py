@@ -28,6 +28,7 @@ from shapefeat.core import (
 )
 from shapefeat.data import normals, uniforms
 from shapefeat.model import (
+    LOOKUP_BLOCK,
     ClassSpec,
     LocalScores,
     class_probabilities,
@@ -137,6 +138,23 @@ def _with_empty_bins(hist, zeroed):
     return Histogram(edges=hist.edges, counts=counts)
 
 
+@st.composite
+def _uneven_histograms(draw):
+    """Strictly increasing edges of uneven widths, at scales 1e-12 to 1e12
+    and offsets up to 1e8 (edges that round together merge), with empty
+    bins."""
+    widths = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=40))
+    scale = draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e6, 1e12]))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e8]))
+    edges = np.unique(offset + scale * np.cumsum([0.0, *widths]))
+    if edges.size < 2:
+        edges = np.array([offset, np.nextafter(offset, np.inf)])
+    counts = draw(
+        st.lists(st.integers(0, 50), min_size=edges.size - 1, max_size=edges.size - 1).filter(any)
+    )
+    return Histogram(edges=edges, counts=counts)
+
+
 class TestComputeProbability:
     def test_equal_densities_give_half(self):
         pos = Histogram(edges=[0.0, 1.0], counts=[5])
@@ -178,11 +196,18 @@ class TestComputeProbability:
         _samples,
         st.lists(st.booleans(), min_size=256, max_size=256),
         st.sampled_from([FLOOR_UNION, FLOOR_OWN]),
+        st.tuples(st.none() | _uneven_histograms(), st.none() | _uneven_histograms()),
+        st.integers(0, 1000),
     )
-    def test_matches_per_value_reference(self, pos_sample, neg_sample, zeroed, mode):
+    def test_matches_per_value_reference(
+        self, pos_sample, neg_sample, zeroed, mode, uneven, shift
+    ):
         zeroed = np.asarray(zeroed)
-        pos = _with_empty_bins(histogram_build(pos_sample), zeroed)
-        neg = _with_empty_bins(histogram_build(neg_sample), zeroed[::-1])
+        pos, neg = uneven
+        if pos is None:
+            pos = _with_empty_bins(histogram_build(pos_sample), zeroed)
+        if neg is None:
+            neg = _with_empty_bins(histogram_build(neg_sample), zeroed[::-1])
         edges = np.concatenate((pos.edges, neg.edges))
         far = [np.inf, -np.inf, np.nan, edges.min() - 1e9, edges.max() + 1e9]
         values = np.concatenate(
@@ -191,6 +216,10 @@ class TestComputeProbability:
         out = compute_probability(pos, neg, profile_of(values), small_value_mode=mode)
         expected = [reference_probability(pos, neg, v, mode) for v in values]
         assert out.tolist() == expected
+        # The same values, repeated past the first lookup block.
+        picks = (np.arange(LOOKUP_BLOCK + 1 + 7 * shift) + shift) % values.size
+        out = compute_probability(pos, neg, values[picks], small_value_mode=mode)
+        assert out.tobytes() == np.asarray(expected)[picks].tobytes()
 
     def test_values_always_in_unit_interval(self):
         pos = histogram_build(normals(1, 40))

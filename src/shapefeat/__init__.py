@@ -19,6 +19,7 @@ from .core import (
     FeatureSpec,
     Histogram,
     LabelTrack,
+    PredictionTrack,
     Region,
     TimeSeries,
 )
@@ -51,7 +52,6 @@ from .evaluate import (
 )
 from .model import (
     ClassSpec,
-    PredictionTrack,
     classify,
     combine_naive_bayes,
     compute_distributions,

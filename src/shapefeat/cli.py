@@ -98,7 +98,7 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise DataError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
-def _parse_feature(obj, m: int) -> FeatureSpec:
+def _parse_feature(obj) -> FeatureSpec:
     if isinstance(obj, str):
         return FeatureSpec(kind=obj)
     if not isinstance(obj, dict):
@@ -111,12 +111,7 @@ def _parse_feature(obj, m: int) -> FeatureSpec:
     if "prototype" in obj and obj["prototype"] is not None:
         if kind != SHAPE:
             raise DataError(f"feature kind {kind!r} takes no prototype")
-        proto = dataio.load_series(str(obj["prototype"]))
-        if len(proto) != m:
-            raise DataError(
-                f"prototype {obj['prototype']!r} has length {len(proto)}, expected m={m}"
-            )
-        query = proto.values
+        query = dataio.load_series(str(obj["prototype"])).values
     return FeatureSpec(kind=kind, id=obj.get("id", "") or "", query=query)
 
 
@@ -166,7 +161,7 @@ def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
                 exclusion_zone=_parse_samples(
                     entry["exclusion_zone"], sample_rate_hz, "exclusion_zone"
                 ),
-                features=tuple(_parse_feature(f, m) for f in entry["features"]),
+                features=tuple(_parse_feature(f) for f in entry["features"]),
                 prior=prior,
             )
         )
@@ -174,9 +169,11 @@ def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
     return cfg, specs, (None if seed is None else _convert(int, seed, "seed"))
 
 
-def _apply_overrides(cfg: ClassifierConfig, args) -> ClassifierConfig:
+def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> ClassifierConfig:
+    """The run config's classifier settings (defaults without --config), then the flags."""
+    cfg = load_run_config(args.config, sample_rate_hz)[0] if args.config else ClassifierConfig()
     thresholds = dict(cfg.thresholds)
-    for item in getattr(args, "threshold", None) or []:
+    for item in args.threshold or []:
         name, _, value = item.partition("=")
         if not name or not value:
             raise DataError(f"--threshold expects class=weight, got {item!r}")
@@ -186,63 +183,57 @@ def _apply_overrides(cfg: ClassifierConfig, args) -> ClassifierConfig:
     return dataclasses.replace(cfg, thresholds=thresholds, **given)
 
 
-def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> ClassifierConfig:
-    if getattr(args, "config", None):
-        cfg, _, _ = load_run_config(args.config, sample_rate_hz)
-    else:
-        cfg = ClassifierConfig()
-    return _apply_overrides(cfg, args)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _confusion_csv(cm, precision: float, recall: float, accuracy: float) -> str:
+    """The ``tp,fp,fn,tn,precision,recall,accuracy`` fields of one report row."""
+    return (f"{cm.tp},{cm.fp},{cm.fn},{cm.tn},"
+            f"{_fmt(precision)},{_fmt(recall)},{_fmt(accuracy)}")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    if args.kind == "noise" or args.kind == "walk":
-        gen = dataio.gen_random_noise if args.kind == "noise" else dataio.gen_random_walk
-        ts = gen(args.n, args.seed)
-        if args.sample_rate is not None:
-            ts = TimeSeries(values=ts.values, sample_rate_hz=args.sample_rate, name=ts.name)
-        dataio.save_series(ts, args.out)
-        print(f"wrote {args.out} ({ts.name}, n={len(ts)})")
-        return 0
-    if args.kind == "two-modality":
-        params = dataio.TwoModalityParams(
-            m=args.m,
-            n_sine=args.sine_bags,
-            n_flat=args.flat_bags,
-            n_surge=args.surge_bags,
-            n_hum=args.hum_bags,
-            noise_level=args.noise_level,
-            sample_rate_hz=args.sample_rate,
-        )
-        bundle = dataio.gen_two_modality_dataset(params, args.seed)
-        dataio.save_series(bundle.series, args.out_series)
-        dataio.save_labels(bundle.labels, args.out_labels)
-        print(
-            f"wrote {args.out_series} and {args.out_labels} "
-            f"({bundle.provenance}, n={len(bundle.series)}, bags={len(bundle.labels.regions)})"
-        )
-        return 0
-    if args.kind == "gun-experiment":
-        instances = dataio.load_ucr_instances(args.source)
-        gun = [v for label, v in instances if label == args.gun_label]
-        nogun = [v for label, v in instances if label == args.nogun_label]
-        bundle = dataio.build_gun_experiment(
-            gun, nogun, n_per_class=args.n_per_class, length=args.length, seed=args.seed
-        )
-        dataio.save_instances(bundle, args.out)
-        print(
-            f"wrote {args.out} (gun-experiment seed={args.seed}, "
-            f"{len(bundle)} instances of length {args.length})"
-        )
-        return 0
-    raise DataError(f"unknown synth kind {args.kind!r}")  # pragma: no cover
+def cmd_synth_series(args) -> int:
+    ts = args.generator(args.n, args.seed)
+    if args.sample_rate is not None:
+        ts = TimeSeries(values=ts.values, sample_rate_hz=args.sample_rate, name=ts.name)
+    dataio.save_series(ts, args.out)
+    print(f"wrote {args.out} ({ts.name}, n={len(ts)})")
+    return 0
+
+
+def cmd_synth_two_modality(args) -> int:
+    params = dataio.TwoModalityParams(
+        m=args.m, n_sine=args.sine_bags, n_flat=args.flat_bags, n_surge=args.surge_bags,
+        n_hum=args.hum_bags, noise_level=args.noise_level, sample_rate_hz=args.sample_rate,
+    )
+    bundle = dataio.gen_two_modality_dataset(params, args.seed)
+    dataio.save_series(bundle.series, args.out_series)
+    dataio.save_labels(bundle.labels, args.out_labels)
+    print(
+        f"wrote {args.out_series} and {args.out_labels} "
+        f"({bundle.provenance}, n={len(bundle.series)}, bags={len(bundle.labels.regions)})"
+    )
+    return 0
+
+
+def cmd_synth_gun_experiment(args) -> int:
+    instances = dataio.load_ucr_instances(args.source)
+    gun = [v for label, v in instances if label == args.gun_label]
+    nogun = [v for label, v in instances if label == args.nogun_label]
+    bundle = dataio.build_gun_experiment(
+        gun, nogun, n_per_class=args.n_per_class, length=args.length, seed=args.seed
+    )
+    dataio.save_instances(bundle, args.out)
+    print(
+        f"wrote {args.out} (gun-experiment seed={args.seed}, "
+        f"{len(bundle)} instances of length {args.length})"
+    )
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -255,14 +246,11 @@ def cmd_train(args) -> int:
     dataio.save_model(models, args.out)
     for spec, model in zip(specs, models):
         parts = []
-        for fspec, pos_h, neg_h in model.features:
+        # `train` keeps each class's feature order.
+        for asked, (fspec, pos_h, neg_h) in zip(spec.features, model.features):
             origin = ""
             if fspec.kind == SHAPE:
-                explicit = any(
-                    f.kind == SHAPE and f.id == fspec.id and f.query is not None
-                    for f in spec.features
-                )
-                origin = " (explicit prototype)" if explicit else " (medoid prototype)"
+                origin = " (medoid prototype)" if asked.query is None else " (explicit prototype)"
             parts.append(
                 f"{fspec.id}: pos {pos_h.total}/{pos_h.counts.size} bins, "
                 f"neg {neg_h.total}/{neg_h.counts.size} bins{origin}"
@@ -292,10 +280,7 @@ def cmd_eval(args) -> int:
     for class_id in args.class_id:
         cm = mil_confusion(track, bags, class_id)
         precision, recall, accuracy = metrics(cm)
-        rows.append(
-            f"{class_id},{cm.tp},{cm.fp},{cm.fn},{cm.tn},"
-            f"{_fmt(precision)},{_fmt(recall)},{_fmt(accuracy)}"
-        )
+        rows.append(f"{class_id},{_confusion_csv(cm, precision, recall, accuracy)}")
         print(
             f"{class_id}: tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn} "
             f"precision={precision:.4g} recall={recall:.4g} accuracy={accuracy:.4g}"
@@ -313,10 +298,7 @@ def cmd_compare(args) -> int:
     rows = compare_variants(models, series, bags, cfg)
     lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
     for name, class_id, cm, precision, recall, accuracy in rows:
-        lines.append(
-            f"{name},{class_id},{cm.tp},{cm.fp},{cm.fn},{cm.tn},"
-            f"{_fmt(precision)},{_fmt(recall)},{_fmt(accuracy)}"
-        )
+        lines.append(f"{name},{class_id},{_confusion_csv(cm, precision, recall, accuracy)}")
         print(
             f"{name:>8} {class_id}: precision={precision:.4g} "
             f"recall={recall:.4g} accuracy={accuracy:.4g}"
@@ -388,13 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic datasets")
     synth_sub = p.add_subparsers(dest="kind", required=True)
 
-    for kind, about in (("noise", "iid standard normal series"), ("walk", "random walk series")):
+    for kind, about, generator in (
+        ("noise", "iid standard normal series", dataio.gen_random_noise),
+        ("walk", "random walk series", dataio.gen_random_walk),
+    ):
         ps = synth_sub.add_parser(kind, help=about)
         ps.add_argument("--n", type=int, required=True)
         ps.add_argument("--seed", type=int, default=0)
         ps.add_argument("--sample-rate", type=float, default=None, dest="sample_rate")
         ps.add_argument("--out", required=True)
-        ps.set_defaults(func=cmd_synth)
+        ps.set_defaults(func=cmd_synth_series, generator=generator)
 
     ps = synth_sub.add_parser(
         "two-modality", help="planted shape-class / feature-class fixture"
@@ -409,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sample-rate", type=float, default=100.0, dest="sample_rate")
     ps.add_argument("--out-series", required=True, dest="out_series")
     ps.add_argument("--out-labels", required=True, dest="out_labels")
-    ps.set_defaults(func=cmd_synth)
+    ps.set_defaults(func=cmd_synth_two_modality)
 
     ps = synth_sub.add_parser(
         "gun-experiment", help="4-class instance bundle from a UCR-style file"
@@ -421,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--length", type=int, default=150)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_synth)
+    ps.set_defaults(func=cmd_synth_gun_experiment)
 
     p = sub.add_parser("train", help="fit per-class models")
     p.add_argument("--config", required=True)

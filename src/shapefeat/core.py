@@ -6,7 +6,7 @@ Indices are 0-based throughout; label regions are half-open [start, end).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -225,21 +225,63 @@ class Histogram:
             raise DataError("histogram counts must be non-negative")
         if not counts.any():
             raise DataError("histogram counts must not all be zero")
+        # Python ints: an int64 sum would wrap.
+        if sum(counts.tolist()) >= 2**63:
+            raise DataError("histogram counts must sum below 2**63")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "counts", counts)
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.densities())):
+                raise DataError("histogram bins must be wide enough for a finite density")
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+    def densities(self) -> np.ndarray:
+        """Density of each bin: its count over total * bin width."""
+        return self.counts / (self.total * np.diff(self.edges))
 
     @property
     def range_width(self) -> float:
         return float(self.edges[-1] - self.edges[0])
 
 
+def union_width(pos_hist: Histogram, neg_hist: Histogram) -> float:
+    """Width of the range two histograms span together (inf past float64)."""
+    return (max(float(pos_hist.edges[-1]), float(neg_hist.edges[-1]))
+            - min(float(pos_hist.edges[0]), float(neg_hist.edges[0])))
+
+
+def check_class(
+    class_id: str, m: int, exclusion_zone: int, specs: Sequence[FeatureSpec],
+    prior: Optional[float],
+) -> None:
+    """The rules of a class in training and in a model: an id a CSV row can
+    hold that is not OTHER_CLASS, at least one feature, exclusion_zone >= 0,
+    a prior in (0, 1) (None: not yet known), and length-m shape queries."""
+    check_class_id(class_id)
+    if class_id == OTHER_CLASS:
+        raise DataError(f"{OTHER_CLASS} is reserved and cannot be trained")
+    if not specs:
+        raise DataError(f"class {class_id!r} has no features")
+    if exclusion_zone < 0:
+        raise DataError("exclusion_zone must be >= 0")
+    if prior is not None and not 0.0 < prior < 1.0:
+        raise DataError(f"prior must be in (0,1), got {prior}")
+    for spec in specs:
+        if spec.query is not None and spec.query.size != m:
+            raise DataError(f"shape feature {spec.id!r} needs a length-{m} query, "
+                            f"got length {spec.query.size}")
+
+
 @dataclass(frozen=True)
 class ClassModel:
-    """Per-class local model: one (pos, neg) histogram pair per feature."""
+    """Per-class local model: one (pos, neg) histogram pair per feature.
+
+    Every shape feature holds its query, and each pair's floor densities,
+    1 / ((total + 1) * width), stay above 0.
+    """
 
     class_id: str
     m: int
@@ -249,16 +291,53 @@ class ClassModel:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
-        check_class_id(self.class_id)
-        if not self.features:
-            raise DataError(f"class {self.class_id!r} has no features")
-        if self.exclusion_zone < 0:
-            raise DataError("exclusion_zone must be >= 0")
-        if not (0.0 < self.prior < 1.0):
-            raise DataError(f"prior must be in (0,1), got {self.prior}")
+        check_class(self.class_id, self.m, self.exclusion_zone,
+                    [spec for spec, _, _ in self.features], self.prior)
         for spec, pos_hist, neg_hist in self.features:
-            if spec.kind == SHAPE and (spec.query is None or spec.query.size != self.m):
+            if spec.kind == SHAPE and spec.query is None:
                 raise DataError(f"shape feature {spec.id!r} needs a length-{self.m} query")
+            # The union spans each histogram's own range, so this covers both floor modes.
+            span = (max(pos_hist.total, neg_hist.total) + 1) * union_width(pos_hist, neg_hist)
+            if not np.isfinite(span):
+                raise DataError(f"histograms of feature {spec.id!r} span too wide a range "
+                                "for their counts: the floor density would be 0")
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTrack:
+    """The detections over the n - m + 1 subsequence start positions.
+
+    Detection k sits at `positions[k]` (ascending), with class
+    `class_ids[label_codes[k]]` and score `scores[k]`. Every other position
+    is OTHER_CLASS (rejected, suppressed, or skipped by the stride).
+    """
+
+    class_ids: tuple
+    positions: np.ndarray
+    label_codes: np.ndarray
+    scores: np.ndarray
+    m: int
+    series_length: int
+    stride: int = 1
+    sample_rate_hz: Optional[float] = None
+
+    __eq__ = value_eq
+
+    def __len__(self) -> int:
+        return self.series_length - self.m + 1
+
+    def hits(self, class_id: str) -> np.ndarray:
+        """Ascending positions of the class's detections (none for a class
+        outside `class_ids`)."""
+        if class_id not in self.class_ids:
+            return self.positions[:0]
+        return self.positions[self.label_codes == self.class_ids.index(class_id)]
+
+    def detections(self) -> list:
+        """(position, class_id, score) for every detection."""
+        return list(zip(self.positions.tolist(),
+                        [self.class_ids[c] for c in self.label_codes.tolist()],
+                        self.scores.tolist()))
 
 
 @dataclass(frozen=True)

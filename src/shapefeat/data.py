@@ -37,11 +37,11 @@ from .core import (
     FeatureSpec,
     Histogram,
     LabelTrack,
+    PredictionTrack,
     Region,
     TimeSeries,
     whole_number,
 )
-from .model import PredictionTrack
 
 # splitmix64 constants (Steele, Lea & Flood's mix; widely published).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -360,11 +360,17 @@ def _read_lines(path: str):
 def _stripped_lines(path: str, meta: dict):
     """(line number, stripped text) of the data lines; ``# key: value`` lines go to `meta`."""
     for first, lines in _read_lines(path):
-        for lineno, text in enumerate(map(str.strip, lines), first):
-            if text.startswith("#"):
-                _header(path, text, lineno, meta)
-            elif text:
-                yield lineno, text
+        yield from _data_lines(path, lines, first, meta)
+
+
+def _data_lines(path: str, lines: List[str], first: int, meta: dict):
+    """(line number, stripped text) of a block's data lines, `first` the
+    number of its first line; ``# key: value`` lines go to `meta`."""
+    for lineno, text in enumerate(map(str.strip, lines), first):
+        if text.startswith("#"):
+            _header(path, text, lineno, meta)
+        elif text:
+            yield lineno, text
 
 
 def _header(path: str, text: str, lineno: int, meta: dict) -> None:
@@ -393,7 +399,7 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     def chunks():
         rest = iter(lines)
         while batch := list(islice(rest, 1 << 16)):
-            yield "".join(f"{line}\n" for line in batch).encode("utf-8")
+            yield ("\n".join(batch) + "\n").encode("utf-8")
 
     _atomic_write(path, chunks())
 
@@ -417,17 +423,9 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def save_series(ts: TimeSeries, path: str) -> None:
-    def chunks():
-        header = _header_lines(name=ts.name or None, sample_rate_hz=ts.sample_rate_hz)
-        yield "".join(f"{line}\n" for line in header).encode("utf-8")
-        values = ts.values
-        # Chunked join keeps memory flat for multi-million-point series.
-        step = 1 << 16
-        for start in range(0, values.size, step):
-            block = values[start : start + step]
-            yield ("\n".join(map(repr, block.tolist())) + "\n").encode("utf-8")
-
-    _atomic_write(path, chunks())
+    header = _header_lines(name=ts.name or None, sample_rate_hz=ts.sample_rate_hz)
+    # A memoryview yields Python floats one at a time, without numpy scalars.
+    write_lines(path, chain(header, map(repr, memoryview(ts.values))))
 
 
 def load_series(path: str) -> TimeSeries:
@@ -453,18 +451,15 @@ def load_series(path: str) -> TimeSeries:
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:
     """A block's values and headers, line by line; its first fault raises DataError."""
     values: List[float] = []
-    for lineno, text in enumerate(map(str.strip, lines), first):
-        if text.startswith("#"):
-            _header(path, text, lineno, meta)
-        elif text:
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise DataError(f"not a number: {text!r}", line=lineno, index=index) from exc
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
-            values.append(value)
-            index += 1
+    for lineno, text in _data_lines(path, lines, first, meta):
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise DataError(f"not a number: {text!r}", line=lineno, index=index) from exc
+        if not math.isfinite(value):
+            raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
+        values.append(value)
+        index += 1
     return np.array(values, dtype=np.float64)
 
 

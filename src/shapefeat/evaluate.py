@@ -19,12 +19,12 @@ from .core import (
     ConfusionMatrix,
     DataError,
     LabelTrack,
-    ModelError,
+    PredictionTrack,
     TimeSeries,
     frozen_array,
     value_eq,
 )
-from .model import PredictionTrack, score_locals, sweep, weighted_table
+from .model import score_locals, sweep, weighted_table
 from .profiles import znormalize
 
 #: Whole-instance metrics for the leave-one-out 1NN classifier.
@@ -96,10 +96,7 @@ def compare_variants(
     nothing, so a single-modality model degenerates to that modality's run.
     All three runs re-combine one scoring pass.
     """
-    if not models:
-        raise ModelError("no models to compare")
     scores = score_locals(models, test, cfg.small_value_mode)
-    buffer = np.empty((len(models), scores.values.shape[1]))
     variants = [
         ("shape", lambda spec: spec.kind == SHAPE),
         ("feature", lambda spec: spec.kind != SHAPE),
@@ -107,7 +104,7 @@ def compare_variants(
     ]
     rows = []
     for name, keep in variants:
-        track = sweep(scores, *weighted_table(scores, cfg, keep, out=buffer), cfg)
+        track = sweep(scores, *weighted_table(scores, cfg, keep), cfg)
         for mo in models:
             cm = mil_confusion(track, bags, mo.class_id)
             rows.append((name, mo.class_id, cm, *metrics(cm)))

@@ -21,7 +21,6 @@ from .core import (
     FLOOR_UNION,
     NB_PAPER_LITERAL,
     NB_STANDARD,
-    OTHER_CLASS,
     SHAPE,
     ClassModel,
     ClassifierConfig,
@@ -30,54 +29,15 @@ from .core import (
     Histogram,
     LabelTrack,
     ModelError,
+    PredictionTrack,
     TimeSeries,
-    check_class_id,
-    value_eq,
+    check_class,
+    union_width,
 )
 from .profiles import feature_profiles, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionTrack:
-    """The detections over the n - m + 1 subsequence start positions.
-
-    Detection k sits at `positions[k]` (ascending), with class
-    `class_ids[label_codes[k]]` and score `scores[k]`. Every other position
-    is OTHER_CLASS (rejected, suppressed, or skipped by the stride).
-    """
-
-    class_ids: tuple
-    positions: np.ndarray
-    label_codes: np.ndarray
-    scores: np.ndarray
-    m: int
-    series_length: int
-    stride: int = 1
-    sample_rate_hz: Optional[float] = None
-
-    __eq__ = value_eq
-
-    def __len__(self) -> int:
-        return self.series_length - self.m + 1
-
-    def hits(self, class_id: str) -> np.ndarray:
-        """Ascending positions of the class's detections (none for a class
-        outside `class_ids`)."""
-        if class_id not in self.class_ids:
-            return self.positions[:0]
-        return self.positions[self.label_codes == self.class_ids.index(class_id)]
-
-    def detections(self) -> list:
-        """(position, class_id, score) for every detection."""
-        return [
-            (p, self.class_ids[c], s)
-            for p, c, s in zip(
-                self.positions.tolist(), self.label_codes.tolist(), self.scores.tolist()
-            )
-        ]
 
 
 def histogram_build(values) -> Histogram:
@@ -104,8 +64,8 @@ def histogram_build(values) -> Histogram:
     return Histogram(edges=edges, counts=counts.astype(np.int64))
 
 
-def _floor_density(hist: Histogram, union_width: float, mode: str) -> float:
-    width = union_width if mode == FLOOR_UNION else hist.range_width
+def _floor_density(hist: Histogram, joint_width: float, mode: str) -> float:
+    width = joint_width if mode == FLOOR_UNION else hist.range_width
     return 1.0 / ((hist.total + 1) * max(width, 1e-12))
 
 
@@ -113,7 +73,7 @@ def _density_table(hist: Histogram, floor: float) -> np.ndarray:
     """nbins + 2 densities, one per lookup slot: the floor below the first
     edge, one density per bin (the floor for an empty bin), and the floor
     past the last edge (and for NaN)."""
-    dens = hist.counts / (hist.total * np.diff(hist.edges))
+    dens = hist.densities()
     dens[dens == 0.0] = floor
     return np.concatenate(([floor], dens, [floor]))
 
@@ -167,12 +127,9 @@ def compute_probability(
     into `out` (a buffer of the profile's length) when given, and the lookup
     runs in blocks of LOOKUP_BLOCK positions.
     """
-    union_width = float(
-        max(pos_hist.edges[-1], neg_hist.edges[-1])
-        - min(pos_hist.edges[0], neg_hist.edges[0])
-    )
+    joint_width = union_width(pos_hist, neg_hist)
     pos_table, neg_table = (
-        _density_table(h, _floor_density(h, union_width, small_value_mode))
+        _density_table(h, _floor_density(h, joint_width, small_value_mode))
         for h in (pos_hist, neg_hist)
     )
     if out is None:
@@ -237,8 +194,6 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
         raise ModelError(
             f"no labeled region of class {class_id!r} holds a length-{m} subsequence"
         )
-    if len(starts) == 1:
-        return x[starts[0] : starts[0] + m].copy()
     z = np.stack([znormalize(x[s : s + m]) for s in starts])
     # Not the Gram identity: it rounds differently and can move the medoid.
     totals = [np.sqrt(((row - z) ** 2).sum(axis=1)).sum() for row in z]
@@ -310,13 +265,7 @@ class ClassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
-        check_class_id(self.class_id)
-        if self.class_id == OTHER_CLASS:
-            raise DataError(f"{OTHER_CLASS} is reserved and cannot be trained")
-        if not self.features:
-            raise DataError(f"class {self.class_id!r} requests no features")
-        if self.prior is not None and not (0.0 < self.prior < 1.0):
-            raise DataError(f"prior must be in (0,1), got {self.prior}")
+        check_class(self.class_id, self.m, self.exclusion_zone, self.features, self.prior)
 
 
 def train(
@@ -405,17 +354,12 @@ def weighted_table(
     scores: LocalScores,
     cfg: ClassifierConfig,
     keep: Optional[Callable[[FeatureSpec], bool]] = None,
-    out: Optional[np.ndarray] = None,
 ) -> Tuple[tuple, np.ndarray]:
     """(class_ids, [class, position] table): each class's Naive Bayes
     combination of its locals whose spec passes `keep` (all when None),
-    times its threshold weight.
-
-    A class with no kept local drops out. The rows are written into `out`
-    (a [n_classes, n - m + 1] buffer, reusable across calls) when given.
+    times its threshold weight. A class with no kept local drops out.
     """
-    if out is None:
-        out = np.empty((len(scores.models), scores.values.shape[1]))
+    out = np.empty((len(scores.models), scores.values.shape[1]))
     ids = []
     rows = iter(scores.values)
     for mo in scores.models:

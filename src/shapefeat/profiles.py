@@ -88,9 +88,6 @@ def sliding_stats(ts, m: int) -> SlidingStats:
         raise DataError(f"window {m} exceeds series length {n}")
     if m < 1:
         raise DataError(f"window must be >= 1, got {m}")
-    if m == 1:
-        stds = np.zeros(n)
-        return SlidingStats(means=x.copy(), stds=stds, flat=_flat(stds, x))
     length = n - m + 1
     shift = float(x.mean())
     xc = np.subtract(x, shift)
@@ -113,7 +110,7 @@ def sliding_stats(ts, m: int) -> SlidingStats:
     changes[0] = 0
     np.not_equal(x[1:], x[:-1], out=changes[1:])
     np.cumsum(changes[1:], out=changes[1:])
-    constant = np.equal(changes[m - 1 :], changes[: -(m - 1)])
+    constant = np.equal(changes[m - 1 :], changes[:length])
     del changes
     np.copyto(stds, 0.0, where=constant)
     np.copyto(means, x[:length], where=constant)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -210,6 +211,22 @@ class TestTrain:
         )
         assert code == 0, err
         assert out.exists()
+
+    def test_prototype_origin_follows_feature_order(self, workspace, tmp_path):
+        # Both shape features are called "shape": only the second has a prototype.
+        proto = tmp_path / "p.txt"
+        values = load_series(str(workspace / "train.txt")).values[:64].tolist()
+        proto.write_text("".join(f"{v!r}\n" for v in values))
+        config = tmp_path / "config.yaml"
+        config.write_text(SHAPE_ONLY_CONFIG.replace(
+            "features: [shape]", f"features: [shape, {{kind: shape, prototype: '{proto}'}}]"))
+        code, out, err = run_cli(
+            "train", "--config", str(config), "--series", str(workspace / "train.txt"),
+            "--labels", str(workspace / "train-labels.csv"), "--out", str(tmp_path / "m.sfcm"),
+        )
+        assert code == 0, err
+        line = next(text for text in out.splitlines() if text.startswith("class sine:"))
+        assert re.findall(r"\((\w+) prototype\)", line) == ["medoid", "explicit"]
 
 
 class TestClassify:
@@ -577,6 +594,8 @@ BAD_INPUT_FILES = {
     "stride-fraction.yaml": CONFIG.replace("stride: 1", "stride: 1.9", 1),
     "seed-fraction.yaml": "seed: 2.5\n" + CONFIG,
     "zone-bool.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: true", 1),
+    "zone-negative.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: -5", 1),
+    "proto-3.txt": "1.0\n2.0\n3.0\n",
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -716,6 +735,29 @@ BAD_INPUT_CASES = {
         ["classify", "--model", "@zone-fraction.sfcm", "--series", "@test.txt"], 2,
         "zone-fraction.sfcm is corrupt: 64.9 is not a whole number",
     ),
+    "model-class-other": (
+        ["classify", "--model", "@other-class.sfcm", "--series", "@test.txt"], 2,
+        "Other is reserved and cannot be trained",
+    ),
+    "config-exclusion-zone-negative": (
+        [*_TRAIN, "--config", "@zone-negative.yaml"], 2, "exclusion_zone must be >= 0"
+    ),
+    "config-prototype-length": (
+        [*_TRAIN, "--config", "@proto-length.yaml"], 2,
+        "shape feature 'shape' needs a length-64 query, got length 3",
+    ),
+    "model-count-sum": (
+        ["classify", "--model", "@count-sum.sfcm", "--series", "@test.txt"], 2,
+        "histogram counts must sum below 2**63",
+    ),
+    "model-bin-density": (
+        ["classify", "--model", "@bin-density.sfcm", "--series", "@test.txt"], 2,
+        "histogram bins must be wide enough for a finite density",
+    ),
+    "model-union-floor": (
+        ["classify", "--model", "@union-floor.sfcm", "--series", "@test.txt"], 2,
+        "span too wide a range for their counts",
+    ),
 }
 
 
@@ -730,11 +772,15 @@ def _replace_item(blob: bytes, key: bytes, index: int, value: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def bad_inputs(workspace):
-    """The workspace plus every malformed input, a model with a bogus kind,
-    one with a histogram of zero counts, one whose class id holds a line
-    break, and models with out-of-range numbers."""
+    """The workspace plus every malformed input, a config whose prototype
+    is too short, a model with a bogus kind, one with a histogram of zero
+    counts, one whose class id holds a line break, and models with
+    out-of-range numbers."""
     for name, text in BAD_INPUT_FILES.items():
         (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    (workspace / "proto-length.yaml").write_text(CONFIG.replace(
+        "features: [shape, sliding_std]",
+        f"features: [{{kind: shape, prototype: '{workspace / 'proto-3.txt'}'}}]", 1))
     model = (workspace / "model.sfcm").read_bytes()
     assert b'"kind":"sliding_std"' in model
     (workspace / "bogus.sfcm").write_bytes(
@@ -749,6 +795,9 @@ def bad_inputs(workspace):
     (workspace / "line-break-class.sfcm").write_bytes(
         model.replace(b'"class_id":"sine"', b'"class_id":"sine\\nx"')
     )
+    (workspace / "other-class.sfcm").write_bytes(
+        model.replace(b'"class_id":"sine"', b'"class_id":"Other"')
+    )
     assert b'"m":64' in model and b'"exclusion_zone":64' in model
     bad_models = {
         "m-1e999.sfcm": model.replace(b'"m":64', b'"m":1e999'),
@@ -762,6 +811,18 @@ def bad_inputs(workspace):
         "edge-span.sfcm": _replace_item(
             _replace_item(model, b"edges", 0, b"-1e308"), b"edges", -1, b"1e308"
         ),
+        # The first "counts" and "edges" lists are those of one histogram.
+        "count-sum.sfcm": _replace_item(
+            _replace_item(model, b"counts", 0, str(2**62).encode()), b"counts", 1,
+            str(2**62).encode(),
+        ),
+        # One count in a bin 5e-324 wide: its density overflows to inf.
+        "bin-density.sfcm": _replace_item(
+            _replace_item(_replace_item(model, b"edges", 0, b"0"), b"edges", 1, b"5e-324"),
+            b"counts", 0, b"1",
+        ),
+        # The histogram spans ~1e308 on its own; times its pair's counts, inf.
+        "union-floor.sfcm": _replace_item(model, b"edges", 0, b"-1e308"),
     }
     for name, blob in bad_models.items():
         (workspace / name).write_bytes(blob)

@@ -10,17 +10,18 @@ import shapefeat
 from shapefeat.core import (
     OTHER_CLASS,
     ClassifierConfig,
+    ClassModel,
     ConfusionMatrix,
     DataError,
     FeatureSpec,
     Histogram,
     LabelTrack,
+    PredictionTrack,
     Region,
     TimeSeries,
     value_eq,
     whole_number,
 )
-from shapefeat.model import PredictionTrack
 
 
 def test_timeseries_values_are_read_only():
@@ -181,6 +182,32 @@ def test_histogram_edges_must_span_a_finite_width(edges):
     with pytest.raises(DataError, match="histogram edges must span a finite width"):
         Histogram(edges=edges, counts=[1] * (len(edges) - 1))
     assert Histogram(edges=[-8e307, 8e307], counts=[1]).range_width == 1.6e308
+
+
+def test_histogram_counts_must_sum_below_2_63():
+    # Each count fits int64, but an int64 sum would wrap to -2**63.
+    with pytest.raises(DataError, match=r"counts must sum below 2\*\*63"):
+        Histogram(edges=[0.0, 1.0, 2.0], counts=[2**62, 2**62])
+    assert Histogram(edges=[0.0, 1.0, 2.0], counts=[2**62, 2**62 - 1]).total == 2**63 - 1
+
+
+def test_histogram_bin_density_must_be_finite():
+    # 1 / 1e-310 overflows float64.
+    with pytest.raises(DataError, match="wide enough for a finite density"):
+        Histogram(edges=[0.0, 1e-310], counts=[1])
+    assert np.isfinite(Histogram(edges=[0.0, 1e-300], counts=[1]).densities()).all()
+
+
+@pytest.mark.parametrize("pos, neg", [
+    # The union spans past float64, though each histogram's own range does not.
+    (Histogram(edges=[-1e308, 0.0], counts=[1]), Histogram(edges=[0.0, 1e308], counts=[1])),
+    # (total + 1) * width overflows; the lone histogram is still accepted.
+    (Histogram(edges=[0.0, 1e300], counts=[10**10]), Histogram(edges=[0.0, 1.0], counts=[1])),
+])
+def test_class_model_floor_density_must_stay_above_zero(pos, neg):
+    spec = FeatureSpec(kind="sliding_mean")
+    with pytest.raises(DataError, match="span too wide a range for their counts"):
+        ClassModel("a", 4, 0, ((spec, pos, neg),), 0.5)
 
 
 def test_classifier_config_validation():

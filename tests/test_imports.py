@@ -85,3 +85,47 @@ def test_no_hand_written_eq(path):
     # Value objects compare through `core.value_eq` or the generated __eq__.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "__eq__"]
+
+
+#: The package modules each module may import: core <- profiles <- model <-
+#: evaluate <- cli, with the I/O module `data` on `core` alone.
+LAYERS = {
+    "core": set(),
+    "profiles": {"core"},
+    "model": {"core", "profiles"},
+    "evaluate": {"core", "profiles", "model"},
+    "data": {"core"},
+    "cli": {"core", "profiles", "model", "evaluate", "data"},
+    "__main__": {"cli"},
+}
+
+
+def package_imports(source: str) -> set:
+    """The package modules a module imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shapefeat."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("shapefeat."))
+    return found
+
+
+def test_checker_finds_package_imports():
+    source = (
+        "import numpy\nimport shapefeat.model\nfrom . import data as dataio\n"
+        "from .core import A\nfrom shapefeat.profiles import B\n"
+    )
+    assert package_imports(source) == {"model", "data", "core", "profiles"}
+
+
+def test_layers_cover_every_module():
+    assert set(LAYERS) == {p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_the_layers(path):
+    assert package_imports(path.read_text(encoding="utf-8")) <= LAYERS[path.stem]

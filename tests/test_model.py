@@ -615,6 +615,19 @@ class TestTrain:
         with pytest.raises(DataError, match=message):
             ClassModel(class_id, 4, 4, ((FeatureSpec(kind=COMPLEXITY), hist, hist),), 0.5)
 
+    @pytest.mark.parametrize("class_id, zone, feature, message", [
+        ("Other", 4, FeatureSpec(kind=COMPLEXITY), "Other is reserved"),
+        ("a", -5, FeatureSpec(kind=COMPLEXITY), "exclusion_zone must be >= 0"),
+        ("a", 4, FeatureSpec(kind=SHAPE, query=[1.0, 2.0, 3.0]),
+         "'shape' needs a length-4 query, got length 3"),
+    ])
+    def test_spec_and_model_share_the_class_rules(self, class_id, zone, feature, message):
+        with pytest.raises(DataError, match=message):
+            ClassSpec(class_id, 4, zone, (feature,))
+        hist = Histogram(edges=[0.0, 1.0], counts=[1])
+        with pytest.raises(DataError, match=message):
+            ClassModel(class_id, 4, zone, ((feature, hist, hist),), 0.5)
+
     def test_prior_override(self):
         ts, labels, m = self.fixture()
         models = train(

@@ -4,7 +4,7 @@ Series compare bitwise (so `-0.0` stays `-0.0`); labels, predictions and
 models compare with `==`, and a re-saved model has the same bytes.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shapefeat.core import (
@@ -16,6 +16,7 @@ from shapefeat.core import (
     FeatureSpec,
     Histogram,
     LabelTrack,
+    PredictionTrack,
     Region,
     TimeSeries,
     check_class_id,
@@ -32,7 +33,6 @@ from shapefeat.data import (
     save_predictions,
     save_series,
 )
-from shapefeat.model import PredictionTrack
 
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                   1.7976931348623157e308]
@@ -84,14 +84,31 @@ def prediction_tracks(draw):
     )
 
 
+def valid(make, *args, **kwargs):
+    """`make(*args, **kwargs)`; an example it rejects with DataError is discarded."""
+    try:
+        return make(*args, **kwargs)
+    except DataError:
+        assume(False)
+
+
+#: (edge bound, count-sum bound) of one feature's histogram pair: the pair's
+#: floor density 1 / ((total + 1) * joint width) must stay above 0, so wide
+#: edges go with small counts.
+SCALES = [(1e300, 2**20), (1e280, 2**63 - 1)]
+
+
 @st.composite
-def histograms(draw):
-    # Edges stay within ±1e300, so their differences stay finite.
-    edges = sorted(draw(st.sets(st.floats(-1e300, 1e300) | st.sampled_from(SPECIAL_VALUES[:5]),
+def histograms(draw, bound, total):
+    # Edges stay within ±bound, so their differences stay finite, and the
+    # counts sum to at most `total`. A bin narrower than 1e-300 stays empty,
+    # since a count there would make its density infinite.
+    edges = sorted(draw(st.sets(st.floats(-bound, bound) | st.sampled_from(SPECIAL_VALUES[:5]),
                                 min_size=2, max_size=8)))
-    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(edges) - 1,
-                           max_size=len(edges) - 1).filter(any))
-    return Histogram(edges=edges, counts=counts)
+    counts = [0 if width < 1e-300 else draw(st.integers(0, total // (len(edges) - 1)))
+              for width in np.diff(edges)]
+    assume(any(counts))
+    return valid(Histogram, edges=edges, counts=counts)
 
 
 @st.composite
@@ -100,12 +117,14 @@ def class_models(draw):
     kinds = draw(st.lists(st.sampled_from(FEATURE_KINDS), min_size=1, max_size=3))
     queries = [draw(st.lists(values, min_size=m, max_size=m)) if kind == SHAPE else None
                for kind in kinds]
+    scales = [draw(st.sampled_from(SCALES)) for _ in kinds]
     features = tuple(
-        (FeatureSpec(kind=kind, id=f"{kind}-{k}", query=query), draw(histograms()),
-         draw(histograms()))
-        for k, (kind, query) in enumerate(zip(kinds, queries))
+        (FeatureSpec(kind=kind, id=f"{kind}-{k}", query=query), draw(histograms(*scale)),
+         draw(histograms(*scale)))
+        for k, (kind, query, scale) in enumerate(zip(kinds, queries, scales))
     )
-    return ClassModel(
+    return valid(
+        ClassModel,
         class_id=draw(class_ids), m=m, exclusion_zone=draw(st.integers(0, 2**62)),
         features=features, prior=draw(st.floats(min_value=5e-324, max_value=1 - 2**-53)),
     )

@@ -102,6 +102,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", frozen_array(self.values))
+        if self.values.ndim != 1:
+            raise DataError(f"series values must be 1-D, got {self.values.ndim} dimensions")
         if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
             raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if len(self.name.splitlines()) > 1 or self.name.strip() != self.name:

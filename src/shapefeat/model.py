@@ -12,7 +12,7 @@ re-combine the same scores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -202,54 +202,59 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
     return x[s : s + m].copy()
 
 
-def compute_distributions(
-    train: TimeSeries,
-    labels: LabelTrack,
-    class_id: str,
-    features: Sequence[FeatureSpec],
-    m: int,
-    exclusion_zone: int,
-) -> List[Tuple[Histogram, Histogram]]:
-    """Class / non-class value histograms for every feature.
+def _positions(train: TimeSeries, m: int) -> int:
+    """n - m + 1, the number of length-m windows of `train` (none: DataError)."""
+    if m > len(train):
+        raise DataError(f"subsequence length {m} exceeds series length {len(train)}")
+    return len(train) - m + 1
 
-    Position i touches a region when [i, i + e) meets it, e the exclusion
-    zone: [max(0, start - e + 1), min(n - m + 1, end)); none when e == 0.
-    Per feature, the class's regions in order each claim the lowest-valued
+
+def compute_distributions(
+    train: TimeSeries, labels: LabelTrack, specs: Sequence[ClassSpec]
+) -> List[Tuple[Histogram, Histogram]]:
+    """Class / non-class value histograms of every (class, feature) local,
+    rows as in `LocalScores.values`, from one `feature_profiles` pass.
+
+    The specs share one m and name distinct classes (`train` checks both),
+    and every shape feature holds its query. Position i touches a region
+    when [i, i + e) meets it, e the class's exclusion zone:
+    [max(0, start - e + 1), min(n - m + 1, end)); none when e == 0. Per
+    feature, the class's regions in order each claim the lowest-valued
     touching position no earlier region has claimed (ties, and NaN last, as
     a stable sort orders them). Claimed values feed the class list and
     untouched positions the non-class list.
     """
-    n = len(train)
-    if m > n:
-        raise DataError(f"subsequence length {m} exceeds series length {n}")
-    length = n - m + 1
-    regions = labels.class_regions(class_id)
-    if not regions:
-        raise ModelError(f"no labeled regions of class {class_id!r}")
-    spans = [
-        (max(0, r.start - exclusion_zone + 1), min(length, r.end)) for r in regions
-    ] if exclusion_zone > 0 else []
-    touch = np.zeros(length, dtype=bool)
-    for lo, hi in spans:
-        touch[lo:hi] = True
-    out: List[Tuple[Histogram, Histogram]] = [None] * len(features)
-    for k, v in feature_profiles(train, features, m):
+    m = specs[0].m
+    length = _positions(train, m)
+    owners = []  # (class_id, exclusion_zone, spans) of each local
+    for spec in specs:
+        regions = labels.class_regions(spec.class_id)
+        if not regions:
+            raise ModelError(f"no labeled regions of class {spec.class_id!r}")
+        e = spec.exclusion_zone
+        spans = [(max(0, r.start - e + 1), min(length, r.end)) for r in regions] if e > 0 else []
+        owners += [(spec.class_id, e, spans)] * len(spec.features)
+    out: List[Tuple[Histogram, Histogram]] = [None] * len(owners)
+    for r, v in feature_profiles(train, [f for spec in specs for f in spec.features], m):
+        class_id, e, spans = owners[r]
+        touch = np.zeros(length, dtype=bool)
         claimed = np.zeros(length, dtype=bool)
         for lo, hi in spans:
+            touch[lo:hi] = True
             free = lo + np.flatnonzero(~claimed[lo:hi])
             if free.size:
                 claimed[free[np.argsort(v[free], kind="stable")[0]]] = True
         if not claimed.any():
             raise ModelError(
-                f"no snippet claims a region of class {class_id!r} "
-                f"(exclusion_zone={exclusion_zone})"
+                f"no snippet claims a region of class {class_id!r} (exclusion_zone={e})"
             )
         n_values = v[~touch]
         if n_values.size == 0:
             raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
         # Ascending, the order claims are made in: np.max keeps a zero's sign.
         p_values = np.sort(v[claimed], kind="stable")
-        out[k] = (histogram_build(p_values), histogram_build(n_values))
+        out[r] = (histogram_build(p_values), histogram_build(n_values))
+        del v  # before the next profile is built
     return out
 
 
@@ -273,41 +278,32 @@ def train(
     labels: LabelTrack,
     class_specs: Sequence[ClassSpec],
 ) -> List[ClassModel]:
-    """Fit one ClassModel per spec.
+    """Fit one ClassModel per spec from one `compute_distributions` pass.
 
+    The specs must share one m and name distinct classes, as models must.
     Shape features without an explicit query get the medoid prototype of
     their class. The prior defaults to the empirical fraction of snippet
     positions that claimed a region; pass ClassSpec.prior to override.
     """
-    n = len(train_series)
+    m = _check_models(class_specs)
+    length = _positions(train_series, m)
+    specs = [replace(spec, features=tuple(
+        replace(f, query=select_prototype(train_series, labels, spec.class_id, m))
+        if f.kind == SHAPE and f.query is None else f
+        for f in spec.features
+    )) for spec in class_specs]
+    pairs = iter(compute_distributions(train_series, labels, specs))
     models: List[ClassModel] = []
-    for spec in class_specs:
-        resolved: List[FeatureSpec] = []
-        for f in spec.features:
-            if f.kind == SHAPE and f.query is None:
-                query = select_prototype(train_series, labels, spec.class_id, spec.m)
-                f = FeatureSpec(kind=SHAPE, id=f.id, query=query)
-            resolved.append(f)
-        dists = compute_distributions(
-            train_series, labels, spec.class_id, resolved, spec.m, spec.exclusion_zone
-        )
-        prior = spec.prior if spec.prior is not None else dists[0][0].total / (n - spec.m + 1)
-        features = tuple(
-            (f, pos_h, neg_h) for f, (pos_h, neg_h) in zip(resolved, dists)
-        )
-        models.append(
-            ClassModel(
-                class_id=spec.class_id,
-                m=spec.m,
-                exclusion_zone=spec.exclusion_zone,
-                features=features,
-                prior=prior,
-            )
-        )
+    for spec in specs:
+        # zip draws exactly one pair per feature of this class.
+        features = tuple((f, pos_h, neg_h) for f, (pos_h, neg_h) in zip(spec.features, pairs))
+        prior = spec.prior if spec.prior is not None else features[0][1].total / length
+        models.append(ClassModel(class_id=spec.class_id, m=m, exclusion_zone=spec.exclusion_zone,
+                                 features=features, prior=prior))
     return models
 
 
-def _check_models(models: Sequence[ClassModel]) -> int:
+def _check_models(models: Sequence) -> int:
     if not models:
         raise ModelError("no models given")
     m = models[0].m

@@ -596,6 +596,11 @@ BAD_INPUT_FILES = {
     "zone-bool.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: true", 1),
     "zone-negative.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: -5", 1),
     "proto-3.txt": "1.0\n2.0\n3.0\n",
+    "mixed-m.yaml": "m: 48".join(CONFIG.rsplit("m: 64", 1)),
+    "duplicate-class.yaml": CONFIG.replace("name: flat", "name: sine", 1),
+    "shape-only.yaml": SHAPE_ONLY_CONFIG,
+    "short.txt": "".join(f"{np.sin(i / 3):.6f}\n" for i in range(40)),
+    "short-labels.csv": "0,40,sine\n",
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -745,6 +750,17 @@ BAD_INPUT_CASES = {
     "config-prototype-length": (
         [*_TRAIN, "--config", "@proto-length.yaml"], 2,
         "shape feature 'shape' needs a length-64 query, got length 3",
+    ),
+    "config-mixed-m": (
+        [*_TRAIN, "--config", "@mixed-m.yaml"], 3,
+        "all models must share one subsequence length; got 64 and 48",
+    ),
+    "config-duplicate-class": (
+        [*_TRAIN, "--config", "@duplicate-class.yaml"], 3, "duplicate model for class 'sine'"
+    ),
+    "config-m-exceeds-series-shape": (
+        ["train", "--series", "@short.txt", "--labels", "@short-labels.csv",
+         "--config", "@shape-only.yaml"], 2, "subsequence length 64 exceeds series length 40",
     ),
     "model-count-sum": (
         ["classify", "--model", "@count-sum.sfcm", "--series", "@test.txt"], 2,

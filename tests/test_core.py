@@ -83,6 +83,13 @@ def test_timeseries_name_must_fit_one_header_line(name):
         TimeSeries(values=[1.0], name=name)
 
 
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], 5.0], ids=["2-D", "0-D"])
+def test_timeseries_values_must_be_one_dimensional(values):
+    # A 2-D series cannot be saved, and a 0-D one has no length.
+    with pytest.raises(DataError, match="series values must be 1-D"):
+        TimeSeries(values=values)
+
+
 @pytest.mark.parametrize("value, expected", [(64, 64), (64.0, 64), (-3.0, -3), (2**70, 2**70)])
 def test_whole_number_accepts_whole_values(value, expected):
     number = whole_number(value)

@@ -244,12 +244,20 @@ FOUR_CLASS = {
     "surge": (SHAPE, SLIDING_STD),
     "hum": (COMPLEXITY, SLIDING_STD),
 }
-COUNTED = ("profiles.sliding_stats", "profiles.distance_profile_mass", "model.compute_probability")
+COUNTED = (
+    "profiles.feature_profiles",
+    "profiles.sliding_stats",
+    "profiles.series_spectrum",
+    "profiles.distance_profile_mass",
+    "model.compute_probability",
+    "model.compute_distributions",
+    "model._check_models",
+)
 
 
 class TestScoreOnce:
     """classify, compare and roc score the series once, however many variants
-    or weights; train builds one profile pass per class."""
+    or weights; train builds one profile pass over every class."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -306,15 +314,18 @@ class TestScoreOnce:
         counts = self.count_calls(monkeypatch)
         argv = [str(files / a[1:]) if a.startswith("@") else a for a in command]
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        one_pass = {
+            "model._check_models": 1,
+            "profiles.feature_profiles": 1,
+            "profiles.sliding_stats": 1,
+            "profiles.series_spectrum": 1,
+            "profiles.distance_profile_mass": 3,
+        }
         if command[0] == "train":
-            # One sliding_stats per class (4), not one per feature (10).
-            assert counts == {"profiles.sliding_stats": 4, "profiles.distance_profile_mass": 3}
+            # One pass over all 10 locals of the 4 classes, not one per class.
+            assert counts == {**one_pass, "model.compute_distributions": 1}
         else:
-            assert counts == {
-                "profiles.sliding_stats": 1,
-                "profiles.distance_profile_mass": 3,
-                "model.compute_probability": 10,
-            }
+            assert counts == {**one_pass, "model.compute_probability": 10}
 
 
 class TestLoocv:

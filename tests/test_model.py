@@ -441,11 +441,11 @@ def reference_distributions(train, labels, class_id, features, m, exclusion_zone
 
 @st.composite
 def claim_layouts(draw):
-    """(series, labels, features, m, e): bags of two classes with gaps from
-    0 (adjacent bags) up, so touch spans overlap; the last bag may reach past
-    n - m + 1; values on a coarse grid tie."""
+    """(series, labels, specs): 1-3 classes of one m, each with its own
+    exclusion zone and features; bags of those classes and of others, with
+    gaps from 0 (adjacent bags) up, so touch spans overlap; the last bag may
+    reach past n - m + 1; values on a coarse grid tie."""
     m = draw(st.integers(2, 8))
-    e = draw(st.sampled_from([0, 1, m - 1, m, 3 * m]))
     pos = draw(st.integers(0, 2 * m))
     regions = []
     for gap, size, cls in draw(
@@ -453,7 +453,7 @@ def claim_layouts(draw):
             st.tuples(
                 st.integers(0, 2) | st.integers(0, 3 * m),
                 st.integers(1, 3 * m),
-                st.sampled_from("aab"),
+                st.sampled_from("aabcx"),
             ),
             min_size=1,
             max_size=8,
@@ -464,14 +464,18 @@ def claim_layouts(draw):
     n = max(pos + draw(st.integers(0, 2 * m)), m)
     grid = draw(st.sampled_from([1.0, 4.0, 1e6]))
     x = np.round(normals(draw(st.integers(0, 2**32 - 1)), n) * grid) / grid
-    kinds = draw(
-        st.lists(st.sampled_from([SHAPE, COMPLEXITY, SLIDING_MEAN, SLIDING_STD]), min_size=1, max_size=3)
-    )
-    at = draw(st.integers(0, n - m))
-    features = [
-        FeatureSpec(kind=k, query=x[at : at + m] if k == SHAPE else None) for k in kinds
-    ]
-    return TimeSeries(values=x), LabelTrack(series_length=n, regions=tuple(regions)), features, m, e
+    specs = []
+    for class_id in "abc"[: draw(st.integers(1, 3))]:
+        kinds = draw(st.lists(
+            st.sampled_from([SHAPE, COMPLEXITY, SLIDING_MEAN, SLIDING_STD]), min_size=1, max_size=3
+        ))
+        at = draw(st.integers(0, n - m))
+        features = [
+            FeatureSpec(kind=k, query=x[at : at + m] if k == SHAPE else None) for k in kinds
+        ]
+        e = draw(st.sampled_from([0, 1, m - 1, m, 3 * m]))
+        specs.append(ClassSpec(class_id, m, e, features))
+    return TimeSeries(values=x), LabelTrack(series_length=n, regions=tuple(regions)), specs
 
 
 def _distributions_or_error(fn, *args):
@@ -482,15 +486,31 @@ def _distributions_or_error(fn, *args):
     return [(h.edges.tobytes(), h.counts.tobytes()) for pair in pairs for h in pair]
 
 
+def _one_class(x, regions, feature, m, e):
+    """compute_distributions' arguments for one class 'a' with one feature."""
+    labels = LabelTrack(series_length=len(x), regions=tuple(regions))
+    return TimeSeries(values=x), labels, [ClassSpec("a", m, e, (feature,))]
+
+
 class TestComputeDistributions:
     @settings(max_examples=400)
     @given(claim_layouts())
     def test_matches_claim_loop(self, layout):
-        ts, labels, features, m, e = layout
-        args = (ts, labels, "a", features, m, e)
-        assert _distributions_or_error(compute_distributions, *args) == (
-            _distributions_or_error(reference_distributions, *args)
-        )
+        ts, labels, specs = layout
+        expected = [
+            _distributions_or_error(
+                reference_distributions, ts, labels, s.class_id, s.features, s.m, s.exclusion_zone
+            )
+            for s in specs
+        ]
+        got = _distributions_or_error(compute_distributions, ts, labels, specs)
+        errors = [e for e in expected if isinstance(e, tuple)]
+        if errors:
+            # One pass checks every class's regions first, then claims
+            # feature by feature, so the first fault may be another class's.
+            assert got in errors
+        else:
+            assert got == [h for pairs in expected for h in pairs]
 
     def test_signed_zeros_keep_the_claim_order(self):
         # np.max over these class values in position order and in ascending
@@ -499,49 +519,43 @@ class TestComputeDistributions:
         p = [0.0] + [-1.0] * 7 + [-0.0]
         x = np.full(2 * len(p), 5.0)
         x[::2] = p
-        regions = tuple(Region(2 * i, 2 * i + 1, "a") for i in range(len(p)))
-        labels = LabelTrack(series_length=len(x), regions=regions)
-        args = (TimeSeries(values=x), labels, "a", [FeatureSpec(kind=SLIDING_MEAN)], 1, 1)
-        assert _distributions_or_error(compute_distributions, *args) == (
-            _distributions_or_error(reference_distributions, *args)
+        regions = [Region(2 * i, 2 * i + 1, "a") for i in range(len(p))]
+        ts, labels, specs = _one_class(x, regions, FeatureSpec(kind=SLIDING_MEAN), 1, 1)
+        assert _distributions_or_error(compute_distributions, ts, labels, specs) == (
+            _distributions_or_error(
+                reference_distributions, ts, labels, "a", specs[0].features, 1, 1
+            )
         )
 
     def test_own_prototype_claims_its_region(self):
         m = 32
         template = np.sin(np.linspace(0, 4 * np.pi, m, endpoint=False)) * 3
         x = plant_bursts(400, m, [100], template, noise_seed=5)
-        labels = LabelTrack(series_length=400, regions=(Region(100, 100 + m, "a"),))
         feature = FeatureSpec(kind=SHAPE, query=x[100 : 100 + m])
         (pos_h, neg_h), = compute_distributions(
-            TimeSeries(values=x), labels, "a", [feature], m, exclusion_zone=m
+            *_one_class(x, [Region(100, 100 + m, "a")], feature, m, m)
         )
         assert pos_h.total == 1
         assert pos_h.edges[-1] < neg_h.edges[0]
 
     def test_no_labeled_regions(self):
-        x = normals(1, 200)
+        # The class that has none comes after one that has some.
         labels = LabelTrack(series_length=200, regions=(Region(0, 50, "a"),))
+        specs = [ClassSpec(c, 16, 16, (FeatureSpec(kind=COMPLEXITY),)) for c in "ab"]
         with pytest.raises(ModelError, match="no labeled regions of class 'b'"):
-            compute_distributions(
-                TimeSeries(values=x), labels, "b", [FeatureSpec(kind=COMPLEXITY)], 16, 16
-            )
+            compute_distributions(TimeSeries(values=normals(1, 200)), labels, specs)
 
     def test_zero_exclusion_zone_claims_nothing(self):
-        x = normals(2, 200)
-        labels = LabelTrack(series_length=200, regions=(Region(0, 50, "a"),))
+        args = _one_class(normals(2, 200), [Region(0, 50, "a")], FeatureSpec(kind=COMPLEXITY), 16, 0)
         claims_nothing = r"no snippet claims a region of class 'a' \(exclusion_zone=0\)"
         with pytest.raises(ModelError, match=claims_nothing):
-            compute_distributions(
-                TimeSeries(values=x), labels, "a", [FeatureSpec(kind=COMPLEXITY)], 16, 0
-            )
+            compute_distributions(*args)
 
     def test_conservation(self):
         m, e = 16, 24
-        x = normals(3, 600)
         regions = (Region(40, 90, "a"), Region(200, 260, "a"), Region(400, 470, "a"))
-        labels = LabelTrack(series_length=600, regions=regions)
         (pos_h, neg_h), = compute_distributions(
-            TimeSeries(values=x), labels, "a", [FeatureSpec(kind=SLIDING_STD)], m, e
+            *_one_class(normals(3, 600), regions, FeatureSpec(kind=SLIDING_STD), m, e)
         )
         length = 600 - m + 1
         touched = np.zeros(length, bool)
@@ -563,7 +577,7 @@ class TestComputeDistributions:
             regions=tuple(Region(s, s + m, "a") for s in starts),
         )
         (pos_h, neg_h), = compute_distributions(
-            TimeSeries(values=x), labels, "a", [FeatureSpec(kind=COMPLEXITY)], m, m
+            TimeSeries(values=x), labels, [ClassSpec("a", m, m, (FeatureSpec(kind=COMPLEXITY),))]
         )
         pos_samples = np.repeat((pos_h.edges[:-1] + pos_h.edges[1:]) / 2, pos_h.counts)
         neg_samples = np.repeat((neg_h.edges[:-1] + neg_h.edges[1:]) / 2, neg_h.counts)
@@ -605,6 +619,28 @@ class TestTrain:
         ts, labels, m = self.fixture()
         with pytest.raises(ModelError, match="ghost"):
             train(ts, labels, [ClassSpec("ghost", m, m, (FeatureSpec(kind=COMPLEXITY),))])
+
+    @pytest.mark.parametrize("second, message", [
+        (ClassSpec("steady", 40, 32, (FeatureSpec(kind=SLIDING_STD),)),
+         "all models must share one subsequence length; got 32 and 40"),
+        (ClassSpec("wave", 32, 32, (FeatureSpec(kind=SLIDING_STD),)),
+         "duplicate model for class 'wave'"),
+    ])
+    def test_specs_follow_the_model_set_rule(self, second, message, monkeypatch):
+        # Checked before any prototype is picked.
+        monkeypatch.setattr("shapefeat.model.select_prototype", None)
+        ts, labels, m = self.fixture()
+        with pytest.raises(ModelError, match=message):
+            train(ts, labels, [ClassSpec("wave", m, m, (FeatureSpec(kind=SHAPE),)), second])
+        with pytest.raises(ModelError, match="no models given"):
+            train(ts, labels, [])
+
+    @pytest.mark.parametrize("kind", [SHAPE, SLIDING_STD])
+    def test_m_longer_than_the_series_is_a_data_error(self, kind):
+        ts = TimeSeries(values=normals(4, 40))
+        labels = LabelTrack(series_length=40, regions=(Region(0, 40, "a"),))
+        with pytest.raises(DataError, match="subsequence length 48 exceeds series length 40"):
+            train(ts, labels, [ClassSpec("a", 48, 48, (FeatureSpec(kind=kind),))])
 
     @pytest.mark.parametrize("class_id", ["a,b", "a\nb", "a\r", "a\u2028b", "", " a", "a\t"])
     def test_class_id_must_fit_a_csv_row(self, class_id):

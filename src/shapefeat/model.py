@@ -1,14 +1,16 @@
 """Per-class local models: training, probability profiles, and classification.
 
 Both training and scoring build their profiles in one pass of
-`profiles.feature_profiles`, which shares one `sliding_stats` and one series
-spectrum across the profiles of a pass. Training turns each feature profile
-into a pair of value histograms (class / non-class). Classification scores a
-test series once (`score_locals`: every (class, feature) local probability),
-combines the locals per class with a Naive Bayes product, weights by
-per-class thresholds (`weighted_table`), and sweeps left to right with
-exclusion-zone suppression (`sweep`). Variant and threshold sweeps
-re-combine the same scores.
+`profiles.profile_table`, which walks the series block by block, sharing
+one `sliding_stats` and one block spectrum across the profiles of a block,
+and returns the [feature, window] table. Training turns each row into a
+pair of value histograms (class / non-class). Classification scores a test
+series once (`score_locals` turns each row of that table into a (class,
+feature) local probability in place), combines the locals per class with a
+Naive Bayes product, weights by per-class thresholds (`weighted_table`),
+and sweeps left to right with exclusion-zone suppression (`sweep`).
+`classify` writes the weighted table over the score rows; variant and
+threshold sweeps re-combine the same scores.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import feature_profiles, znormalize
+from .profiles import profile_table, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -99,15 +101,18 @@ def _slots(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.fmax(est, 0.0, out=est)  # NaN goes to 0, and misses
     np.fmin(est, nbins + 1, out=est)
     slot = est.astype(np.intp)
-    hit = bounds[:-1][slot] <= v
-    hit &= v < bounds[1:][slot]
+    # est now holds each slot's bounds in turn. Every slot is in range, so
+    # "clip" changes no value, and spares `take` a buffered copy.
+    hit = np.take(bounds[:-1], slot, out=est, mode="clip") <= v
+    hit &= v < np.take(bounds[1:], slot, out=est, mode="clip")
     miss = np.flatnonzero(~hit)
     if miss.size:
         slot[miss] = np.searchsorted(bounds[1:-1], v[miss], side="right")
     return slot
 
 
-#: Positions per block of `compute_probability`'s lookup.
+#: Positions per block of `compute_probability`'s lookup, of
+#: `combine_naive_bayes`' product and of `sweep`'s keys.
 LOOKUP_BLOCK = 65_536
 
 
@@ -124,8 +129,9 @@ def compute_probability(
     histogram's floor density 1 / ((total + 1) * full_range_width); with the
     default policy the full range spans both histograms, so floors stay small
     even for narrowly concentrated class histograms. The result is written
-    into `out` (a buffer of the profile's length) when given, and the lookup
-    runs in blocks of LOOKUP_BLOCK positions.
+    into `out` (a buffer of the profile's length, or the profile itself)
+    when given. The lookup runs in blocks of LOOKUP_BLOCK positions, and
+    takes both densities of a block before it writes that block.
     """
     joint_width = union_width(pos_hist, neg_hist)
     pos_table, neg_table = (
@@ -134,13 +140,15 @@ def compute_probability(
     )
     if out is None:
         out = np.empty(profile.size)
-    neg_block = np.empty(min(profile.size, LOOKUP_BLOCK))
+    pos_block = np.empty(min(profile.size, LOOKUP_BLOCK))
+    neg_block = np.empty_like(pos_block)
     for start in range(0, profile.size, LOOKUP_BLOCK):
         v = profile[start : start + LOOKUP_BLOCK]
-        dp = np.take(pos_table, _slots(pos_hist.edges, v), out=out[start : start + v.size])
-        dn = np.take(neg_table, _slots(neg_hist.edges, v), out=neg_block[: v.size])
+        # Slots index the tables in range, so "clip" only skips the copy.
+        dp = np.take(pos_table, _slots(pos_hist.edges, v), out=pos_block[: v.size], mode="clip")
+        dn = np.take(neg_table, _slots(neg_hist.edges, v), out=neg_block[: v.size], mode="clip")
         dn += dp
-        np.divide(dp, dn, out=dp)
+        np.divide(dp, dn, out=out[start : start + v.size])
     return out
 
 
@@ -148,6 +156,7 @@ def combine_naive_bayes(
     locals_: Sequence,
     prior: float,
     mode: str = NB_STANDARD,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Multiply local probabilities and divide by the class prior.
 
@@ -155,7 +164,9 @@ def combine_naive_bayes(
     standard: divide by prior^(k-1) for k locals (exact Bayes form; the
     identity for k=1). paper-literal: divide by the prior exactly once
     regardless of k. Locals are floored at 1e-12 before multiplying and the
-    result is clamped to [0, 1].
+    result is clamped to [0, 1]. It is written into `out` (a buffer of the
+    locals' length, or the first local, but no other) when given, a block
+    of LOOKUP_BLOCK positions at a time.
     """
     if not locals_:
         raise ModelError("need at least one local probability profile")
@@ -165,15 +176,20 @@ def combine_naive_bayes(
     for v in locals_[1:]:
         if len(v) != length:
             raise DataError("local profiles must share one length")
-    prod = np.ones(length)
-    for v in locals_:
-        prod *= np.maximum(v, EPS_PROB)
-    k = len(locals_)
-    denom = prior ** (k - 1) if mode == NB_STANDARD else prior
     if mode not in (NB_STANDARD, NB_PAPER_LITERAL):
         raise DataError(f"unknown nb_denominator {mode!r}")
-    prod /= denom
-    return np.clip(prod, 0.0, 1.0, out=prod)
+    denom = prior ** (len(locals_) - 1) if mode == NB_STANDARD else prior
+    if out is None:
+        out = np.empty(length)
+    floored = np.empty(min(length, LOOKUP_BLOCK))
+    for start in range(0, length, LOOKUP_BLOCK):
+        stop = min(start + LOOKUP_BLOCK, length)
+        prod = np.maximum(locals_[0][start:stop], EPS_PROB, out=out[start:stop])
+        for v in locals_[1:]:
+            prod *= np.maximum(v[start:stop], EPS_PROB, out=floored[: stop - start])
+        prod /= denom
+        np.clip(prod, 0.0, 1.0, out=prod)
+    return out
 
 
 def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: int) -> np.ndarray:
@@ -213,7 +229,7 @@ def compute_distributions(
     train: TimeSeries, labels: LabelTrack, specs: Sequence[ClassSpec]
 ) -> List[Tuple[Histogram, Histogram]]:
     """Class / non-class value histograms of every (class, feature) local,
-    rows as in `LocalScores.values`, from one `feature_profiles` pass.
+    rows as in `LocalScores.values`, from one `profile_table`.
 
     The specs share one m and name distinct classes (`train` checks both),
     and every shape feature holds its query. Position i touches a region
@@ -235,7 +251,8 @@ def compute_distributions(
         spans = [(max(0, r.start - e + 1), min(length, r.end)) for r in regions] if e > 0 else []
         owners += [(spec.class_id, e, spans)] * len(spec.features)
     out: List[Tuple[Histogram, Histogram]] = [None] * len(owners)
-    for r, v in feature_profiles(train, [f for spec in specs for f in spec.features], m):
+    table = profile_table(train, [f for spec in specs for f in spec.features], m)
+    for r, v in enumerate(table):
         class_id, e, spans = owners[r]
         touch = np.zeros(length, dtype=bool)
         claimed = np.zeros(length, dtype=bool)
@@ -254,7 +271,6 @@ def compute_distributions(
         # Ascending, the order claims are made in: np.max keeps a zero's sign.
         p_values = np.sort(v[claimed], kind="stable")
         out[r] = (histogram_build(p_values), histogram_build(n_values))
-        del v  # before the next profile is built
     return out
 
 
@@ -333,16 +349,15 @@ class LocalScores:
 def score_locals(
     models: Sequence[ClassModel], test: TimeSeries, small_value_mode: str = FLOOR_UNION
 ) -> LocalScores:
-    """One scoring pass (`feature_profiles`) over the locals of every class."""
+    """One scoring pass (`profile_table`) over the locals of every class;
+    each profile row becomes its local's probabilities in place."""
     m = _check_models(models)
     if len(test) < m:
         raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
-    values = np.empty((len(locals_), len(test) - m + 1))
-    for r, prof in feature_profiles(test, [spec for spec, _, _ in locals_], m):
-        _, pos_h, neg_h = locals_[r]
-        compute_probability(pos_h, neg_h, prof, small_value_mode, out=values[r])
-        del prof  # before the next profile is built
+    values = profile_table(test, [spec for spec, _, _ in locals_], m)
+    for (_, pos_h, neg_h), row in zip(locals_, values):
+        compute_probability(pos_h, neg_h, row, small_value_mode, out=row)
     return LocalScores(models=tuple(models), values=values, test=test)
 
 
@@ -350,20 +365,27 @@ def weighted_table(
     scores: LocalScores,
     cfg: ClassifierConfig,
     keep: Optional[Callable[[FeatureSpec], bool]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[tuple, np.ndarray]:
     """(class_ids, [class, position] table): each class's Naive Bayes
     combination of its locals whose spec passes `keep` (all when None),
     times its threshold weight. A class with no kept local drops out.
+
+    The table is the first rows of `out` when given, which may be
+    `scores.values` itself: row c is then written over a local of an
+    earlier class or over class c's first local, which its product reads
+    first if at all, so no score row is written before it is read.
     """
-    out = np.empty((len(scores.models), scores.values.shape[1]))
+    if out is None:
+        out = np.empty((len(scores.models), scores.values.shape[1]))
     ids = []
     rows = iter(scores.values)
     for mo in scores.models:
         # zip draws exactly one row per feature of this class.
         kept = [row for (spec, _, _), row in zip(mo.features, rows) if keep is None or keep(spec)]
         if kept:
-            combined = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator)
-            np.multiply(combined, cfg.threshold_for(mo.class_id), out=out[len(ids)])
+            row = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator, out=out[len(ids)])
+            row *= cfg.threshold_for(mo.class_id)
             ids.append(mo.class_id)
     return tuple(ids), out[: len(ids)]
 
@@ -395,9 +417,17 @@ def sweep(
     # A stride past the end visits position 0 only, as `length` does.
     stride = min(cfg.stride, max(length, 1))
     # A table without rows detects nothing.
-    hits = np.flatnonzero((weighted >= cfg.decision_floor).any(axis=0))
+    above = np.zeros(length, dtype=bool)
+    for row in weighted:
+        above |= row >= cfg.decision_floor
+    keys = np.flatnonzero(above)
+    del above
     # Above-floor positions ordered by (phase, position); phase < length.
-    keys = np.sort(hits % stride * length + hits)
+    # In place, a block at a time: every position may be above the floor.
+    for start in range(0, keys.size, LOOKUP_BLOCK):
+        block = keys[start : start + LOOKUP_BLOCK]
+        block += block % stride * length
+    keys.sort()
     positions, codes, values = [], [], []
     pos = 0
     while pos < length:
@@ -436,4 +466,5 @@ def classify(
     class. All other positions carry OTHER_CLASS.
     """
     scores = score_locals(models, test, cfg.small_value_mode)
-    return sweep(scores, *weighted_table(scores, cfg), cfg)
+    # The weighted table overwrites the score rows, which nothing reads after.
+    return sweep(scores, *weighted_table(scores, cfg, out=scores.values), cfg)

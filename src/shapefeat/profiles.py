@@ -4,12 +4,16 @@ The distance kernel is the Euclidean distance between z-normalized
 subsequences. Two implementations are provided: a brute-force reference
 (`distance_profile_naive`) and an FFT-accelerated one
 (`distance_profile_mass`) built on one sliding dot product, in the style of
-the MASS similarity-search algorithm. The kernels take optional per-series
-state that a scoring pass shares across features: `stats`, the series'
+the MASS similarity-search algorithm. The kernels take optional state that
+the profiles of one series (or of one block of it) share: `stats`, its
 `sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
-state is computed from the series. `feature_profiles` is the one profile
-pass that training and scoring share: it decides when that state is built
-and when it is dropped.
+state is computed from the series. `feature_profiles` builds every profile
+of one span and decides when that state is built and dropped;
+`profile_table` is the one profile pass that training and scoring share. It
+runs `feature_profiles` over overlapping blocks of the series, so the stats
+and the FFT buffers are one block long and the [feature, window] table is
+the only full-length array, as in the blocked MASS of Mueen et al. and the
+blocked running sums of Chan, Golub and LeVeque.
 """
 from __future__ import annotations
 
@@ -163,7 +167,8 @@ def distance_profile_mass(ts, query, stats=None, spectrum=None) -> np.ndarray:
     d[i] = sqrt(2m * (1 - corr_i)) where corr_i is the Pearson correlation
     of the query with window i. The dot product runs against the
     mean-centered query (the centering makes the m * mean_i * mean_q
-    correction vanish analytically, removing its cancellation error), corr
+    correction vanish analytically, removing its cancellation error; the
+    rounding left in the centered query's sum is taken out per window), corr
     is clamped to [-1, 1], and near-zero distances are recomputed directly:
     at d ~ 0 the sqrt amplifies FFT roundoff beyond the 1e-6 contract.
     """
@@ -177,7 +182,11 @@ def distance_profile_mass(ts, query, stats=None, spectrum=None) -> np.ndarray:
     if _flat(sd_q, mu_q):
         # Flat query: distance is 0 to flat windows, sqrt(m) otherwise.
         return np.where(stats.flat, 0.0, np.sqrt(m))
-    qt = _sliding_dot_product(x, q - mu_q, spectrum)
+    qc = q - mu_q
+    qt = _sliding_dot_product(x, qc, spectrum)
+    # The float sum of qc is not exactly 0; its share of each window's dot
+    # product is that sum times the window mean.
+    qt -= float(qc.sum()) * stats.means
     # One buffer: denominator, then correlation, then distance.
     d = np.where(stats.flat, 1.0, stats.stds)
     d *= m * sd_q
@@ -276,3 +285,30 @@ def feature_profiles(
         elif spectrum is None:
             spectrum = series_spectrum(ts)
         yield i, generate_profile(ts, feature, m, stats, spectrum)
+
+
+#: Samples per block of `profile_table` (more when 4 * m exceeds it).
+BLOCK = 1 << 16
+
+
+def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
+    """[feature, window] profiles of the series, from `feature_profiles` over
+    overlapping slices of S = max(BLOCK, next_pow2(4 * m)) samples.
+
+    Each slice holds S - m + 1 whole windows and starts where the last one
+    ended, so every window is computed once from samples of its own slice,
+    with that slice's sliding stats and spectrum. A series of at most S
+    samples is one slice: the whole-series profiles, bit for bit.
+    """
+    x = _as_values(ts)
+    size = max(BLOCK, 1 << (4 * m - 1).bit_length())
+    step = size - m + 1
+    length = x.size - m + 1
+    table = np.empty((len(features), max(length, 0)))
+    # At least one slice, whose kernels reject an m that has no window.
+    for lo in range(0, max(length, 1), step):
+        hi = min(lo + step, length)
+        for i, prof in feature_profiles(x[lo : hi + m - 1], features, m):
+            table[i, lo:hi] = prof
+            del prof  # before the next profile is built
+    return table

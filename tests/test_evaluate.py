@@ -16,11 +16,13 @@ from shapefeat.core import (
     FeatureSpec,
     LabelTrack,
     Region,
+    TimeSeries,
 )
 from shapefeat.data import (
     TwoModalityParams,
     gen_random_noise,
     gen_two_modality_dataset,
+    load_series,
     noise_walk_instances,
     normals,
     save_labels,
@@ -31,6 +33,7 @@ from shapefeat.data import (
 from shapefeat.evaluate import (
     COMPLEXITY_DIFF,
     ZNORM_ED,
+    compare_variants,
     detection_frequency,
     loocv_1nn,
     metrics,
@@ -39,7 +42,15 @@ from shapefeat.evaluate import (
     oracle_confusion,
     roc_sweep,
 )
-from shapefeat.model import ClassSpec, PredictionTrack, classify, train
+from shapefeat.model import (
+    ClassSpec,
+    PredictionTrack,
+    classify,
+    score_locals,
+    sweep,
+    train,
+    weighted_table,
+)
 from shapefeat.profiles import znormalize
 
 
@@ -244,7 +255,24 @@ FOUR_CLASS = {
     "surge": (SHAPE, SLIDING_STD),
     "hum": (COMPLEXITY, SLIDING_STD),
 }
+class TestCompareVariants:
+    def test_each_variant_reads_intact_scores(self):
+        # Each variant combines the scores into a fresh table: one written
+        # over the score rows would leave the next variant other rows.
+        _, models = TestRocSweep().setup_models()
+        test = gen_two_modality_dataset(TwoModalityParams(n_sine=6, n_flat=6, n_surge=3, n_hum=3), 7)
+        cfg = ClassifierConfig()
+        rows = compare_variants(models, test.series, test.labels, cfg)
+        for variant, keep in [("shape", lambda f: f.kind == SHAPE),
+                              ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
+            scores = score_locals(models, test.series)
+            track = sweep(scores, *weighted_table(scores, cfg, keep), cfg)
+            expected = [mil_confusion(track, test.labels, mo.class_id) for mo in models]
+            assert [cm for name, _, cm, *_ in rows if name == variant] == expected
+
+
 COUNTED = (
+    "profiles.profile_table",
     "profiles.feature_profiles",
     "profiles.sliding_stats",
     "profiles.series_spectrum",
@@ -273,6 +301,9 @@ class TestScoreOnce:
         save_series(train_b.series, str(root / "train.txt"))
         save_labels(train_b.labels, str(root / "train.csv"))
         save_series(test_b.series, str(root / "test.txt"))
+        # The test series repeated past two profile_table blocks.
+        reps = -(-(2 * profiles.BLOCK + 1) // len(test_b.series))
+        save_series(TimeSeries(values=np.tile(test_b.series.values, reps)), str(root / "long.txt"))
         save_labels(test_b.labels, str(root / "test.csv"))
         (root / "config.yaml").write_text("classes:\n" + "".join(
             f"  - {{name: {name}, m: 48, exclusion_zone: 47, prior: 0.5, features: [{', '.join(kinds)}]}}\n"
@@ -308,18 +339,25 @@ class TestScoreOnce:
              "--series", "@test.txt", "--labels", "@test.csv"],
             ["classify", "--model", "@model.sfcm", "--series", "@test.txt"],
             ["train", "--config", "@config.yaml", "--series", "@train.txt", "--labels", "@train.csv"],
+            ["classify", "--model", "@model.sfcm", "--series", "@long.txt"],
         ],
     )
     def test_one_scoring_pass(self, files, monkeypatch, tmp_path, command):
         counts = self.count_calls(monkeypatch)
         argv = [str(files / a[1:]) if a.startswith("@") else a for a in command]
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        # One table, whose blocks of BLOCK samples (m = 48) each build one
+        # set of profiles.
+        windows = len(load_series(argv[argv.index("--series") + 1])) - 48 + 1
+        blocks = -(-windows // (profiles.BLOCK - 48 + 1))
+        assert (blocks > 1) == (command[-1] == "@long.txt")
         one_pass = {
             "model._check_models": 1,
-            "profiles.feature_profiles": 1,
-            "profiles.sliding_stats": 1,
-            "profiles.series_spectrum": 1,
-            "profiles.distance_profile_mass": 3,
+            "profiles.profile_table": 1,
+            "profiles.feature_profiles": blocks,
+            "profiles.sliding_stats": blocks,
+            "profiles.series_spectrum": blocks,
+            "profiles.distance_profile_mass": 3 * blocks,
         }
         if command[0] == "train":
             # One pass over all 10 locals of the 4 classes, not one per class.

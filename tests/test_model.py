@@ -37,9 +37,11 @@ from shapefeat.model import (
     compute_distributions,
     compute_probability,
     histogram_build,
+    score_locals,
     select_prototype,
     sweep,
     train,
+    weighted_table,
 )
 from shapefeat.profiles import distance_profile_mass, generate_profile, znormalize
 
@@ -899,6 +901,52 @@ class TestArgmaxMonotonicity:
             if previous is not None:
                 assert previous <= wins
             previous = wins
+
+
+class TestTablesWrittenInPlace:
+    """A buffer that overwrites its own input gives the bytes of a fresh one,
+    over more than one lookup block."""
+
+    KINDS = {SLIDING_MEAN: 0.0, SLIDING_STD: 1.0, COMPLEXITY: 5.5}  # kind: typical value
+
+    def models(self, sizes, m=16):
+        kinds = list(self.KINDS)
+        models = []
+        for c, size in enumerate(sizes):
+            features = []
+            for k in range(size):
+                kind = kinds[(c + k) % len(kinds)]
+                loc = self.KINDS[kind]
+                seed = 10 * c + k
+                pos = histogram_build(loc + 0.1 * normals(seed, 200))
+                neg = histogram_build(loc + 0.3 * normals(seed + 100, 200))
+                features.append((FeatureSpec(kind=kind), pos, neg))
+            models.append(ClassModel(f"c{c}", m, m - 1, tuple(features), prior=0.2 + 0.1 * c))
+        return models
+
+    def test_probability_over_its_profile(self):
+        pos = histogram_build(normals(1, 300))
+        neg = histogram_build(normals(2, 300) * 2.0 + 0.5)
+        profile = normals(3, 2 * LOOKUP_BLOCK + 5) * 3.0
+        fresh = compute_probability(pos, neg, profile)
+        assert compute_probability(pos, neg, profile, out=profile) is profile
+        assert profile.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 2), (1, 1, 2), (2, 3), (1,)])
+    def test_weighted_table_over_the_score_rows(self, sizes):
+        # Row c is written over a local of class c or of an earlier class.
+        models = self.models(sizes)
+        test = TimeSeries(values=normals(4, 2 * LOOKUP_BLOCK + 100))
+        cfg = ClassifierConfig(thresholds={"c0": 1.5, "c1": 0.75})
+        scores = score_locals(models, test)
+        fresh = weighted_table(scores, cfg)
+        expected = sweep(scores, *fresh, cfg)
+        ids, table = weighted_table(scores, cfg, out=scores.values)
+        assert ids == fresh[0]
+        assert np.shares_memory(table, scores.values)
+        assert table.tobytes() == fresh[1].tobytes()
+        assert expected.detections()
+        assert classify(models, test, cfg) == expected
 
 
 class TestFloorModes:

@@ -433,6 +433,12 @@ def load_series(path: str) -> TimeSeries:
     meta: dict = {}
     parts: List[np.ndarray] = []
     for first, lines in _read_lines(path):
+        # Leading headers and blank lines (every file that save_series
+        # writes starts with some) go to `meta`, so the fast path takes
+        # the rest of the block.
+        data_line = next(_data_lines(path, lines, first, meta), None)
+        head = len(lines) if data_line is None else data_line[0] - first
+        lines, first = lines[head:], first + head
         try:
             values = np.asarray(lines, dtype=np.float64)
         except ValueError:

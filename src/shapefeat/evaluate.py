@@ -3,7 +3,8 @@ ROC sweeps, and the leave-one-out 1NN machinery used by the motivating
 experiments.
 
 The comparison grid and the ROC sweep score the test series once
-(`score_locals`) and re-combine those scores per variant or weight.
+(`class_tables`): the grid takes one [class, position] table per variant
+from that pass, and the ROC sweep re-weights one class's row per weight.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .core import (
     frozen_array,
     value_eq,
 )
-from .model import score_locals, sweep, weighted_table
+from .model import class_tables, sweep
 from .profiles import znormalize
 
 #: Whole-instance metrics for the leave-one-out 1NN classifier.
@@ -94,17 +95,17 @@ def compare_variants(
     class with no feature of the kind drops out of that run (and scores
     recall 0 on its own bags). A run left with no classes at all predicts
     nothing, so a single-modality model degenerates to that modality's run.
-    All three runs re-combine one scoring pass.
+    All three runs take their tables from one scoring pass.
     """
-    scores = score_locals(models, test, cfg.small_value_mode)
     variants = [
         ("shape", lambda spec: spec.kind == SHAPE),
         ("feature", lambda spec: spec.kind != SHAPE),
         ("combined", None),
     ]
+    tables = class_tables(models, test, cfg, [keep for _, keep in variants])
     rows = []
-    for name, keep in variants:
-        track = sweep(scores, *weighted_table(scores, cfg, keep), cfg)
+    for (name, _), (ids, table) in zip(variants, tables):
+        track = sweep(models, test, ids, table, cfg)
         for mo in models:
             cm = mil_confusion(track, bags, mo.class_id)
             rows.append((name, mo.class_id, cm, *metrics(cm)))
@@ -131,16 +132,15 @@ def roc_sweep(
             raise DataError(f"weights must be positive, got {w}")
         if w < prev:
             raise DataError("weights must be sorted ascending")
-    scores = score_locals(models, test, cfg.small_value_mode)
     # At weight 1 the swept row is the class's unweighted combined probability.
-    ids, table = weighted_table(scores, cfg.replace_threshold(class_id, 1.0))
+    [(ids, table)] = class_tables(models, test, cfg.replace_threshold(class_id, 1.0), [None])
     # A class without a model has no row, and every weight gives one track.
     swept = table[ids.index(class_id)] if class_id in ids else np.empty(0)
     base = swept.copy()
     points = []
     for w in weights:
         np.multiply(base, float(w), out=swept)
-        track = sweep(scores, ids, table, cfg)
+        track = sweep(models, test, ids, table, cfg)
         cm = mil_confusion(track, bags, class_id)
         precision, recall, _ = metrics(cm)
         points.append(RocPoint(float(w), precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))

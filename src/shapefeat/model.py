@@ -1,16 +1,17 @@
 """Per-class local models: training, probability profiles, and classification.
 
-Both training and scoring build their profiles in one pass of
-`profiles.profile_table`, which walks the series block by block, sharing
-one `sliding_stats` and one block spectrum across the profiles of a block,
-and returns the [feature, window] table. Training turns each row into a
-pair of value histograms (class / non-class). Classification scores a test
-series once (`score_locals` turns each row of that table into a (class,
-feature) local probability in place), combines the locals per class with a
-Naive Bayes product, weights by per-class thresholds (`weighted_table`),
-and sweeps left to right with exclusion-zone suppression (`sweep`).
-`classify` writes the weighted table over the score rows; variant and
-threshold sweeps re-combine the same scores.
+Training and scoring build their profiles in one pass of
+`profiles.profile_blocks`, which walks the series block by block, sharing
+one `sliding_stats` and one block spectrum across the profiles of a block.
+Training writes the blocks into one [feature, window] table
+(`profile_table`) and turns each row into a pair of value histograms
+(class / non-class). Scoring (`class_tables`) keeps one block at a time: it
+turns the block's profiles into (class, feature) local probabilities,
+combines each class's locals with a Naive Bayes product, weights it by the
+class's threshold, and writes the block's columns of a [class, position]
+table. One pass fills one table per feature predicate, so the variant grid
+scores the series once. `sweep` then goes left to right over a table with
+exclusion-zone suppression.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import profile_table, znormalize
+from .profiles import profile_blocks, profile_table, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -229,7 +230,7 @@ def compute_distributions(
     train: TimeSeries, labels: LabelTrack, specs: Sequence[ClassSpec]
 ) -> List[Tuple[Histogram, Histogram]]:
     """Class / non-class value histograms of every (class, feature) local,
-    rows as in `LocalScores.values`, from one `profile_table`.
+    in model order, then feature order, from one `profile_table`.
 
     The specs share one m and name distinct classes (`train` checks both),
     and every shape feature holds its query. Position i touches a region
@@ -336,58 +337,53 @@ def _check_models(models: Sequence) -> int:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class LocalScores:
-    """Every (class, feature) local probability over one test series: one
-    [local, position] array, rows in model order, then feature order."""
+def class_tables(
+    models: Sequence[ClassModel],
+    test: TimeSeries,
+    cfg: ClassifierConfig,
+    keeps: Sequence[Optional[Callable[[FeatureSpec], bool]]],
+) -> List[Tuple[tuple, np.ndarray]]:
+    """One (class_ids, [class, position] table) per `keep` predicate, from one
+    scoring pass over the test series.
 
-    models: tuple
-    values: np.ndarray
-    test: TimeSeries
-
-
-def score_locals(
-    models: Sequence[ClassModel], test: TimeSeries, small_value_mode: str = FLOOR_UNION
-) -> LocalScores:
-    """One scoring pass (`profile_table`) over the locals of every class;
-    each profile row becomes its local's probabilities in place."""
+    A table holds each class's Naive Bayes combination of its locals whose
+    spec passes `keep` (all when None), times its threshold weight; a class
+    with no kept local drops out. The pass walks `profile_blocks`: each
+    block's profiles become local probabilities in one block buffer, and
+    every table takes its columns of that block from them.
+    """
     m = _check_models(models)
     if len(test) < m:
         raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
-    values = profile_table(test, [spec for spec, _, _ in locals_], m)
-    for (_, pos_h, neg_h), row in zip(locals_, values):
-        compute_probability(pos_h, neg_h, row, small_value_mode, out=row)
-    return LocalScores(models=tuple(models), values=values, test=test)
-
-
-def weighted_table(
-    scores: LocalScores,
-    cfg: ClassifierConfig,
-    keep: Optional[Callable[[FeatureSpec], bool]] = None,
-    out: Optional[np.ndarray] = None,
-) -> Tuple[tuple, np.ndarray]:
-    """(class_ids, [class, position] table): each class's Naive Bayes
-    combination of its locals whose spec passes `keep` (all when None),
-    times its threshold weight. A class with no kept local drops out.
-
-    The table is the first rows of `out` when given, which may be
-    `scores.values` itself: row c is then written over a local of an
-    earlier class or over class c's first local, which its product reads
-    first if at all, so no score row is written before it is read.
-    """
-    if out is None:
-        out = np.empty((len(scores.models), scores.values.shape[1]))
-    ids = []
-    rows = iter(scores.values)
-    for mo in scores.models:
-        # zip draws exactly one row per feature of this class.
-        kept = [row for (spec, _, _), row in zip(mo.features, rows) if keep is None or keep(spec)]
-        if kept:
-            row = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator, out=out[len(ids)])
-            row *= cfg.threshold_for(mo.class_id)
-            ids.append(mo.class_id)
-    return tuple(ids), out[: len(ids)]
+    plans = []  # per keep: (class_ids, table, [(model, block rows)])
+    for keep in keeps:
+        groups, first = [], 0
+        for mo in models:
+            rows = [first + k for k, (spec, _, _) in enumerate(mo.features)
+                    if keep is None or keep(spec)]
+            first += len(mo.features)
+            if rows:
+                groups.append((mo, rows))
+        table = np.empty((len(groups), len(test) - m + 1))
+        plans.append((tuple(mo.class_id for mo, _ in groups), table, groups))
+    block = None
+    for lo, hi, profiles in profile_blocks(test, [spec for spec, _, _ in locals_], m):
+        if block is None:  # the first block is the longest
+            block = np.empty((len(locals_), hi - lo))
+        probs = block[:, : hi - lo]
+        for i, prof in profiles:
+            probs[i] = prof
+            del prof  # before the next profile is built
+        # The block's stats and spectrum are gone before the lookups run.
+        for (_, pos_h, neg_h), row in zip(locals_, probs):
+            compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
+        for _, table, groups in plans:
+            for row, (mo, rows) in zip(table, groups):
+                out = combine_naive_bayes([probs[i] for i in rows], mo.prior,
+                                          cfg.nb_denominator, out=row[lo:hi])
+                out *= cfg.threshold_for(mo.class_id)
+    return [(ids, table) for ids, table, _ in plans]
 
 
 def class_probabilities(
@@ -395,15 +391,19 @@ def class_probabilities(
     test: TimeSeries,
     cfg: ClassifierConfig,
 ) -> Tuple[tuple, np.ndarray]:
-    """(class_ids, [class, position] table): the `weighted_table` of one
-    `score_locals` pass."""
-    return weighted_table(score_locals(models, test, cfg.small_value_mode), cfg)
+    """(class_ids, [class, position] table) of every local: `class_tables`
+    with no predicate."""
+    return class_tables(models, test, cfg, [None])[0]
 
 
 def sweep(
-    scores: LocalScores, class_ids: tuple, weighted: np.ndarray, cfg: ClassifierConfig
+    models: Sequence[ClassModel],
+    test: TimeSeries,
+    class_ids: tuple,
+    weighted: np.ndarray,
+    cfg: ClassifierConfig,
 ) -> PredictionTrack:
-    """Suppression sweep of a `weighted_table` of `scores`.
+    """Suppression sweep of a `class_tables` table of `models` over `test`.
 
     Visit positions 0, stride, 2 * stride, ...; a visit at or above the
     floor emits its argmax class and jumps max(stride, e + 1) instead, e
@@ -411,7 +411,7 @@ def sweep(
     stride phase, so one binary search finds the next one. A detection
     scores its class's weighted probability.
     """
-    zone_of = {mo.class_id: mo.exclusion_zone for mo in scores.models}
+    zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
     zones = [zone_of[c] for c in class_ids]
     length = weighted.shape[1]
     # A stride past the end visits position 0 only, as `length` does.
@@ -432,24 +432,26 @@ def sweep(
     pos = 0
     while pos < length:
         base = pos % stride * length
-        k = int(np.searchsorted(keys, base + pos))
+        # ndarray methods: the np.* wrappers cost more than one short search.
+        k = int(keys.searchsorted(base + pos))
         if k == keys.size or keys[k] >= base + length:
             break
         hit = int(keys[k]) - base
-        w = int(np.argmax(weighted[:, hit]))
+        col = weighted[:, hit]
+        w = int(col.argmax())
         positions.append(hit)
         codes.append(w)
-        values.append(weighted[w, hit])
+        values.append(col[w])
         pos = hit + max(stride, int(zones[w]) + 1)
     return PredictionTrack(
         class_ids=class_ids,
         positions=np.array(positions, dtype=np.int64),
         label_codes=np.array(codes, dtype=np.int32),
         scores=np.array(values, dtype=np.float64),
-        m=scores.models[0].m,
-        series_length=len(scores.test),
+        m=models[0].m,
+        series_length=len(test),
         stride=cfg.stride,
-        sample_rate_hz=scores.test.sample_rate_hz,
+        sample_rate_hz=test.sample_rate_hz,
     )
 
 
@@ -465,6 +467,4 @@ def classify(
     floor; a detection suppresses the next exclusion_zone positions of every
     class. All other positions carry OTHER_CLASS.
     """
-    scores = score_locals(models, test, cfg.small_value_mode)
-    # The weighted table overwrites the score rows, which nothing reads after.
-    return sweep(scores, *weighted_table(scores, cfg, out=scores.values), cfg)
+    return sweep(models, test, *class_tables(models, test, cfg, [None])[0], cfg)

@@ -9,11 +9,12 @@ the profiles of one series (or of one block of it) share: `stats`, its
 `sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
 state is computed from the series. `feature_profiles` builds every profile
 of one span and decides when that state is built and dropped;
-`profile_table` is the one profile pass that training and scoring share. It
+`profile_blocks` is the one profile pass that training and scoring share. It
 runs `feature_profiles` over overlapping blocks of the series, so the stats
-and the FFT buffers are one block long and the [feature, window] table is
-the only full-length array, as in the blocked MASS of Mueen et al. and the
-blocked running sums of Chan, Golub and LeVeque.
+and the FFT buffers are one block long, as in the blocked MASS of Mueen et
+al. and the blocked running sums of Chan, Golub and LeVeque. Training
+writes every block into one [feature, window] table (`profile_table`);
+scoring consumes each block as it comes.
 """
 from __future__ import annotations
 
@@ -287,13 +288,15 @@ def feature_profiles(
         yield i, generate_profile(ts, feature, m, stats, spectrum)
 
 
-#: Samples per block of `profile_table` (more when 4 * m exceeds it).
+#: Samples per block of `profile_blocks` (more when 4 * m exceeds it).
 BLOCK = 1 << 16
 
 
-def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
-    """[feature, window] profiles of the series, from `feature_profiles` over
-    overlapping slices of S = max(BLOCK, next_pow2(4 * m)) samples.
+def profile_blocks(
+    ts, features: Sequence[FeatureSpec], m: int
+) -> Iterator[Tuple[int, int, Iterator[Tuple[int, np.ndarray]]]]:
+    """Yield (lo, hi, `feature_profiles` of windows lo..hi-1) over overlapping
+    slices of S = max(BLOCK, next_pow2(4 * m)) samples.
 
     Each slice holds S - m + 1 whole windows and starts where the last one
     ended, so every window is computed once from samples of its own slice,
@@ -304,11 +307,19 @@ def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
     step = size - m + 1
     length = x.size - m + 1
-    table = np.empty((len(features), max(length, 0)))
     # At least one slice, whose kernels reject an m that has no window.
     for lo in range(0, max(length, 1), step):
         hi = min(lo + step, length)
-        for i, prof in feature_profiles(x[lo : hi + m - 1], features, m):
+        yield lo, hi, feature_profiles(x[lo : hi + m - 1], features, m)
+
+
+def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
+    """[feature, window] profiles of the series, written block by block from
+    `profile_blocks`."""
+    x = _as_values(ts)
+    table = np.empty((len(features), max(x.size - m + 1, 0)))
+    for lo, hi, profiles in profile_blocks(x, features, m):
+        for i, prof in profiles:
             table[i, lo:hi] = prof
             del prof  # before the next profile is built
     return table

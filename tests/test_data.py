@@ -362,6 +362,24 @@ class TestLoadSeriesDifferential:
         with mock.patch.object(data, "_BLOCK_BYTES", block):
             assert outcome(load_series, str(path)) == outcome(reference_load_series, str(path))
 
+    @pytest.mark.parametrize("raw, walks", [
+        # Headers, then a fault on the first data line: the walk names it.
+        (b"# name: a\n# sample_rate_hz: 2.5\n\nabc\n1.0\n", 1),
+        (b"# name: a\n\n  \n1e999\n1.0\n", 1),
+        # Headers at the start of a later block (16 bytes): every block
+        # parses whole once its headers are read.
+        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# sample_rate_hz: 4\n5.0\n6.0\n7.0\n8.0\n", 0),
+        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# sample_rate_hz: 4\n5.0\nx\n7.0\n8.0\n", 1),
+    ], ids=["fault-after-headers", "non-finite-after-headers", "headers-in-a-later-block",
+            "fault-in-a-later-block"])
+    def test_leading_headers_skip_the_walk(self, tmp_path, raw, walks):
+        path = tmp_path / "headers.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_BLOCK_BYTES", 16), \
+                mock.patch.object(data, "_walk_block", wraps=data._walk_block) as walk:
+            assert outcome(load_series, str(path)) == outcome(reference_load_series, str(path))
+        assert walk.call_count == walks
+
     def test_memory_stays_near_one_block(self, tmp_path):
         # 10**6 lines: the whole-file parser peaked at about 110 MB.
         path = str(tmp_path / "long.txt")

@@ -45,11 +45,10 @@ from shapefeat.evaluate import (
 from shapefeat.model import (
     ClassSpec,
     PredictionTrack,
+    class_tables,
     classify,
-    score_locals,
     sweep,
     train,
-    weighted_table,
 )
 from shapefeat.profiles import znormalize
 
@@ -257,21 +256,24 @@ FOUR_CLASS = {
 }
 class TestCompareVariants:
     def test_each_variant_reads_intact_scores(self):
-        # Each variant combines the scores into a fresh table: one written
-        # over the score rows would leave the next variant other rows.
+        # The three tables of one pass equal three passes of one table each:
+        # a table that wrote over the block's local probabilities would leave
+        # the next variant other values.
         _, models = TestRocSweep().setup_models()
         test = gen_two_modality_dataset(TwoModalityParams(n_sine=6, n_flat=6, n_surge=3, n_hum=3), 7)
         cfg = ClassifierConfig()
         rows = compare_variants(models, test.series, test.labels, cfg)
         for variant, keep in [("shape", lambda f: f.kind == SHAPE),
                               ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
-            scores = score_locals(models, test.series)
-            track = sweep(scores, *weighted_table(scores, cfg, keep), cfg)
+            [table] = class_tables(models, test.series, cfg, [keep])
+            track = sweep(models, test.series, *table, cfg)
             expected = [mil_confusion(track, test.labels, mo.class_id) for mo in models]
             assert [cm for name, _, cm, *_ in rows if name == variant] == expected
 
 
 COUNTED = (
+    "model.class_tables",
+    "profiles.profile_blocks",
     "profiles.profile_table",
     "profiles.feature_profiles",
     "profiles.sliding_stats",
@@ -346,24 +348,27 @@ class TestScoreOnce:
         counts = self.count_calls(monkeypatch)
         argv = [str(files / a[1:]) if a.startswith("@") else a for a in command]
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
-        # One table, whose blocks of BLOCK samples (m = 48) each build one
+        # One pass, whose blocks of BLOCK samples (m = 48) each build one
         # set of profiles.
         windows = len(load_series(argv[argv.index("--series") + 1])) - 48 + 1
         blocks = -(-windows // (profiles.BLOCK - 48 + 1))
         assert (blocks > 1) == (command[-1] == "@long.txt")
         one_pass = {
             "model._check_models": 1,
-            "profiles.profile_table": 1,
+            "profiles.profile_blocks": 1,
             "profiles.feature_profiles": blocks,
             "profiles.sliding_stats": blocks,
             "profiles.series_spectrum": blocks,
             "profiles.distance_profile_mass": 3 * blocks,
         }
         if command[0] == "train":
-            # One pass over all 10 locals of the 4 classes, not one per class.
-            assert counts == {**one_pass, "model.compute_distributions": 1}
+            # One table of all 10 locals of the 4 classes, not one per class.
+            assert counts == {**one_pass, "profiles.profile_table": 1,
+                              "model.compute_distributions": 1}
         else:
-            assert counts == {**one_pass, "model.compute_probability": 10}
+            # One lookup per local and block.
+            assert counts == {**one_pass, "model.class_tables": 1,
+                              "model.compute_probability": 10 * blocks}
 
 
 class TestLoocv:

@@ -27,23 +27,28 @@ from shapefeat.core import (
     TimeSeries,
 )
 from shapefeat.data import normals, uniforms
+from shapefeat.evaluate import compare_variants, metrics, mil_confusion, roc_sweep
 from shapefeat.model import (
     LOOKUP_BLOCK,
     ClassSpec,
-    LocalScores,
     class_probabilities,
+    class_tables,
     classify,
     combine_naive_bayes,
     compute_distributions,
     compute_probability,
     histogram_build,
-    score_locals,
     select_prototype,
     sweep,
     train,
-    weighted_table,
 )
-from shapefeat.profiles import distance_profile_mass, generate_profile, znormalize
+from shapefeat.profiles import (
+    BLOCK,
+    distance_profile_mass,
+    generate_profile,
+    profile_table,
+    znormalize,
+)
 
 
 def plant_bursts(n, m, starts, template, noise_seed, noise_scale=1.0):
@@ -828,17 +833,17 @@ def assert_detections_match(track, labels, scores):
 
 class TestSuppressionSweep:
     def sweep(self, table, zones, floor, stride):
-        """Sweep `table` as the weighted table of a minimal LocalScores: one
-        m=1 model per zone (one with zone 0 when there are none, as when
-        every class drops out of a compare run) over a series of zeros."""
+        """Sweep `table` as the class table of one m=1 model per zone (one
+        with zone 0 when there are none, as when every class drops out of a
+        compare run) over a series of zeros."""
         hist = Histogram(edges=[0.0, 1.0], counts=[1])
         models = tuple(
             ClassModel(f"c{k}", 1, z, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)
             for k, z in enumerate(zones or [0])
         )
-        scores = LocalScores(models, table, TimeSeries(values=np.zeros(table.shape[1])))
+        test = TimeSeries(values=np.zeros(table.shape[1]))
         ids = tuple(mo.class_id for mo in models[: table.shape[0]])
-        return sweep(scores, ids, table, ClassifierConfig(decision_floor=floor, stride=stride))
+        return sweep(models, test, ids, table, ClassifierConfig(decision_floor=floor, stride=stride))
 
     def test_matches_per_position_reference(self):
         rng = np.random.default_rng(2024)
@@ -907,23 +912,6 @@ class TestTablesWrittenInPlace:
     """A buffer that overwrites its own input gives the bytes of a fresh one,
     over more than one lookup block."""
 
-    KINDS = {SLIDING_MEAN: 0.0, SLIDING_STD: 1.0, COMPLEXITY: 5.5}  # kind: typical value
-
-    def models(self, sizes, m=16):
-        kinds = list(self.KINDS)
-        models = []
-        for c, size in enumerate(sizes):
-            features = []
-            for k in range(size):
-                kind = kinds[(c + k) % len(kinds)]
-                loc = self.KINDS[kind]
-                seed = 10 * c + k
-                pos = histogram_build(loc + 0.1 * normals(seed, 200))
-                neg = histogram_build(loc + 0.3 * normals(seed + 100, 200))
-                features.append((FeatureSpec(kind=kind), pos, neg))
-            models.append(ClassModel(f"c{c}", m, m - 1, tuple(features), prior=0.2 + 0.1 * c))
-        return models
-
     def test_probability_over_its_profile(self):
         pos = histogram_build(normals(1, 300))
         neg = histogram_build(normals(2, 300) * 2.0 + 0.5)
@@ -932,21 +920,130 @@ class TestTablesWrittenInPlace:
         assert compute_probability(pos, neg, profile, out=profile) is profile
         assert profile.tobytes() == fresh.tobytes()
 
+
+def oracle_class_table(models, test, cfg, keep):
+    """The slow oracle of one `class_tables` table: the whole-series profile
+    table, `compute_probability` per row, then each class's
+    `combine_naive_bayes` of its kept locals times its threshold weight."""
+    locals_ = [feature for mo in models for feature in mo.features]
+    table = profile_table(test, [spec for spec, _, _ in locals_], models[0].m)
+    probs = iter([compute_probability(pos_h, neg_h, row, cfg.small_value_mode)
+                  for (_, pos_h, neg_h), row in zip(locals_, table)])
+    ids, rows = [], []
+    for mo in models:
+        kept = [p for (spec, _, _), p in zip(mo.features, probs) if keep is None or keep(spec)]
+        if kept:
+            ids.append(mo.class_id)
+            combined = combine_naive_bayes(kept, mo.prior, cfg.nb_denominator)
+            rows.append(combined * cfg.threshold_for(mo.class_id))
+    return tuple(ids), np.array(rows).reshape(len(rows), table.shape[1])
+
+
+KEEPS = [lambda spec: spec.kind == SHAPE, lambda spec: spec.kind != SHAPE, None]
+
+
+@st.composite
+def scoring_cases(draw):
+    """(m, n, seed, nb_denominator, small_value_mode): series of one to four
+    profile blocks of BLOCK - m + 1 windows, the last one partly filled, and
+    windows up to a quarter block."""
+    m = draw(st.integers(2, BLOCK // 4))
+    step = BLOCK - m + 1
+    n = draw(st.integers(0, 3)) * step + draw(st.integers(1, step)) + m - 1
+    return (m, n, draw(st.integers(0, 10**6)), draw(st.sampled_from([NB_STANDARD, NB_PAPER_LITERAL])),
+            draw(st.sampled_from([FLOOR_UNION, FLOOR_OWN])))
+
+
+class TestClassTables:
+    """The block pass of `class_tables` against `oracle_class_table`."""
+
+    KINDS = (SHAPE, SLIDING_STD, COMPLEXITY, SLIDING_MEAN)
+
+    def models(self, sizes, x, m):
+        """Class c's k-th local is of kind KINDS[(c + k) % 4]. Its histograms
+        come from the two halves of its own profile over `x`, a walk, so the
+        probabilities spread over (0, 1); a shape query is x's first window,
+        rolled by c."""
+        def feature(c, k):
+            kind = self.KINDS[(c + k) % 4]
+            return FeatureSpec(kind=kind, query=np.roll(x[:m], c) if kind == SHAPE else None)
+
+        specs = [[feature(c, k) for k in range(size)] for c, size in enumerate(sizes)]
+        rows = iter(profile_table(x, [f for fs in specs for f in fs], m))
+        models = []
+        for c, fs in enumerate(specs):
+            features = []
+            for f, row in zip(fs, rows):
+                half = max(row.size // 2, 1)
+                features.append((f, histogram_build(row[:half]), histogram_build(row[-half:])))
+            models.append(ClassModel(f"c{c}", m, m - 1, tuple(features), prior=0.2 + 0.1 * c))
+        return models
+
     @pytest.mark.parametrize("sizes", [(3, 1, 2), (1, 1, 2), (2, 3), (1,)])
-    def test_weighted_table_over_the_score_rows(self, sizes):
-        # Row c is written over a local of class c or of an earlier class.
-        models = self.models(sizes)
-        test = TimeSeries(values=normals(4, 2 * LOOKUP_BLOCK + 100))
-        cfg = ClassifierConfig(thresholds={"c0": 1.5, "c1": 0.75})
-        scores = score_locals(models, test)
-        fresh = weighted_table(scores, cfg)
-        expected = sweep(scores, *fresh, cfg)
-        ids, table = weighted_table(scores, cfg, out=scores.values)
-        assert ids == fresh[0]
-        assert np.shares_memory(table, scores.values)
-        assert table.tobytes() == fresh[1].tobytes()
-        assert expected.detections()
-        assert classify(models, test, cfg) == expected
+    @settings(max_examples=10)
+    @given(case=scoring_cases())
+    def test_matches_the_whole_series_oracle(self, sizes, case):
+        # (1,) is one shape local, so its class drops out of the feature
+        # table, and (1, 1, 2) has classes that drop out of either.
+        m, n, seed, nb, floor_mode = case
+        x = np.cumsum(normals(seed, n)) + normals(seed + 1, n)
+        test = TimeSeries(values=x)
+        models = self.models(sizes, x, m)
+        cfg = ClassifierConfig(thresholds={"c0": 1.5, "c1": 0.75}, nb_denominator=nb,
+                               small_value_mode=floor_mode)
+        for (ids, table), keep in zip(class_tables(models, test, cfg, KEEPS), KEEPS):
+            want_ids, want = oracle_class_table(models, test, cfg, keep)
+            assert ids == want_ids
+            assert table.shape == want.shape
+            assert table.tobytes() == want.tobytes()
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        """Four classes over every feature kind, and a test series of two
+        profile blocks."""
+        from shapefeat.data import TwoModalityParams, gen_two_modality_dataset
+
+        kinds = {"sine": (SHAPE, COMPLEXITY, SLIDING_STD), "flat": (SHAPE, SLIDING_MEAN, SLIDING_STD),
+                 "surge": (SHAPE, SLIDING_STD), "hum": (COMPLEXITY, SLIDING_STD)}
+        params = TwoModalityParams(m=48, n_sine=6, n_flat=6, n_surge=4, n_hum=4)
+        train_b = gen_two_modality_dataset(params, 5)
+        specs = [ClassSpec(name, 48, 47, tuple(FeatureSpec(kind=k) for k in ks), prior=0.5)
+                 for name, ks in kinds.items()]
+        models = train(train_b.series, train_b.labels, specs)
+        test = gen_two_modality_dataset(
+            TwoModalityParams(m=48, n_sine=110, n_flat=110, n_surge=60, n_hum=60), 10_005)
+        assert 1 < len(test.series) / BLOCK < 3
+        return models, test
+
+    def test_compare_variants_and_classify_sweep_the_oracle(self, scored):
+        models, test = scored
+        cfg = ClassifierConfig(thresholds={"sine": 1.3, "hum": 0.8})
+        expected = []
+        for name, keep in zip(["shape", "feature", "combined"], KEEPS):
+            track = sweep(models, test.series, *oracle_class_table(models, test.series, cfg, keep), cfg)
+            for mo in models:
+                cm = mil_confusion(track, test.labels, mo.class_id)
+                expected.append((name, mo.class_id, cm, *metrics(cm)))
+        assert any(row[2].tp for row in expected)
+        assert compare_variants(models, test.series, test.labels, cfg) == expected
+        # The combined run is classify's.
+        assert classify(models, test.series, cfg) == track
+
+    def test_roc_sweep_sweeps_the_oracle(self, scored):
+        models, test = scored
+        cfg = ClassifierConfig(thresholds={"sine": 1.3, "hum": 0.8})
+        weights = [0.25, 0.5, 1.0, 2.0, 4.0]
+        ids, table = oracle_class_table(models, test.series, cfg.replace_threshold("flat", 1.0), None)
+        base = table[ids.index("flat")].copy()
+        expected = []
+        for w in weights:
+            table[ids.index("flat")] = base * w
+            cm = mil_confusion(sweep(models, test.series, ids, table, cfg), test.labels, "flat")
+            precision, recall, _ = metrics(cm)
+            expected.append((w, precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
+        points = roc_sweep(models, test.series, test.labels, cfg, "flat", weights)
+        assert [tuple(vars(p).values()) for p in points] == expected
+        assert len({p.tp for p in points}) > 1
 
 
 class TestFloorModes:

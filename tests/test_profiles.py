@@ -18,7 +18,7 @@ from shapefeat.core import (
     TimeSeries,
 )
 from shapefeat.data import gen_random_noise, gen_random_walk, normals, uniforms
-from shapefeat.model import classify, score_locals
+from shapefeat.model import class_tables, classify
 from shapefeat.profiles import (
     BLOCK,
     complexity_profile,
@@ -549,23 +549,25 @@ class TestScoringMemory:
             for seed, name in enumerate(["a", "b"])
         ]
 
-    def test_score_locals_below_locals_plus_one_series(self):
-        # n = 500,000 is eight blocks. The [4, n] table is the one
-        # full-length array (4.0 series); the stats and FFT buffers of one
-        # block add 0.7. Over the whole series at once they measured 9.4.
+    def test_class_tables_below_classes_plus_one_and_a_half_series(self):
+        # n = 500,000 is eight blocks. The [2, n] table is the one
+        # full-length array (2.0 series); the [4, block] buffer of local
+        # probabilities and one block's stats and FFT buffers add 1.2. A
+        # [4, n] table of every local measured 4.7.
         n = 500_000
         test = TimeSeries(values=normals(9, n))
         models = self.two_class_models(100)
-        assert self.peak(lambda: score_locals(models, test)) < (4 + 1.0) * test.values.nbytes
+        peak = self.peak(lambda: class_tables(models, test, ClassifierConfig(), [None]))
+        assert peak < (2 + 1.5) * test.values.nbytes
 
-    def test_classify_below_locals_plus_one_and_a_half_series(self):
-        # The weighted table overwrites the score rows, and the sweep holds
-        # one int64 per position at or above the floor: here, every one.
-        # 5.1 series measured; 9.4 when the scores were built over the whole
-        # series at once.
+    def test_classify_below_classes_plus_one_and_a_half_series(self):
+        # The sweep holds one int64 per position at or above the floor:
+        # here, every one. 3.2 series measured; 5.1 with a table of every
+        # local, 9.4 when the profiles were built over the whole series at
+        # once.
         n = 500_000
         test = TimeSeries(values=normals(9, n))
         models = self.two_class_models(100)
         cfg = ClassifierConfig(stride=4)
         peak = self.peak(lambda: classify(models, test, cfg))
-        assert peak < (4 + 1.5) * test.values.nbytes
+        assert peak < (2 + 1.5) * test.values.nbytes

@@ -260,13 +260,16 @@ def check_class(
     prior: Optional[float],
 ) -> None:
     """The rules of a class in training and in a model: an id a CSV row can
-    hold that is not OTHER_CLASS, at least one feature, exclusion_zone >= 0,
-    a prior in (0, 1) (None: not yet known), and length-m shape queries."""
+    hold that is not OTHER_CLASS, at least one feature, m >= 1,
+    exclusion_zone >= 0, a prior in (0, 1) (None: not yet known), and
+    length-m shape queries."""
     check_class_id(class_id)
     if class_id == OTHER_CLASS:
         raise DataError(f"{OTHER_CLASS} is reserved and cannot be trained")
     if not specs:
         raise DataError(f"class {class_id!r} has no features")
+    if m < 1:
+        raise DataError(f"m of class {class_id!r} must be >= 1, got {m}")
     if exclusion_zone < 0:
         raise DataError("exclusion_zone must be >= 0")
     if prior is not None and not 0.0 < prior < 1.0:

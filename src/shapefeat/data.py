@@ -606,9 +606,10 @@ def load_predictions(path: str) -> PredictionTrack:
         class_ids = tuple(c for c in meta["classes"].split(",") if c)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path} has missing or bad prediction metadata: {exc}") from exc
-    if m < 1 or series_length < m or stride < 1:
+    # `len(track)` needs series_length < 2**63; a stride is kept as `classify` wrote it.
+    if not (1 <= m <= series_length < 2**63 and stride >= 1):
         raise DataError(
-            f"{path}: prediction header needs 1 <= m <= series_length and stride >= 1, "
+            f"{path}: prediction header needs 1 <= m <= series_length < 2**63 and stride >= 1, "
             f"got series_length={series_length}, m={m}, stride={stride}"
         )
     length = series_length - m + 1

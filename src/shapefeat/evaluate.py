@@ -26,7 +26,7 @@ from .core import (
     value_eq,
 )
 from .model import class_tables, sweep
-from .profiles import znormalize
+from .profiles import BLOCK, znormalize
 
 #: Whole-instance metrics for the leave-one-out 1NN classifier.
 ZNORM_ED = "znorm_ed"
@@ -244,9 +244,9 @@ def detection_frequency(
 
 
 def _window_counts(hits: np.ndarray, length: int, window: int, step: int):
-    """Stream the (start, count) pairs, one `searchsorted` pair per 65,536 windows."""
-    for first in range(0, length, step << 16):
-        starts = np.arange(first, min(first + (step << 16), length), step)
+    """Stream the (start, count) pairs, one `searchsorted` pair per BLOCK windows."""
+    for first in range(0, length, step * BLOCK):
+        starts = np.arange(first, min(first + step * BLOCK, length), step)
         ends = np.minimum(starts + window, length)
         counts = np.searchsorted(hits, ends) - np.searchsorted(hits, starts)
         yield from zip(starts.tolist(), counts.tolist())

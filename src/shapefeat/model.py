@@ -37,7 +37,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import profile_blocks, profile_table, znormalize
+from .profiles import BLOCK, profile_blocks, profile_table, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -112,11 +112,6 @@ def _slots(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     return slot
 
 
-#: Positions per block of `compute_probability`'s lookup, of
-#: `combine_naive_bayes`' product and of `sweep`'s keys.
-LOOKUP_BLOCK = 65_536
-
-
 def compute_probability(
     pos_hist: Histogram,
     neg_hist: Histogram,
@@ -131,26 +126,19 @@ def compute_probability(
     default policy the full range spans both histograms, so floors stay small
     even for narrowly concentrated class histograms. The result is written
     into `out` (a buffer of the profile's length, or the profile itself)
-    when given. The lookup runs in blocks of LOOKUP_BLOCK positions, and
-    takes both densities of a block before it writes that block.
+    when given. Scoring passes one block of `profiles.profile_blocks`, so
+    the temporaries are a block long; both densities are taken before `out`
+    is written.
     """
     joint_width = union_width(pos_hist, neg_hist)
     pos_table, neg_table = (
         _density_table(h, _floor_density(h, joint_width, small_value_mode))
         for h in (pos_hist, neg_hist)
     )
-    if out is None:
-        out = np.empty(profile.size)
-    pos_block = np.empty(min(profile.size, LOOKUP_BLOCK))
-    neg_block = np.empty_like(pos_block)
-    for start in range(0, profile.size, LOOKUP_BLOCK):
-        v = profile[start : start + LOOKUP_BLOCK]
-        # Slots index the tables in range, so "clip" only skips the copy.
-        dp = np.take(pos_table, _slots(pos_hist.edges, v), out=pos_block[: v.size], mode="clip")
-        dn = np.take(neg_table, _slots(neg_hist.edges, v), out=neg_block[: v.size], mode="clip")
-        dn += dp
-        np.divide(dp, dn, out=out[start : start + v.size])
-    return out
+    dp = np.take(pos_table, _slots(pos_hist.edges, profile))
+    dn = np.take(neg_table, _slots(neg_hist.edges, profile))
+    dn += dp
+    return np.divide(dp, dn, out=out)
 
 
 def combine_naive_bayes(
@@ -161,13 +149,13 @@ def combine_naive_bayes(
 ) -> np.ndarray:
     """Multiply local probabilities and divide by the class prior.
 
-    Locals are 1-D arrays of probabilities of one length.
+    Locals are 1-D arrays of probabilities of one length: in scoring, one
+    block of `profiles.profile_blocks`, so the temporaries are a block long.
     standard: divide by prior^(k-1) for k locals (exact Bayes form; the
     identity for k=1). paper-literal: divide by the prior exactly once
     regardless of k. Locals are floored at 1e-12 before multiplying and the
     result is clamped to [0, 1]. It is written into `out` (a buffer of the
-    locals' length, or the first local, but no other) when given, a block
-    of LOOKUP_BLOCK positions at a time.
+    locals' length, or the first local, but no other) when given.
     """
     if not locals_:
         raise ModelError("need at least one local probability profile")
@@ -180,17 +168,11 @@ def combine_naive_bayes(
     if mode not in (NB_STANDARD, NB_PAPER_LITERAL):
         raise DataError(f"unknown nb_denominator {mode!r}")
     denom = prior ** (len(locals_) - 1) if mode == NB_STANDARD else prior
-    if out is None:
-        out = np.empty(length)
-    floored = np.empty(min(length, LOOKUP_BLOCK))
-    for start in range(0, length, LOOKUP_BLOCK):
-        stop = min(start + LOOKUP_BLOCK, length)
-        prod = np.maximum(locals_[0][start:stop], EPS_PROB, out=out[start:stop])
-        for v in locals_[1:]:
-            prod *= np.maximum(v[start:stop], EPS_PROB, out=floored[: stop - start])
-        prod /= denom
-        np.clip(prod, 0.0, 1.0, out=prod)
-    return out
+    prod = np.maximum(locals_[0], EPS_PROB, out=out)
+    for v in locals_[1:]:
+        prod *= np.maximum(v, EPS_PROB)
+    prod /= denom
+    return np.clip(prod, 0.0, 1.0, out=prod)
 
 
 def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: int) -> np.ndarray:
@@ -424,8 +406,8 @@ def sweep(
     del above
     # Above-floor positions ordered by (phase, position); phase < length.
     # In place, a block at a time: every position may be above the floor.
-    for start in range(0, keys.size, LOOKUP_BLOCK):
-        block = keys[start : start + LOOKUP_BLOCK]
+    for start in range(0, keys.size, BLOCK):
+        block = keys[start : start + BLOCK]
         block += block % stride * length
     keys.sort()
     positions, codes, values = [], [], []

@@ -288,7 +288,9 @@ def feature_profiles(
         yield i, generate_profile(ts, feature, m, stats, spectrum)
 
 
-#: Samples per block of `profile_blocks` (more when 4 * m exceeds it).
+#: The one cut of a pass: samples per block of `profile_blocks` (more when
+#: 4 * m exceeds it), and positions per run of the sweep's keys and of
+#: `freq`'s window counts.
 BLOCK = 1 << 16
 
 

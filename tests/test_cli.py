@@ -576,6 +576,7 @@ BAD_INPUT_FILES = {
     "sliding_sd.yaml": CONFIG.replace("sliding_std", "sliding_sd", 1),
     "m-over-length.csv": _prediction_file(10, 20, 1),
     "m-zero.csv": _prediction_file(10, 0, 1),
+    "length-10**30.csv": _prediction_file(10**30, 4, 1),
     "stride-zero.csv": _prediction_file(1003, 4, 0),
     "bad-rate.csv": _prediction_file(1003, 4, 1, rate="abc"),
     "rate-10.csv": _prediction_file(1003, 4, 1, rate="10"),
@@ -591,6 +592,7 @@ BAD_INPUT_FILES = {
     "stride-inf.yaml": CONFIG.replace("stride: 1", "stride: .inf", 1),
     "m-inf.yaml": CONFIG.replace("m: 64", "m: .inf", 1),
     "m-fraction.yaml": CONFIG.replace("m: 64", "m: 64.9", 1),
+    **{f"m{m}.yaml": CONFIG.replace("m: 64", f"m: {m}") for m in (0, -5, -10**12)},
     "stride-fraction.yaml": CONFIG.replace("stride: 1", "stride: 1.9", 1),
     "seed-fraction.yaml": "seed: 2.5\n" + CONFIG,
     "zone-bool.yaml": CONFIG.replace("exclusion_zone: 64", "exclusion_zone: true", 1),
@@ -641,6 +643,15 @@ BAD_INPUT_CASES = {
         [*_FREQ, "@m-over-length.csv"], 2, "got series_length=10, m=20, stride=1"
     ),
     "predictions-m-zero": ([*_FREQ, "@m-zero.csv"], 2, "m=0"),
+    "predictions-length-10**30": (
+        ["eval", "--class", "a", "--predictions", "@length-10**30.csv", "--labels", "@bag.csv"],
+        2, "needs 1 <= m <= series_length < 2**63 and stride >= 1, got series_length=10000",
+    ),
+    "predictions-length-10**30-freq": ([*_FREQ, "@length-10**30.csv"], 2, "m=4, stride=1"),
+    **{f"config-m{m}": ([*_TRAIN, "--config", f"@m{m}.yaml"], 2,
+                        f"m of class 'sine' must be >= 1, got {m}") for m in (0, -5, -10**12)},
+    **{f"model-m{m}": (["classify", "--model", f"@m{m}.sfcm", "--series", "@test.txt"], 2,
+                       f"m of class 'sine' must be >= 1, got {m}") for m in (0, -5, -10**12)},
     "predictions-stride-zero": ([*_FREQ, "@stride-zero.csv"], 2, "stride=0"),
     "predictions-rate": ([*_FREQ, "@bad-rate.csv"], 2, "bad-rate.csv has missing or bad"),
     "predictions-descending": (
@@ -819,6 +830,7 @@ def bad_inputs(workspace):
         "m-1e999.sfcm": model.replace(b'"m":64', b'"m":1e999'),
         "zone-1e999.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":1e999'),
         "m-fraction.sfcm": model.replace(b'"m":64', b'"m":64.7'),
+        **{f"m{m}.sfcm": model.replace(b'"m":64', b'"m":%d' % m) for m in (0, -5, -10**12)},
         "zone-fraction.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":64.9'),
         "count-2**70.sfcm": _replace_item(model, b"counts", 0, str(2**70).encode()),
         "count-1.5.sfcm": _replace_item(model, b"counts", 0, b"1.5"),

@@ -29,7 +29,6 @@ from shapefeat.core import (
 from shapefeat.data import normals, uniforms
 from shapefeat.evaluate import compare_variants, metrics, mil_confusion, roc_sweep
 from shapefeat.model import (
-    LOOKUP_BLOCK,
     ClassSpec,
     class_probabilities,
     class_tables,
@@ -223,8 +222,8 @@ class TestComputeProbability:
         out = compute_probability(pos, neg, profile_of(values), small_value_mode=mode)
         expected = [reference_probability(pos, neg, v, mode) for v in values]
         assert out.tolist() == expected
-        # The same values, repeated past the first lookup block.
-        picks = (np.arange(LOOKUP_BLOCK + 1 + 7 * shift) + shift) % values.size
+        # The same values, repeated past one profile block.
+        picks = (np.arange(BLOCK + 1 + 7 * shift) + shift) % values.size
         out = compute_probability(pos, neg, values[picks], small_value_mode=mode)
         assert out.tobytes() == np.asarray(expected)[picks].tobytes()
 
@@ -910,15 +909,29 @@ class TestArgmaxMonotonicity:
 
 class TestTablesWrittenInPlace:
     """A buffer that overwrites its own input gives the bytes of a fresh one,
-    over more than one lookup block."""
+    over more than one profile block."""
 
     def test_probability_over_its_profile(self):
         pos = histogram_build(normals(1, 300))
         neg = histogram_build(normals(2, 300) * 2.0 + 0.5)
-        profile = normals(3, 2 * LOOKUP_BLOCK + 5) * 3.0
+        profile = normals(3, 2 * BLOCK + 5) * 3.0
         fresh = compute_probability(pos, neg, profile)
         assert compute_probability(pos, neg, profile, out=profile) is profile
         assert profile.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("mode", [NB_STANDARD, NB_PAPER_LITERAL])
+    def test_naive_bayes_into_a_buffer_and_over_its_first_local(self, mode):
+        # Zeros are floored at 1e-12, and products above the prior clamp to 1.
+        locals_ = [uniforms(seed, 2 * BLOCK + 5) for seed in (4, 5, 6)]
+        locals_[1][::7] = 0.0
+        fresh = combine_naive_bayes(locals_, 0.3, mode)
+        assert fresh.min() < 1e-6 and fresh.max() == 1.0
+        out = np.full(2 * BLOCK + 5, np.nan)
+        assert combine_naive_bayes(locals_, 0.3, mode, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        first = locals_[0]
+        assert combine_naive_bayes(locals_, 0.3, mode, out=first) is first
+        assert first.tobytes() == fresh.tobytes()
 
 
 def oracle_class_table(models, test, cfg, keep):

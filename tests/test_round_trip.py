@@ -79,7 +79,8 @@ def prediction_tracks(draw):
         scores=np.array([draw(values) for _ in positions], dtype=np.float64),
         m=m,
         series_length=series_length,
-        stride=draw(st.integers(1, 5)),
+        # A stride past the end is kept as given (`sweep`).
+        stride=draw(st.integers(1, 5) | st.just(10**30)),
         sample_rate_hz=draw(rates),
     )
 

@@ -5,7 +5,7 @@ Indices are 0-based throughout; label regions are half-open [start, end).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,9 +61,10 @@ class ModelError(ShapefeatError):
 # Value objects
 # ---------------------------------------------------------------------------
 
-def frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """A read-only copy of `values` as a `dtype` array."""
-    arr = np.array(values, dtype=dtype, copy=True)
+def frozen_array(values, dtype=np.float64, copy: Optional[bool] = True) -> np.ndarray:
+    """`values` as a read-only `dtype` array: a copy, or with copy=None
+    `values` itself when it is one already."""
+    arr = np.array(values, dtype=dtype, copy=copy)
     arr.setflags(write=False)
     return arr
 
@@ -92,16 +93,22 @@ def whole_number(value) -> int:
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A 1-D real-valued sequence, optionally with a physical sample rate
-    and a name that fits one header line."""
+    and a name that fits one header line.
+
+    `values` is copied, so the caller's array cannot reach the series,
+    unless `owned` says that nothing else holds it: a float64 array is then
+    frozen in place.
+    """
 
     values: np.ndarray
     sample_rate_hz: Optional[float] = None
     name: str = ""
+    owned: InitVar[bool] = False
 
     __eq__ = value_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozen_array(self.values))
+    def __post_init__(self, owned):
+        object.__setattr__(self, "values", frozen_array(self.values, copy=None if owned else True))
         if self.values.ndim != 1:
             raise DataError(f"series values must be 1-D, got {self.values.ndim} dimensions")
         if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:

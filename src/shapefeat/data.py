@@ -451,7 +451,7 @@ def load_series(path: str) -> TimeSeries:
     del parts  # so the loader holds the series twice at most, not three times
     if not values.size:
         raise DataError(f"{path} holds no values")
-    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""))
+    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:

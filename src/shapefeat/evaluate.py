@@ -3,8 +3,9 @@ ROC sweeps, and the leave-one-out 1NN machinery used by the motivating
 experiments.
 
 The comparison grid and the ROC sweep score the test series once
-(`class_tables`): the grid takes one [class, position] table per variant
-from that pass, and the ROC sweep re-weights one class's row per weight.
+(`score_blocks`) and feed each block of that pass to one `Sweep` per run:
+the grid to one per variant, the ROC sweep to one per weight, after
+re-weighting the swept class's row of the block.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .core import (
     frozen_array,
     value_eq,
 )
-from .model import class_tables, sweep
+from .model import Sweep, above_floor, score_blocks
 from .profiles import BLOCK, znormalize
 
 #: Whole-instance metrics for the leave-one-out 1NN classifier.
@@ -102,10 +103,14 @@ def compare_variants(
         ("feature", lambda spec: spec.kind != SHAPE),
         ("combined", None),
     ]
-    tables = class_tables(models, test, cfg, [keep for _, keep in variants])
+    ids, blocks = score_blocks(models, test, cfg, [keep for _, keep in variants])
+    runs = [Sweep(models, test, class_ids, cfg) for class_ids in ids]
+    for lo, tables in blocks:
+        for run, block in zip(runs, tables):
+            run.feed(lo, block)
     rows = []
-    for (name, _), (ids, table) in zip(variants, tables):
-        track = sweep(models, test, ids, table, cfg)
+    for (name, _), run in zip(variants, runs):
+        track = run.track()
         for mo in models:
             cm = mil_confusion(track, bags, mo.class_id)
             rows.append((name, mo.class_id, cm, *metrics(cm)))
@@ -122,8 +127,9 @@ def roc_sweep(
 ) -> List[RocPoint]:
     """One operating point per threshold weight of `class_id`, scored with MIL.
 
-    The series is scored once; each weight re-weights that class's row of
-    the combined table and re-runs the sweep.
+    The series is scored once. Each weight re-weights that class's row of
+    each block and feeds the block to its own sweep; the above-floor mask
+    of the other rows is built once per block.
     """
     if not weights:
         raise DataError("need at least one weight")
@@ -133,15 +139,25 @@ def roc_sweep(
         if w < prev:
             raise DataError("weights must be sorted ascending")
     # At weight 1 the swept row is the class's unweighted combined probability.
-    [(ids, table)] = class_tables(models, test, cfg.replace_threshold(class_id, 1.0), [None])
+    [ids], blocks = score_blocks(models, test, cfg.replace_threshold(class_id, 1.0), [None])
+    runs = [Sweep(models, test, ids, cfg) for _ in weights]
     # A class without a model has no row, and every weight gives one track.
-    swept = table[ids.index(class_id)] if class_id in ids else np.empty(0)
-    base = swept.copy()
+    swept = ids.index(class_id) if class_id in ids else None
+    floor = cfg.decision_floor
+    for lo, (block,) in blocks:
+        rest = above_floor((row for k, row in enumerate(block) if k != swept),
+                           block.shape[1], floor)
+        base = None if swept is None else block[swept].copy()
+        for w, run in zip(weights, runs):
+            above = rest
+            if base is not None:
+                row = np.multiply(base, float(w), out=block[swept])
+                above = row >= floor
+                above |= rest
+            run.feed(lo, block, above)
     points = []
-    for w in weights:
-        np.multiply(base, float(w), out=swept)
-        track = sweep(models, test, ids, table, cfg)
-        cm = mil_confusion(track, bags, class_id)
+    for w, run in zip(weights, runs):
+        cm = mil_confusion(run.track(), bags, class_id)
         precision, recall, _ = metrics(cm)
         points.append(RocPoint(float(w), precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
     return points

@@ -5,18 +5,19 @@ Training and scoring build their profiles in one pass of
 one `sliding_stats` and one block spectrum across the profiles of a block.
 Training writes the blocks into one [feature, window] table
 (`profile_table`) and turns each row into a pair of value histograms
-(class / non-class). Scoring (`class_tables`) keeps one block at a time: it
+(class / non-class). Scoring (`score_blocks`) keeps one block at a time: it
 turns the block's profiles into (class, feature) local probabilities,
 combines each class's locals with a Naive Bayes product, weights it by the
-class's threshold, and writes the block's columns of a [class, position]
-table. One pass fills one table per feature predicate, so the variant grid
-scores the series once. `sweep` then goes left to right over a table with
-exclusion-zone suppression.
+class's threshold, and yields the block's columns of a [class, position]
+table per feature predicate, so the variant grid scores the series once.
+A `Sweep` takes those blocks in order and goes left to right with
+exclusion-zone suppression, so no full-length table is ever built.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import BLOCK, profile_blocks, profile_table, znormalize
+from .profiles import profile_blocks, profile_table, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -319,26 +320,29 @@ def _check_models(models: Sequence) -> int:
     return m
 
 
-def class_tables(
+def score_blocks(
     models: Sequence[ClassModel],
     test: TimeSeries,
     cfg: ClassifierConfig,
     keeps: Sequence[Optional[Callable[[FeatureSpec], bool]]],
-) -> List[Tuple[tuple, np.ndarray]]:
-    """One (class_ids, [class, position] table) per `keep` predicate, from one
-    scoring pass over the test series.
+) -> Tuple[List[tuple], Iterator[Tuple[int, List[np.ndarray]]]]:
+    """The one scoring pass over the test series: the class ids of each
+    `keep` predicate's table, and an iterator of (lo, [block table per keep])
+    per `profile_blocks` block.
 
-    A table holds each class's Naive Bayes combination of its locals whose
-    spec passes `keep` (all when None), times its threshold weight; a class
-    with no kept local drops out. The pass walks `profile_blocks`: each
-    block's profiles become local probabilities in one block buffer, and
-    every table takes its columns of that block from them.
+    A block table holds columns lo, lo + 1, ... of a [class, position]
+    table: each class's Naive Bayes combination of its locals whose spec
+    passes `keep` (all when None), times its threshold weight; a class with
+    no kept local drops out. Each block's profiles become local
+    probabilities in one block buffer, from which every table takes its
+    rows. The tables are buffers one block long, which the next block
+    overwrites.
     """
     m = _check_models(models)
     if len(test) < m:
         raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
-    plans = []  # per keep: (class_ids, table, [(model, block rows)])
+    plans = []  # per keep: [(model, block rows of its kept locals)]
     for keep in keeps:
         groups, first = [], 0
         for mo in models:
@@ -347,35 +351,123 @@ def class_tables(
             first += len(mo.features)
             if rows:
                 groups.append((mo, rows))
-        table = np.empty((len(groups), len(test) - m + 1))
-        plans.append((tuple(mo.class_id for mo, _ in groups), table, groups))
-    block = None
-    for lo, hi, profiles in profile_blocks(test, [spec for spec, _, _ in locals_], m):
-        if block is None:  # the first block is the longest
-            block = np.empty((len(locals_), hi - lo))
-        probs = block[:, : hi - lo]
-        for i, prof in profiles:
-            probs[i] = prof
-            del prof  # before the next profile is built
-        # The block's stats and spectrum are gone before the lookups run.
-        for (_, pos_h, neg_h), row in zip(locals_, probs):
-            compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
-        for _, table, groups in plans:
-            for row, (mo, rows) in zip(table, groups):
-                out = combine_naive_bayes([probs[i] for i in rows], mo.prior,
-                                          cfg.nb_denominator, out=row[lo:hi])
-                out *= cfg.threshold_for(mo.class_id)
-    return [(ids, table) for ids, table, _ in plans]
+        plans.append(groups)
+
+    def blocks():
+        probs = tables = None
+        for lo, hi, profiles in profile_blocks(test, [spec for spec, _, _ in locals_], m):
+            if probs is None:  # the first block is the longest
+                probs = np.empty((len(locals_), hi - lo))
+                tables = [np.empty((len(groups), hi - lo)) for groups in plans]
+            block = probs[:, : hi - lo]
+            for i, prof in profiles:
+                block[i] = prof
+                del prof  # before the next profile is built
+            # The block's stats and spectrum are gone before the lookups run.
+            for (_, pos_h, neg_h), row in zip(locals_, block):
+                compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
+            out = [table[:, : hi - lo] for table in tables]
+            for groups, table in zip(plans, out):
+                for row, (mo, rows) in zip(table, groups):
+                    combine_naive_bayes([block[i] for i in rows], mo.prior,
+                                        cfg.nb_denominator, out=row)
+                    row *= cfg.threshold_for(mo.class_id)
+            yield lo, out
+
+    return [tuple(mo.class_id for mo, _ in groups) for groups in plans], blocks()
 
 
 def class_probabilities(
     models: Sequence[ClassModel],
     test: TimeSeries,
     cfg: ClassifierConfig,
+    keep: Optional[Callable[[FeatureSpec], bool]] = None,
 ) -> Tuple[tuple, np.ndarray]:
-    """(class_ids, [class, position] table) of every local: `class_tables`
-    with no predicate."""
-    return class_tables(models, test, cfg, [None])[0]
+    """(class_ids, [class, position] table) of the locals that pass `keep`
+    (all when None): the blocks of `score_blocks`, assembled."""
+    [ids], blocks = score_blocks(models, test, cfg, [keep])
+    table = np.empty((len(ids), len(test) - models[0].m + 1))
+    for lo, (block,) in blocks:
+        table[:, lo : lo + block.shape[1]] = block
+    return ids, table
+
+
+def above_floor(rows, width: int, floor: float) -> np.ndarray:
+    """Mask of the `width` columns where any of `rows` reaches `floor`
+    (none when there are no rows)."""
+    above = np.zeros(width, dtype=bool)
+    for row in rows:
+        above |= row >= floor
+    return above
+
+
+class Sweep:
+    """Suppression sweep of one [class, position] table of `models` over
+    `test`, fed its column blocks in order.
+
+    Visit positions 0, stride, 2 * stride, ...; a visit at or above the
+    floor emits its argmax class and jumps max(stride, e + 1) instead, e
+    that class's exclusion zone. Between detections the visits stay in one
+    stride phase, so one binary search finds the next one in a block.
+    `pos`, the next position to visit, carries across block edges. A
+    detection scores its class's weighted probability.
+    """
+
+    def __init__(self, models: Sequence[ClassModel], test: TimeSeries, class_ids: tuple,
+                 cfg: ClassifierConfig):
+        self.models, self.test, self.class_ids, self.cfg = models, test, class_ids, cfg
+        length = len(test) - models[0].m + 1
+        # A stride past the end visits position 0 only, as `length` does.
+        self.stride = min(cfg.stride, max(length, 1))
+        zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
+        self.jumps = [max(self.stride, zone_of[c] + 1) for c in class_ids]
+        self.pos = 0
+        self.positions, self.codes, self.scores = array("q"), array("i"), array("d")
+
+    def feed(self, lo: int, block: np.ndarray, above: Optional[np.ndarray] = None) -> None:
+        """Sweep columns lo, lo + 1, ... of the table, held in `block`
+        [class, column]; `above` is the block's at-or-above-floor mask of
+        columns (`above_floor`), when the caller has it."""
+        width = block.shape[1]
+        hi, pos, stride = lo + width, self.pos, self.stride
+        if above is None:
+            above = above_floor(block, width, self.cfg.decision_floor)
+        # Above-floor columns c ordered by (phase, c), the key of position
+        # lo + c being its phase (lo + c) % stride times width, plus c.
+        keys = np.flatnonzero(above)
+        if stride > 1:
+            keys += (keys + lo) % stride * width
+            keys.sort()
+        while pos < hi:
+            base = pos % stride * width - lo
+            # ndarray methods: the np.* wrappers cost more than one short search.
+            k = int(keys.searchsorted(base + pos))
+            if k == keys.size or keys[k] >= base + hi:
+                # No later visit of this phase in the block: go to its first
+                # position at or past the block's end.
+                pos += -(-(hi - pos) // stride) * stride
+                break
+            hit = int(keys[k]) - base
+            col = block[:, hit - lo]
+            w = int(col.argmax())
+            self.positions.append(hit)
+            self.codes.append(w)
+            self.scores.append(col[w])
+            pos = hit + self.jumps[w]
+        self.pos = pos
+
+    def track(self) -> PredictionTrack:
+        """The detections of the blocks fed so far."""
+        return PredictionTrack(
+            class_ids=self.class_ids,
+            positions=np.array(self.positions, dtype=np.int64),
+            label_codes=np.array(self.codes, dtype=np.int32),
+            scores=np.array(self.scores, dtype=np.float64),
+            m=self.models[0].m,
+            series_length=len(self.test),
+            stride=self.cfg.stride,
+            sample_rate_hz=self.test.sample_rate_hz,
+        )
 
 
 def sweep(
@@ -385,56 +477,10 @@ def sweep(
     weighted: np.ndarray,
     cfg: ClassifierConfig,
 ) -> PredictionTrack:
-    """Suppression sweep of a `class_tables` table of `models` over `test`.
-
-    Visit positions 0, stride, 2 * stride, ...; a visit at or above the
-    floor emits its argmax class and jumps max(stride, e + 1) instead, e
-    that class's exclusion zone. Between detections the visits stay in one
-    stride phase, so one binary search finds the next one. A detection
-    scores its class's weighted probability.
-    """
-    zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
-    zones = [zone_of[c] for c in class_ids]
-    length = weighted.shape[1]
-    # A stride past the end visits position 0 only, as `length` does.
-    stride = min(cfg.stride, max(length, 1))
-    # A table without rows detects nothing.
-    above = np.zeros(length, dtype=bool)
-    for row in weighted:
-        above |= row >= cfg.decision_floor
-    keys = np.flatnonzero(above)
-    del above
-    # Above-floor positions ordered by (phase, position); phase < length.
-    # In place, a block at a time: every position may be above the floor.
-    for start in range(0, keys.size, BLOCK):
-        block = keys[start : start + BLOCK]
-        block += block % stride * length
-    keys.sort()
-    positions, codes, values = [], [], []
-    pos = 0
-    while pos < length:
-        base = pos % stride * length
-        # ndarray methods: the np.* wrappers cost more than one short search.
-        k = int(keys.searchsorted(base + pos))
-        if k == keys.size or keys[k] >= base + length:
-            break
-        hit = int(keys[k]) - base
-        col = weighted[:, hit]
-        w = int(col.argmax())
-        positions.append(hit)
-        codes.append(w)
-        values.append(col[w])
-        pos = hit + max(stride, int(zones[w]) + 1)
-    return PredictionTrack(
-        class_ids=class_ids,
-        positions=np.array(positions, dtype=np.int64),
-        label_codes=np.array(codes, dtype=np.int32),
-        scores=np.array(values, dtype=np.float64),
-        m=models[0].m,
-        series_length=len(test),
-        stride=cfg.stride,
-        sample_rate_hz=test.sample_rate_hz,
-    )
+    """`Sweep` of a whole [class, position] table, fed as one block."""
+    run = Sweep(models, test, class_ids, cfg)
+    run.feed(0, weighted)
+    return run.track()
 
 
 def classify(
@@ -447,6 +493,11 @@ def classify(
     At each unsuppressed position the argmax class (ties to the lower model
     index) is emitted when its weighted probability reaches the decision
     floor; a detection suppresses the next exclusion_zone positions of every
-    class. All other positions carry OTHER_CLASS.
+    class. All other positions carry OTHER_CLASS. The sweep takes each
+    block of the scoring pass as it comes.
     """
-    return sweep(models, test, *class_tables(models, test, cfg, [None])[0], cfg)
+    [ids], blocks = score_blocks(models, test, cfg, [None])
+    run = Sweep(models, test, ids, cfg)
+    for lo, (block,) in blocks:
+        run.feed(lo, block)
+    return run.track()

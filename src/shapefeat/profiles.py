@@ -289,8 +289,8 @@ def feature_profiles(
 
 
 #: The one cut of a pass: samples per block of `profile_blocks` (more when
-#: 4 * m exceeds it), and positions per run of the sweep's keys and of
-#: `freq`'s window counts.
+#: 4 * m exceeds it), which scoring and its sweeps take one at a time, and
+#: windows per run of `freq`'s window counts.
 BLOCK = 1 << 16
 
 

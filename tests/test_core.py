@@ -30,6 +30,20 @@ def test_timeseries_values_are_read_only():
         ts.values[0] = 5.0
 
 
+def test_timeseries_copies_the_callers_array_unless_owned():
+    mine = np.array([1.0, 2.0])
+    ts = TimeSeries(values=mine)
+    mine[0] = 5.0
+    assert ts.values[0] == 1.0 and mine.flags.writeable
+    # An owned float64 array is frozen in place; any other is converted.
+    owned = np.array([1.0, 2.0])
+    assert TimeSeries(values=owned, owned=True).values is owned
+    assert not owned.flags.writeable
+    ints = np.array([1, 2])
+    assert TimeSeries(values=ints, owned=True).values.dtype == np.float64
+    assert ints.flags.writeable
+
+
 def test_timeseries_equality_is_field_by_field():
     a = TimeSeries(values=[1.0, 2.0], sample_rate_hz=10.0, name="a")
     b = TimeSeries(values=[1.0, 2.0], sample_rate_hz=10.0, name="a")

@@ -161,6 +161,21 @@ class TestSeriesIo:
         save_series(ts, path)
         assert load_series(path) == ts
 
+    def test_loaded_values_are_not_copied_again(self, tmp_path):
+        # The loader's one concatenated array becomes the series, frozen.
+        path = str(tmp_path / "series.txt")
+        save_series(TimeSeries(values=normals(3, 500)), path)
+        made, concatenate = [], np.concatenate
+
+        def spy(parts):
+            made.append(concatenate(parts))
+            return made[-1]
+
+        with mock.patch.object(data.np, "concatenate", spy):
+            ts = load_series(path)
+        assert any(a is ts.values for a in made)
+        assert not ts.values.flags.writeable
+
     def test_numpy_rate_round_trips(self, tmp_path):
         # A header holds the number, not its repr ("np.float64(100.0)").
         path = str(tmp_path / "series.txt")

@@ -22,6 +22,8 @@ from shapefeat.data import (
     TwoModalityParams,
     gen_random_noise,
     gen_two_modality_dataset,
+    load_labels,
+    load_model,
     load_series,
     noise_walk_instances,
     normals,
@@ -33,6 +35,7 @@ from shapefeat.data import (
 from shapefeat.evaluate import (
     COMPLEXITY_DIFF,
     ZNORM_ED,
+    RocPoint,
     compare_variants,
     detection_frequency,
     loocv_1nn,
@@ -45,7 +48,7 @@ from shapefeat.evaluate import (
 from shapefeat.model import (
     ClassSpec,
     PredictionTrack,
-    class_tables,
+    class_probabilities,
     classify,
     sweep,
     train,
@@ -265,14 +268,13 @@ class TestCompareVariants:
         rows = compare_variants(models, test.series, test.labels, cfg)
         for variant, keep in [("shape", lambda f: f.kind == SHAPE),
                               ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
-            [table] = class_tables(models, test.series, cfg, [keep])
-            track = sweep(models, test.series, *table, cfg)
+            track = sweep(models, test.series, *class_probabilities(models, test.series, cfg, keep), cfg)
             expected = [mil_confusion(track, test.labels, mo.class_id) for mo in models]
             assert [cm for name, _, cm, *_ in rows if name == variant] == expected
 
 
 COUNTED = (
-    "model.class_tables",
+    "model.score_blocks",
     "profiles.profile_blocks",
     "profiles.profile_table",
     "profiles.feature_profiles",
@@ -306,6 +308,11 @@ class TestScoreOnce:
         # The test series repeated past two profile_table blocks.
         reps = -(-(2 * profiles.BLOCK + 1) // len(test_b.series))
         save_series(TimeSeries(values=np.tile(test_b.series.values, reps)), str(root / "long.txt"))
+        length = len(test_b.series)
+        save_labels(LabelTrack(reps * length, [
+            Region(r.start + k * length, r.end + k * length, r.class_id)
+            for k in range(reps) for r in test_b.labels.regions
+        ]), str(root / "long.csv"))
         save_labels(test_b.labels, str(root / "test.csv"))
         (root / "config.yaml").write_text("classes:\n" + "".join(
             f"  - {{name: {name}, m: 48, exclusion_zone: 47, prior: 0.5, features: [{', '.join(kinds)}]}}\n"
@@ -367,8 +374,38 @@ class TestScoreOnce:
                               "model.compute_distributions": 1}
         else:
             # One lookup per local and block.
-            assert counts == {**one_pass, "model.class_tables": 1,
+            assert counts == {**one_pass, "model.score_blocks": 1,
                               "model.compute_probability": 10 * blocks}
+
+    @pytest.mark.parametrize("cfg", [
+        ClassifierConfig(),
+        ClassifierConfig(thresholds={"sine": 1.3, "hum": 0.8}, stride=7),
+    ])
+    def test_blocks_sweep_as_one_whole_table(self, files, cfg):
+        # Each sweep of compare and roc, fed the blocks of one pass, finds
+        # what one whole-table block gives.
+        models = load_model(str(files / "model.sfcm"))
+        series = load_series(str(files / "long.txt"))
+        bags = load_labels(str(files / "long.csv"), len(series))
+        expected = []
+        for name, keep in [("shape", lambda f: f.kind == SHAPE),
+                           ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
+            track = sweep(models, series, *class_probabilities(models, series, cfg, keep), cfg)
+            for mo in models:
+                cm = mil_confusion(track, bags, mo.class_id)
+                expected.append((name, mo.class_id, cm, *metrics(cm)))
+        assert any(row[2].tp for row in expected)
+        assert compare_variants(models, series, bags, cfg) == expected
+        weights = [0.5, 1.0, 2.0, 8.0]
+        ids, table = class_probabilities(models, series, cfg.replace_threshold("hum", 1.0))
+        base = table[ids.index("hum")].copy()
+        expected = []
+        for w in weights:
+            table[ids.index("hum")] = base * w
+            cm = mil_confusion(sweep(models, series, ids, table, cfg), bags, "hum")
+            expected.append(RocPoint(w, *metrics(cm)[:2], cm.tp, cm.fp, cm.fn, cm.tn))
+        assert roc_sweep(models, series, bags, cfg, "hum", weights) == expected
+        assert len({p.tp for p in expected}) > 1
 
 
 class TestLoocv:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -30,13 +30,14 @@ from shapefeat.data import normals, uniforms
 from shapefeat.evaluate import compare_variants, metrics, mil_confusion, roc_sweep
 from shapefeat.model import (
     ClassSpec,
+    Sweep,
     class_probabilities,
-    class_tables,
     classify,
     combine_naive_bayes,
     compute_distributions,
     compute_probability,
     histogram_build,
+    score_blocks,
     select_prototype,
     sweep,
     train,
@@ -806,12 +807,13 @@ class TestClassify:
 
 def reference_sweep(table, zones, floor, stride):
     """Per-position oracle: visit pos, pos + stride, ...; emit the argmax
-    class at or above the floor and jump max(stride, e + 1)."""
+    class at or above the floor and jump max(stride, e + 1). A table
+    without rows detects nothing."""
     length = table.shape[1]
     labels = np.full(length, -1)
     scores = np.zeros(length)
     pos = 0
-    while pos < length:
+    while len(table) and pos < length:
         w = int(np.argmax(table[:, pos]))
         scores[pos] = table[w, pos]
         if table[w, pos] >= floor:
@@ -830,17 +832,21 @@ def assert_detections_match(track, labels, scores):
     assert np.array_equal(track.scores, scores[positions])
 
 
+def zone_models(zones, length):
+    """One m=1 model per zone (one with zone 0 when there are none, as when
+    every class drops out of a compare run), and a series of `length` zeros."""
+    hist = Histogram(edges=[0.0, 1.0], counts=[1])
+    models = tuple(
+        ClassModel(f"c{k}", 1, z, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)
+        for k, z in enumerate(zones or [0])
+    )
+    return models, TimeSeries(values=np.zeros(length))
+
+
 class TestSuppressionSweep:
     def sweep(self, table, zones, floor, stride):
-        """Sweep `table` as the class table of one m=1 model per zone (one
-        with zone 0 when there are none, as when every class drops out of a
-        compare run) over a series of zeros."""
-        hist = Histogram(edges=[0.0, 1.0], counts=[1])
-        models = tuple(
-            ClassModel(f"c{k}", 1, z, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)
-            for k, z in enumerate(zones or [0])
-        )
-        test = TimeSeries(values=np.zeros(table.shape[1]))
+        """Sweep `table` as the class table of `zone_models`."""
+        models, test = zone_models(zones, table.shape[1])
         ids = tuple(mo.class_id for mo in models[: table.shape[0]])
         return sweep(models, test, ids, table, ClassifierConfig(decision_floor=floor, stride=stride))
 
@@ -868,6 +874,52 @@ class TestSuppressionSweep:
         track = self.sweep(np.empty((0, 6)), [], 0.0, 1)
         assert len(track) == 6
         assert track.detections() == []
+
+
+@st.composite
+def cut_tables(draw):
+    """(table, zones, floor, stride, cuts, masks): a table of 0 to 4 classes
+    and its column cuts into consecutive blocks, all of one column or of
+    random widths, often shorter than a zone; `masks` says whether each
+    block comes with its above-floor mask."""
+    rows, length = draw(st.integers(0, 4)), draw(st.integers(1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(0.0, 2.0, size=(rows, length))
+    if draw(st.booleans()):  # quantized: ties between classes and values equal to the floor
+        table = np.round(table * 4) / 4
+    # Sparse tables leave stride phases without a visit above the floor.
+    table[rng.uniform(size=table.shape) >= draw(st.sampled_from([0.1, 0.4, 1.0]))] = 0.0
+    zones = [draw(st.integers(0, 15)) for _ in range(rows)]
+    floor = draw(st.sampled_from([0.0, 0.5, 0.75, 1.0, float(rng.uniform())]))
+    stride = draw(st.one_of(st.integers(1, 12), st.just(10**30)))
+    if draw(st.booleans()):
+        cuts = list(range(1, length))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(length - 1, 1)), max_size=length)) - {length})
+    masks = draw(st.lists(st.booleans(), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return table, zones, floor, stride, cuts, masks
+
+
+class TestIncrementalSweep:
+    """A `Sweep` fed any cut of a table into consecutive blocks finds the
+    detections of `reference_sweep` over the whole table."""
+
+    @settings(max_examples=400)
+    @given(case=cut_tables())
+    # The second block's phase-0 visits find nothing, and the first key of
+    # phase 1 sits right at the bound of phase 0's keys.
+    @example(case=(np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0]]), [0], 0.5, 2, [1], [False, False]))
+    def test_any_cut_matches_the_reference(self, case):
+        table, zones, floor, stride, cuts, masks = case
+        models, test = zone_models(zones, table.shape[1])
+        ids = tuple(mo.class_id for mo in models[: table.shape[0]])
+        run = Sweep(models, test, ids, ClassifierConfig(decision_floor=floor, stride=stride))
+        edges = [0, *cuts, table.shape[1]]
+        for lo, hi, mask in zip(edges, edges[1:], masks):
+            block = table[:, lo:hi]
+            above = (block >= floor).any(axis=0) if mask else None
+            run.feed(lo, block, above)
+        assert_detections_match(run.track(), *reference_sweep(table, zones, floor, stride))
 
 
 class TestArgmaxMonotonicity:
@@ -935,8 +987,8 @@ class TestTablesWrittenInPlace:
 
 
 def oracle_class_table(models, test, cfg, keep):
-    """The slow oracle of one `class_tables` table: the whole-series profile
-    table, `compute_probability` per row, then each class's
+    """The slow oracle of one `score_blocks` table, whole: the whole-series
+    profile table, `compute_probability` per row, then each class's
     `combine_naive_bayes` of its kept locals times its threshold weight."""
     locals_ = [feature for mo in models for feature in mo.features]
     table = profile_table(test, [spec for spec, _, _ in locals_], models[0].m)
@@ -968,7 +1020,7 @@ def scoring_cases(draw):
 
 
 class TestClassTables:
-    """The block pass of `class_tables` against `oracle_class_table`."""
+    """The block pass of `score_blocks` against `oracle_class_table`."""
 
     KINDS = (SHAPE, SLIDING_STD, COMPLEXITY, SLIDING_MEAN)
 
@@ -1004,11 +1056,20 @@ class TestClassTables:
         models = self.models(sizes, x, m)
         cfg = ClassifierConfig(thresholds={"c0": 1.5, "c1": 0.75}, nb_denominator=nb,
                                small_value_mode=floor_mode)
-        for (ids, table), keep in zip(class_tables(models, test, cfg, KEEPS), KEEPS):
-            want_ids, want = oracle_class_table(models, test, cfg, keep)
-            assert ids == want_ids
-            assert table.shape == want.shape
-            assert table.tobytes() == want.tobytes()
+        want = [oracle_class_table(models, test, cfg, keep) for keep in KEEPS]
+        ids, blocks = score_blocks(models, test, cfg, KEEPS)
+        assert ids == [want_ids for want_ids, _ in want]
+        done = 0
+        for lo, tables in blocks:
+            assert lo == done
+            done += tables[0].shape[1]
+            for table, (_, whole) in zip(tables, want):
+                assert table.shape == (whole.shape[0], done - lo)
+                assert table.tobytes() == whole[:, lo:done].tobytes()
+        assert done == want[0][1].shape[1]
+        # The whole-table assembler gives the same bytes.
+        ids, table = class_probabilities(models, test, cfg)
+        assert ids == want[2][0] and table.tobytes() == want[2][1].tobytes()
 
     @pytest.fixture(scope="class")
     def scored(self):

@@ -15,10 +15,13 @@ from shapefeat.core import (
     DataError,
     FeatureSpec,
     Histogram,
+    LabelTrack,
+    Region,
     TimeSeries,
 )
 from shapefeat.data import gen_random_noise, gen_random_walk, normals, uniforms
-from shapefeat.model import class_tables, classify
+from shapefeat.evaluate import compare_variants
+from shapefeat.model import classify
 from shapefeat.profiles import (
     BLOCK,
     complexity_profile,
@@ -564,25 +567,33 @@ class TestScoringMemory:
             for seed, name in enumerate(["a", "b"])
         ]
 
-    def test_class_tables_below_classes_plus_one_and_a_half_series(self):
-        # n = 500,000 is eight blocks. The [2, n] table is the one
-        # full-length array (2.0 series); the [4, block] buffer of local
-        # probabilities and one block's stats and FFT buffers add 1.2. A
-        # [4, n] table of every local measured 4.7.
-        n = 500_000
+    @staticmethod
+    def scoring_peaks(n, commands):
+        """Traced peak of each command at stride 4 over n points, with every
+        position above the floor: one detection per 100 positions."""
         test = TimeSeries(values=normals(9, n))
-        models = self.two_class_models(100)
-        peak = self.peak(lambda: class_tables(models, test, ClassifierConfig(), [None]))
-        assert peak < (2 + 1.5) * test.values.nbytes
-
-    def test_classify_below_classes_plus_one_and_a_half_series(self):
-        # The sweep holds one int64 per position at or above the floor:
-        # here, every one. 3.2 series measured; 5.1 with a table of every
-        # local, 9.4 when the profiles were built over the whole series at
-        # once.
-        n = 500_000
-        test = TimeSeries(values=normals(9, n))
-        models = self.two_class_models(100)
+        bags = LabelTrack(n, [Region(k, k + 1000, "a") for k in range(0, n - 1000, 10_000)])
+        models = TestScoringMemory.two_class_models(100)
         cfg = ClassifierConfig(stride=4)
-        peak = self.peak(lambda: classify(models, test, cfg))
-        assert peak < (2 + 1.5) * test.values.nbytes
+        calls = {"classify": lambda: classify(models, test, cfg),
+                 "compare": lambda: compare_variants(models, test, bags, cfg)}
+        return {name: TestScoringMemory.peak(calls[name]) for name in commands}
+
+    @pytest.fixture(scope="class")
+    def peaks_at_2m(self):
+        return self.scoring_peaks(2_000_000, ["classify", "compare"])
+
+    def test_classify_and_compare_below_three_quarters_of_a_series(self, peaks_at_2m):
+        # The sweeps take each block as it comes, so no [class, position]
+        # table is full length. At n = 2,000,000 (31 blocks) classify traced
+        # 0.39 series and compare 0.57, the block buffers; with full-length
+        # tables they traced 3.1 and 7.2.
+        nbytes = 2_000_000 * 8
+        assert peaks_at_2m["classify"] < 0.75 * nbytes
+        assert peaks_at_2m["compare"] < 0.75 * nbytes
+
+    def test_classify_peak_does_not_grow_with_the_series(self, peaks_at_2m):
+        # Only the detections, 20 bytes each, grow with n: 0.19 MB more at
+        # 4n measured, against 37 MB more with a full-length table.
+        at_n = self.scoring_peaks(500_000, ["classify"])["classify"]
+        assert peaks_at_2m["classify"] - at_n < 2e6

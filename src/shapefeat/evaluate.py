@@ -21,6 +21,7 @@ from .core import (
     ConfusionMatrix,
     DataError,
     LabelTrack,
+    ModelError,
     PredictionTrack,
     TimeSeries,
     frozen_array,
@@ -129,7 +130,8 @@ def roc_sweep(
 
     The series is scored once. Each weight re-weights that class's row of
     each block and feeds the block to its own sweep; the above-floor mask
-    of the other rows is built once per block.
+    of the other rows is built once per block. A `class_id` that no model
+    has is a ModelError.
     """
     if not weights:
         raise DataError("need at least one weight")
@@ -138,22 +140,21 @@ def roc_sweep(
             raise DataError(f"weights must be positive, got {w}")
         if w < prev:
             raise DataError("weights must be sorted ascending")
+    if not any(mo.class_id == class_id for mo in models):
+        raise ModelError(f"no model for class {class_id!r}")
     # At weight 1 the swept row is the class's unweighted combined probability.
     [ids], blocks = score_blocks(models, test, cfg.replace_threshold(class_id, 1.0), [None])
     runs = [Sweep(models, test, ids, cfg) for _ in weights]
-    # A class without a model has no row, and every weight gives one track.
-    swept = ids.index(class_id) if class_id in ids else None
+    swept = ids.index(class_id)
     floor = cfg.decision_floor
     for lo, (block,) in blocks:
         rest = above_floor((row for k, row in enumerate(block) if k != swept),
                            block.shape[1], floor)
-        base = None if swept is None else block[swept].copy()
+        base = block[swept].copy()
         for w, run in zip(weights, runs):
-            above = rest
-            if base is not None:
-                row = np.multiply(base, float(w), out=block[swept])
-                above = row >= floor
-                above |= rest
+            row = np.multiply(base, float(w), out=block[swept])
+            above = row >= floor
+            above |= rest
             run.feed(lo, block, above)
     points = []
     for w, run in zip(weights, runs):

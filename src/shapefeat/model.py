@@ -234,10 +234,9 @@ def compute_distributions(
         e = spec.exclusion_zone
         spans = [(max(0, r.start - e + 1), min(length, r.end)) for r in regions] if e > 0 else []
         owners += [(spec.class_id, e, spans)] * len(spec.features)
-    out: List[Tuple[Histogram, Histogram]] = [None] * len(owners)
+    out: List[Tuple[Histogram, Histogram]] = []
     table = profile_table(train, [f for spec in specs for f in spec.features], m)
-    for r, v in enumerate(table):
-        class_id, e, spans = owners[r]
+    for v, (class_id, e, spans) in zip(table, owners):
         touch = np.zeros(length, dtype=bool)
         claimed = np.zeros(length, dtype=bool)
         for lo, hi in spans:
@@ -254,7 +253,7 @@ def compute_distributions(
             raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
         # Ascending, the order claims are made in: np.max keeps a zero's sign.
         p_values = np.sort(v[claimed], kind="stable")
-        out[r] = (histogram_build(p_values), histogram_build(n_values))
+        out.append((histogram_build(p_values), histogram_build(n_values)))
     return out
 
 
@@ -360,10 +359,8 @@ def score_blocks(
                 probs = np.empty((len(locals_), hi - lo))
                 tables = [np.empty((len(groups), hi - lo)) for groups in plans]
             block = probs[:, : hi - lo]
-            for i, prof in profiles:
-                block[i] = prof
-                del prof  # before the next profile is built
-            # The block's stats and spectrum are gone before the lookups run.
+            for row, prof in zip(block, profiles):
+                row[:] = prof
             for (_, pos_h, neg_h), row in zip(locals_, block):
                 compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
             out = [table[:, : hi - lo] for table in tables]

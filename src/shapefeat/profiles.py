@@ -7,8 +7,9 @@ subsequences. Two implementations are provided: a brute-force reference
 the MASS similarity-search algorithm. The kernels take optional state that
 the profiles of one series (or of one block of it) share: `stats`, its
 `sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
-state is computed from the series. `feature_profiles` builds every profile
-of one span and decides when that state is built and dropped;
+state is computed from the series. `feature_profiles` builds the profiles
+of one span in feature order, from one `sliding_stats` and, when any
+feature is a shape feature, one `series_spectrum`;
 `profile_blocks` is the one profile pass that training and scoring share. It
 runs `feature_profiles` over overlapping blocks of the series, so the stats
 and the FFT buffers are one block long, as in the blocked MASS of Mueen et
@@ -268,24 +269,16 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
     raise DataError(f"unknown feature kind {feature.kind!r}")
 
 
-def feature_profiles(
-    ts, features: Sequence[FeatureSpec], m: int
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (index, profile) for every feature, shape features first.
+def feature_profiles(ts, features: Sequence[FeatureSpec], m: int) -> Iterator[np.ndarray]:
+    """Yield the profile of every feature, in the order given.
 
-    One `sliding_stats` is shared by every profile and one `series_spectrum`
-    by the shape profiles; the spectrum is released before the first other
-    profile is built.
+    One `sliding_stats` is shared by every profile and, when any feature is
+    a shape feature, one `series_spectrum` by the shape profiles.
     """
     stats = sliding_stats(ts, m)
-    spectrum = None
-    for i in sorted(range(len(features)), key=lambda i: features[i].kind != SHAPE):
-        feature = features[i]
-        if feature.kind != SHAPE:
-            spectrum = None
-        elif spectrum is None:
-            spectrum = series_spectrum(ts)
-        yield i, generate_profile(ts, feature, m, stats, spectrum)
+    spectrum = series_spectrum(ts) if any(f.kind == SHAPE for f in features) else None
+    for feature in features:
+        yield generate_profile(ts, feature, m, stats, spectrum)
 
 
 #: The one cut of a pass: samples per block of `profile_blocks` (more when
@@ -296,7 +289,7 @@ BLOCK = 1 << 16
 
 def profile_blocks(
     ts, features: Sequence[FeatureSpec], m: int
-) -> Iterator[Tuple[int, int, Iterator[Tuple[int, np.ndarray]]]]:
+) -> Iterator[Tuple[int, int, Iterator[np.ndarray]]]:
     """Yield (lo, hi, `feature_profiles` of windows lo..hi-1) over overlapping
     slices of S = max(BLOCK, next_pow2(4 * m)) samples.
 
@@ -321,7 +314,6 @@ def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
     x = _as_values(ts)
     table = np.empty((len(features), max(x.size - m + 1, 0)))
     for lo, hi, profiles in profile_blocks(x, features, m):
-        for i, prof in profiles:
-            table[i, lo:hi] = prof
-            del prof  # before the next profile is built
+        for row, prof in zip(table, profiles):
+            row[lo:hi] = prof
     return table

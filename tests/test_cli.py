@@ -620,6 +620,11 @@ BAD_INPUT_CASES = {
          "--labels", "@test-labels.csv", "--class", "sine", "--weights", "1,abc"],
         2, "--weights entry must be a number, got 'abc'",
     ),
+    "roc-class-without-model": (
+        ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
+         "--labels", "@test-labels.csv", "--class", "nosuch", "--weights", "1,2"],
+        3, "no model for class 'nosuch'",
+    ),
     "decision-floor": (
         [*_CLASSIFY, "--config", "@floor.yaml"], 2, "decision_floor must be a number"
     ),

@@ -1,5 +1,6 @@
 import importlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shapefeat.core import (
     DataError,
     FeatureSpec,
     LabelTrack,
+    ModelError,
     Region,
     TimeSeries,
 )
@@ -220,6 +222,14 @@ class TestRocSweep:
         with pytest.raises(DataError, match="weights must be positive, got -1.0"):
             roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine", [-1.0])
 
+    def test_class_without_a_model(self, monkeypatch):
+        bundle, models = self.setup_models()
+        # Rejected before the scoring pass, where 0/0 would read as 1.0.
+        monkeypatch.setattr(evaluate, "score_blocks", None)
+        with pytest.raises(ModelError, match="no model for class 'nosuch'"):
+            roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "nosuch",
+                      [1.0, 2.0])
+
     def test_sweep_extremes_and_best_f1(self):
         from shapefeat.data import TwoModalityParams, gen_two_modality_dataset
         from shapefeat.model import ClassSpec, train as fit
@@ -314,6 +324,10 @@ class TestScoreOnce:
             for k in range(reps) for r in test_b.labels.regions
         ]), str(root / "long.csv"))
         save_labels(test_b.labels, str(root / "test.csv"))
+        feature_specs = [replace(spec, features=tuple(f for f in spec.features if f.kind != SHAPE))
+                         for spec in specs]
+        save_model(train(train_b.series, train_b.labels, feature_specs),
+                   str(root / "features.sfcm"))
         (root / "config.yaml").write_text("classes:\n" + "".join(
             f"  - {{name: {name}, m: 48, exclusion_zone: 47, prior: 0.5, features: [{', '.join(kinds)}]}}\n"
             for name, kinds in FOUR_CLASS.items()
@@ -376,6 +390,19 @@ class TestScoreOnce:
             # One lookup per local and block.
             assert counts == {**one_pass, "model.score_blocks": 1,
                               "model.compute_probability": 10 * blocks}
+
+    @pytest.mark.parametrize("series", ["test.txt", "long.txt"])
+    def test_no_spectrum_without_shape_features(self, files, monkeypatch, tmp_path, series):
+        counts = self.count_calls(monkeypatch)
+        argv = ["classify", "--model", str(files / "features.sfcm"),
+                "--series", str(files / series), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        windows = len(load_series(str(files / series))) - 48 + 1
+        blocks = -(-windows // (profiles.BLOCK - 48 + 1))
+        # The 7 non-shape locals of the 4 classes share each block's stats.
+        assert counts == {"model._check_models": 1, "profiles.profile_blocks": 1,
+                          "profiles.feature_profiles": blocks, "profiles.sliding_stats": blocks,
+                          "model.score_blocks": 1, "model.compute_probability": 7 * blocks}
 
     @pytest.mark.parametrize("cfg", [
         ClassifierConfig(),

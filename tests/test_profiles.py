@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapefeat import profiles
 from shapefeat.core import (
     COMPLEXITY,
     SHAPE,
@@ -498,7 +499,7 @@ class TestProfileTable:
         table = assert_table_matches_oracles(x, q, m, positions)
         if n <= BLOCK:
             # One block: the whole-series profiles, bit for bit.
-            for i, prof in feature_profiles(x, table_features(q), m):
+            for i, prof in enumerate(feature_profiles(x, table_features(q), m)):
                 assert table[i].tobytes() == prof.tobytes()
 
     def test_window_above_half_a_block(self):
@@ -527,6 +528,51 @@ class TestProfileTable:
     def test_m_longer_than_the_series(self):
         with pytest.raises(DataError, match="window 9 exceeds series length 8"):
             profile_table(normals(1, 8), [FeatureSpec(kind=SLIDING_STD)], 9)
+
+
+def mixed_features(m):
+    """Two shape features of different queries, then every other kind."""
+    return [FeatureSpec(kind=SHAPE, query=normals(21, m)), FeatureSpec(kind=COMPLEXITY),
+            FeatureSpec(kind=SHAPE, query=normals(22, m)), FeatureSpec(kind=SLIDING_MEAN),
+            FeatureSpec(kind=SLIDING_STD)]
+
+
+class TestFeatureOrder:
+    """`feature_profiles` yields one profile per feature in the order given,
+    wherever the shape features sit, and `profile_table` writes them so."""
+
+    @pytest.mark.parametrize("order", [
+        (0, 1, 3, 4), (1, 0, 3, 4), (1, 3, 4, 0), (3, 0, 4, 2, 1),
+        (2, 0, 2), (1, 3, 4), (4,), (0,),
+    ])
+    def test_each_profile_is_the_kernel_on_shared_state(self, order, monkeypatch):
+        m = 40
+        x = drifting_series(3, 3000, 1e4, noise=100.0)
+        mixed = mixed_features(m)
+        features = [mixed[i] for i in order]
+        stats, spectrum = sliding_stats(x, m), series_spectrum(x)
+        spectra = []
+
+        def counted(ts):
+            spectra.append(ts)
+            return series_spectrum(ts)
+
+        monkeypatch.setattr(profiles, "series_spectrum", counted)
+        got = list(feature_profiles(x, features, m))
+        assert len(got) == len(features)
+        for f, prof in zip(features, got):
+            assert prof.tobytes() == generate_profile(x, f, m, stats, spectrum).tobytes()
+        # One spectrum when any feature is a shape feature, none otherwise.
+        assert len(spectra) == any(f.kind == SHAPE for f in features)
+
+    @pytest.mark.parametrize("perm", [(4, 3, 2, 1, 0), (1, 3, 0, 4, 2), (2, 4, 1, 0, 3)])
+    def test_permuted_features_permute_the_table(self, perm):
+        m = 40
+        x = drifting_series(4, 2 * BLOCK + 500, 1e4, noise=100.0)
+        features = mixed_features(m)
+        table = profile_table(x, features, m)
+        permuted = profile_table(x, [features[i] for i in perm], m)
+        assert permuted.tobytes() == table[list(perm)].tobytes()
 
 
 class TestScoringMemory:

@@ -273,8 +273,18 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _load_predictions(path: str, class_ids: Sequence[str]):
+    """The predictions at `path`, whose `# classes:` header must name each of `class_ids`."""
+    track = dataio.load_predictions(path)
+    for class_id in class_ids:
+        if class_id not in track.class_ids:
+            raise ModelError(f"no class {class_id!r} in the predictions' classes "
+                             f"{','.join(track.class_ids)!r}")
+    return track
+
+
 def cmd_eval(args) -> int:
-    track = dataio.load_predictions(args.predictions)
+    track = _load_predictions(args.predictions, args.class_id)
     bags = dataio.load_labels(args.labels, track.series_length)
     rows = []
     for class_id in args.class_id:
@@ -330,7 +340,7 @@ def cmd_roc(args) -> int:
 
 
 def cmd_freq(args) -> int:
-    track = dataio.load_predictions(args.predictions)
+    track = _load_predictions(args.predictions, [args.class_id])
     window = _parse_samples(args.window, track.sample_rate_hz, "window")
     step = _parse_samples(args.step, track.sample_rate_hz, "step")
     series = detection_frequency(track, args.class_id, window, step)

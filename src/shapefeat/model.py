@@ -1,15 +1,14 @@
 """Per-class local models: training, probability profiles, and classification.
 
-Training and scoring build their profiles in one pass of
-`profiles.profile_blocks`, which walks the series block by block, sharing
-one `sliding_stats` and one block spectrum across the profiles of a block.
-Training writes the blocks into one [feature, window] table
-(`profile_table`) and turns each row into a pair of value histograms
+Training and scoring build their profiles in one pass over the slices of
+`profiles.profile_blocks`. Training writes them into one [feature, window]
+table (`profile_table`) and turns each row into a pair of value histograms
 (class / non-class). Scoring (`score_blocks`) keeps one block at a time: it
-turns the block's profiles into (class, feature) local probabilities,
-combines each class's locals with a Naive Bayes product, weights it by the
-class's threshold, and yields the block's columns of a [class, position]
-table per feature predicate, so the variant grid scores the series once.
+writes the block's profiles into one buffer (`feature_profiles`), turns
+them in place into (class, feature) local probabilities, combines each
+class's locals with a Naive Bayes product, weights it by the class's
+threshold, and yields the block's columns of a [class, position] table
+per feature predicate, so the variant grid scores the series once.
 A `Sweep` takes those blocks in order and goes left to right with
 exclusion-zone suppression, so no full-length table is ever built.
 """
@@ -38,7 +37,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import profile_blocks, profile_table, znormalize
+from .profiles import feature_profiles, profile_blocks, profile_table, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -354,13 +353,11 @@ def score_blocks(
 
     def blocks():
         probs = tables = None
-        for lo, hi, profiles in profile_blocks(test, [spec for spec, _, _ in locals_], m):
+        for lo, hi, xs in profile_blocks(test, m):
             if probs is None:  # the first block is the longest
                 probs = np.empty((len(locals_), hi - lo))
                 tables = [np.empty((len(groups), hi - lo)) for groups in plans]
-            block = probs[:, : hi - lo]
-            for row, prof in zip(block, profiles):
-                row[:] = prof
+            block = feature_profiles(xs, [f for f, _, _ in locals_], m, probs[:, : hi - lo])
             for (_, pos_h, neg_h), row in zip(locals_, block):
                 compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
             out = [table[:, : hi - lo] for table in tables]

@@ -7,15 +7,14 @@ subsequences. Two implementations are provided: a brute-force reference
 the MASS similarity-search algorithm. The kernels take optional state that
 the profiles of one series (or of one block of it) share: `stats`, its
 `sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
-state is computed from the series. `feature_profiles` builds the profiles
-of one span in feature order, from one `sliding_stats` and, when any
-feature is a shape feature, one `series_spectrum`;
-`profile_blocks` is the one profile pass that training and scoring share. It
-runs `feature_profiles` over overlapping blocks of the series, so the stats
-and the FFT buffers are one block long, as in the blocked MASS of Mueen et
-al. and the blocked running sums of Chan, Golub and LeVeque. Training
-writes every block into one [feature, window] table (`profile_table`);
-scoring consumes each block as it comes.
+state is computed from the series. `profile_blocks` is the one cut that
+training and scoring share: it yields overlapping slices of the series and
+computes nothing. `feature_profiles` writes a slice's profiles into the
+caller's rows from one `sliding_stats` and one `series_spectrum`, freed on
+return. So the stats and FFT buffers are one block long, as in the blocked
+MASS of Mueen et al. and the blocked running sums of Chan, Golub and
+LeVeque. Training writes every slice into one [feature, window] table
+(`profile_table`); scoring writes each into one block buffer.
 """
 from __future__ import annotations
 
@@ -269,16 +268,16 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
     raise DataError(f"unknown feature kind {feature.kind!r}")
 
 
-def feature_profiles(ts, features: Sequence[FeatureSpec], m: int) -> Iterator[np.ndarray]:
-    """Yield the profile of every feature, in the order given.
-
-    One `sliding_stats` is shared by every profile and, when any feature is
-    a shape feature, one `series_spectrum` by the shape profiles.
-    """
+def feature_profiles(ts, features: Sequence[FeatureSpec], m: int, out: np.ndarray) -> np.ndarray:
+    """Write each feature's profile into its row of `out` [feature, window],
+    in the order given, and return `out`. The profiles share one
+    `sliding_stats` and, when any feature is a shape feature, one
+    `series_spectrum`; both are gone when it returns."""
     stats = sliding_stats(ts, m)
     spectrum = series_spectrum(ts) if any(f.kind == SHAPE for f in features) else None
-    for feature in features:
-        yield generate_profile(ts, feature, m, stats, spectrum)
+    for feature, row in zip(features, out):
+        row[:] = generate_profile(ts, feature, m, stats, spectrum)
+    return out
 
 
 #: The one cut of a pass: samples per block of `profile_blocks` (more when
@@ -287,17 +286,13 @@ def feature_profiles(ts, features: Sequence[FeatureSpec], m: int) -> Iterator[np
 BLOCK = 1 << 16
 
 
-def profile_blocks(
-    ts, features: Sequence[FeatureSpec], m: int
-) -> Iterator[Tuple[int, int, Iterator[np.ndarray]]]:
-    """Yield (lo, hi, `feature_profiles` of windows lo..hi-1) over overlapping
-    slices of S = max(BLOCK, next_pow2(4 * m)) samples.
-
+def profile_blocks(ts, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, x[lo : hi + m - 1]), the samples of windows lo..hi-1,
+    over overlapping slices of S = max(BLOCK, next_pow2(4 * m)) samples.
     Each slice holds S - m + 1 whole windows and starts where the last one
-    ended, so every window is computed once from samples of its own slice,
-    with that slice's sliding stats and spectrum. A series of at most S
-    samples is one slice: the whole-series profiles, bit for bit.
-    """
+    ended, so every window's profile comes from its own slice alone. A
+    series of at most S samples is one slice: the whole-series profiles,
+    bit for bit."""
     x = _as_values(ts)
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
     step = size - m + 1
@@ -305,15 +300,13 @@ def profile_blocks(
     # At least one slice, whose kernels reject an m that has no window.
     for lo in range(0, max(length, 1), step):
         hi = min(lo + step, length)
-        yield lo, hi, feature_profiles(x[lo : hi + m - 1], features, m)
+        yield lo, hi, x[lo : hi + m - 1]
 
 
 def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
-    """[feature, window] profiles of the series, written block by block from
-    `profile_blocks`."""
+    """[feature, window] profiles of the series, slice by slice of `profile_blocks`."""
     x = _as_values(ts)
     table = np.empty((len(features), max(x.size - m + 1, 0)))
-    for lo, hi, profiles in profile_blocks(x, features, m):
-        for row, prof in zip(table, profiles):
-            row[lo:hi] = prof
+    for lo, hi, xs in profile_blocks(x, m):
+        feature_profiles(xs, features, m, table[:, lo:hi])
     return table

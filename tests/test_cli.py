@@ -308,6 +308,27 @@ class TestEval:
         assert lines[1].startswith("a,1,1,1,1,")
         assert "tp=1 fp=1 fn=1 tn=1" in stdout
 
+    def test_class_the_predictions_do_not_name(self, tmp_path):
+        # Zero hits would read as precision, recall and accuracy 1.0 (0/0),
+        # so a class outside the `# classes:` header exits 3 before the
+        # classes named ahead of it print a line.
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "# series_length: 103\n# m: 4\n# stride: 1\n# classes: a,b\n"
+            "position,class,score\n5,a,0.9\n"
+        )
+        labels = tmp_path / "bags.csv"
+        labels.write_text("0,10,a\n20,40,b\n")
+        out = tmp_path / "report.csv"
+        code, stdout, err = run_cli(
+            "eval", "--predictions", str(pred), "--labels", str(labels),
+            "--class", "a", "--class", "nosuch", "--out", str(out),
+        )
+        assert code == 3
+        assert "no class 'nosuch' in the predictions' classes 'a,b'" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_empty_predictions_all_false_negatives(self, tmp_path):
         pred = tmp_path / "pred.csv"
         pred.write_text(
@@ -624,6 +645,16 @@ BAD_INPUT_CASES = {
         ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
          "--labels", "@test-labels.csv", "--class", "nosuch", "--weights", "1,2"],
         3, "no model for class 'nosuch'",
+    ),
+    "eval-class-not-predicted": (
+        ["eval", "--class", "a", "--class", "nosuch", "--predictions", "@rate-10.csv",
+         "--labels", "@bag.csv"],
+        3, "no class 'nosuch' in the predictions' classes 'a'",
+    ),
+    "freq-class-not-predicted": (
+        ["freq", "--class", "nosuch", "--window", "5", "--step", "5",
+         "--predictions", "@rate-10.csv"],
+        3, "no class 'nosuch' in the predictions' classes 'a'",
     ),
     "decision-floor": (
         [*_CLASSIFY, "--config", "@floor.yaml"], 2, "decision_floor must be a number"

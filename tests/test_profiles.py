@@ -1,11 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapefeat import profiles
+from shapefeat import model, profiles
 from shapefeat.core import (
     COMPLEXITY,
     SHAPE,
@@ -30,6 +31,7 @@ from shapefeat.profiles import (
     distance_profile_naive,
     feature_profiles,
     generate_profile,
+    profile_blocks,
     profile_table,
     series_spectrum,
     sliding_feature_profile,
@@ -499,8 +501,8 @@ class TestProfileTable:
         table = assert_table_matches_oracles(x, q, m, positions)
         if n <= BLOCK:
             # One block: the whole-series profiles, bit for bit.
-            for i, prof in enumerate(feature_profiles(x, table_features(q), m)):
-                assert table[i].tobytes() == prof.tobytes()
+            for row, f in zip(table, table_features(q)):
+                assert row.tobytes() == generate_profile(x, f, m).tobytes()
 
     def test_window_above_half_a_block(self):
         # m > BLOCK / 2 takes blocks of next_pow2(4 * m) = 2**18 samples.
@@ -530,6 +532,42 @@ class TestProfileTable:
             profile_table(normals(1, 8), [FeatureSpec(kind=SLIDING_STD)], 9)
 
 
+class TestProfileBlocks:
+    """The slice contract of `profile_blocks`, which any other slice source
+    must meet: (lo, hi, x[lo : hi + m - 1]) triples of at most S samples,
+    from window 0 to window n - m, each starting where the last ended."""
+
+    @staticmethod
+    def assert_contract(n, m):
+        x = np.arange(n, dtype=np.float64)
+        size = max(BLOCK, 1 << (4 * m - 1).bit_length())
+        end = 0
+        for lo, hi, xs in profile_blocks(x, m):
+            assert lo == end < hi
+            assert xs.tobytes() == x[lo : hi + m - 1].tobytes()
+            assert xs.size <= size
+            end = hi
+        assert end == n - m + 1
+
+    @settings(max_examples=60)
+    @given(st.integers(2, BLOCK // 4), st.integers(0, 4 * BLOCK))
+    def test_slices_cover_every_window_once(self, m, extra):
+        self.assert_contract(m + extra, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 100, BLOCK // 4 - 1, BLOCK // 4])
+    def test_slice_edges(self, m):
+        step = BLOCK - m + 1
+        for n in (m, m + 1, BLOCK - 1, BLOCK, BLOCK + 1, step + m, 3 * step + m - 1,
+                  3 * step + m, 3 * step + m + 1):
+            self.assert_contract(n, m)
+
+    def test_a_series_of_one_slice_is_the_series(self):
+        x = normals(1, BLOCK)
+        [(lo, hi, xs)] = profile_blocks(x, 100)
+        assert (lo, hi) == (0, BLOCK - 99)
+        assert xs.tobytes() == x.tobytes()
+
+
 def mixed_features(m):
     """Two shape features of different queries, then every other kind."""
     return [FeatureSpec(kind=SHAPE, query=normals(21, m)), FeatureSpec(kind=COMPLEXITY),
@@ -538,8 +576,9 @@ def mixed_features(m):
 
 
 class TestFeatureOrder:
-    """`feature_profiles` yields one profile per feature in the order given,
-    wherever the shape features sit, and `profile_table` writes them so."""
+    """`feature_profiles` writes one profile per feature into its row of
+    `out`, in the order given, wherever the shape features sit, and
+    `profile_table` writes them so."""
 
     @pytest.mark.parametrize("order", [
         (0, 1, 3, 4), (1, 0, 3, 4), (1, 3, 4, 0), (3, 0, 4, 2, 1),
@@ -558,9 +597,9 @@ class TestFeatureOrder:
             return series_spectrum(ts)
 
         monkeypatch.setattr(profiles, "series_spectrum", counted)
-        got = list(feature_profiles(x, features, m))
-        assert len(got) == len(features)
-        for f, prof in zip(features, got):
+        out = np.empty((len(features), x.size - m + 1))
+        assert feature_profiles(x, features, m, out) is out
+        for f, prof in zip(features, out):
             assert prof.tobytes() == generate_profile(x, f, m, stats, spectrum).tobytes()
         # One spectrum when any feature is a shape feature, none otherwise.
         assert len(spectra) == any(f.kind == SHAPE for f in features)
@@ -573,6 +612,38 @@ class TestFeatureOrder:
         table = profile_table(x, features, m)
         permuted = profile_table(x, [features[i] for i in perm], m)
         assert permuted.tobytes() == table[list(perm)].tobytes()
+
+
+class TestBlockLifetime:
+    def test_block_state_is_gone_before_the_lookups(self, monkeypatch):
+        # Each block's sliding stats and spectrum are freed before its
+        # density lookups run, so at most one set lives at a time. A profile
+        # generator left suspended after its last yield would hold both
+        # through the lookups.
+        refs = []
+
+        def recorded(kernel):
+            def wrapper(*args, **kwargs):
+                result = kernel(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                return result
+            return wrapper
+
+        live = []
+        compute_probability = model.compute_probability
+
+        def lookup(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            return compute_probability(*args, **kwargs)
+
+        monkeypatch.setattr(profiles, "sliding_stats", recorded(profiles.sliding_stats))
+        monkeypatch.setattr(profiles, "series_spectrum", recorded(profiles.series_spectrum))
+        monkeypatch.setattr(model, "compute_probability", lookup)
+        test = TimeSeries(values=normals(9, 2 * BLOCK + 500))
+        classify(TestScoringMemory.two_class_models(100), test, ClassifierConfig())
+        # Three blocks of a stats and a spectrum each; four locals per block.
+        assert len(refs) == 6
+        assert live == [0] * 12
 
 
 class TestScoringMemory:

@@ -25,6 +25,7 @@ from .core import (
 )
 from .data import (
     DatasetBundle,
+    SeriesStream,
     TwoModalityParams,
     build_gun_experiment,
     gen_random_noise,

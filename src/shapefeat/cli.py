@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import partial
 from itertools import chain
 from typing import List, Optional, Sequence
 
@@ -262,7 +263,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.load_series(args.series)
+    series = dataio.SeriesStream(args.series)
     cfg = _classifier_config(args, series.sample_rate_hz)
     track = classify(models, series, cfg)
     dataio.save_predictions(track, args.out)
@@ -302,10 +303,10 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.load_series(args.series)
-    bags = dataio.load_labels(args.labels, len(series))
+    series = dataio.SeriesStream(args.series)
     cfg = _classifier_config(args, series.sample_rate_hz)
-    rows = compare_variants(models, series, bags, cfg)
+    # The labels' bounds need the series length, known when the pass ends.
+    rows = compare_variants(models, series, partial(dataio.load_labels, args.labels), cfg)
     lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
     for name, class_id, cm, precision, recall, accuracy in rows:
         lines.append(f"{name},{class_id},{_confusion_csv(cm, precision, recall, accuracy)}")
@@ -320,15 +321,15 @@ def cmd_compare(args) -> int:
 
 def cmd_roc(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.load_series(args.series)
-    bags = dataio.load_labels(args.labels, len(series))
+    series = dataio.SeriesStream(args.series)
     cfg = _classifier_config(args, series.sample_rate_hz)
     weights = [
         _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
     ]
     if len(weights) < 2:
         raise DataError("need at least two weights")
-    points = roc_sweep(models, series, bags, cfg, args.class_id, weights)
+    points = roc_sweep(models, series, partial(dataio.load_labels, args.labels), cfg,
+                       args.class_id, weights)
     rows = [
         f"{_fmt(pt.threshold_weight)},{_fmt(pt.precision)},{_fmt(pt.recall)},"
         f"{pt.tp},{pt.fp},{pt.fn},{pt.tn}"

@@ -327,32 +327,43 @@ def read_file(path: str, binary: bool = False):
         raise DataError(f"{path} is not UTF-8: byte offset {exc.start}") from exc
 
 
-# Bytes per read of a text file; a text loader holds about one block at a time.
-_BLOCK_BYTES = 1 << 20
+# Bytes per read of a text file. A text loader holds about one block at a
+# time: its text, and one string per line.
+_BLOCK_BYTES = 1 << 18
 
 
 def _read_lines(path: str):
-    """Yield (number of the first line, lines) per block of a UTF-8 text file."""
+    """Yield (number of the first line, lines) per block of a UTF-8 text
+    file. The reader keeps no block's text or lines while it reads the
+    next, so a caller that drops its own reference holds one block."""
     first, offset, pending = 1, 0, []
     try:
         with open(path, "rb") as fh:
             while True:
                 block = fh.read(_BLOCK_BYTES)
+                end = not block
                 # No multi-byte character holds b"\n": the lines are the whole file's.
                 cut = block.rfind(b"\n") + 1
                 pending.append(block[:cut] if cut else block)
-                if block and not cut:
+                if not (end or cut):
                     continue
                 data, pending = b"".join(pending), [block[cut:]]
+                del block
                 try:
-                    lines = data.decode("utf-8").splitlines()
+                    text = data.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     at = offset + exc.start
                     raise DataError(f"{path} is not UTF-8: byte offset {at}") from exc
+                offset += len(data)
+                del data
+                lines = text.splitlines()
+                del text
+                count = len(lines)
                 yield first, lines
-                if not block:
+                del lines
+                if end:
                     return
-                first, offset = first + len(lines), offset + len(data)
+                first += count
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -363,18 +374,25 @@ def _stripped_lines(path: str, meta: dict):
         yield from _data_lines(path, lines, first, meta)
 
 
-def _data_lines(path: str, lines: List[str], first: int, meta: dict):
+def _data_lines(path: str, lines: List[str], first: int, meta: dict,
+                values: Optional[int] = None):
     """(line number, stripped text) of a block's data lines, `first` the
-    number of its first line; ``# key: value`` lines go to `meta`."""
+    number of its first line; ``# key: value`` lines go to `meta`. In a
+    series, whose data lines are its values, `values` counts the values
+    before the block: from the first value on, a sample_rate_hz header
+    must keep the rate in effect."""
     for lineno, text in enumerate(map(str.strip, lines), first):
         if text.startswith("#"):
-            _header(path, text, lineno, meta)
+            _header(path, text, lineno, meta, fixed=bool(values))
         elif text:
             yield lineno, text
+            if values is not None:
+                values += 1
 
 
-def _header(path: str, text: str, lineno: int, meta: dict) -> None:
-    """Record a ``# key: value`` comment in `meta`; sample_rate_hz must be finite and > 0."""
+def _header(path: str, text: str, lineno: int, meta: dict, fixed: bool = False) -> None:
+    """Record a ``# key: value`` comment in `meta`; sample_rate_hz must be
+    finite and > 0, and when `fixed`, the rate already in `meta`."""
     key, colon, value = (part.strip() for part in text[1:].partition(":"))
     if colon and key == "sample_rate_hz":
         try:
@@ -384,6 +402,9 @@ def _header(path: str, text: str, lineno: int, meta: dict) -> None:
         if not (math.isfinite(rate) and rate > 0):
             raise DataError(f"{path} has missing or bad metadata: sample_rate_hz must be "
                             f"a finite number > 0, got {value!r}", line=lineno)
+        if fixed and rate != meta.get(key):
+            raise DataError(f"{path}: sample_rate_hz {value!r} after the first value changes "
+                            f"the rate in effect, {meta.get(key)!r}", line=lineno)
         value = rate
     if colon:
         meta[key] = value
@@ -431,12 +452,48 @@ def save_series(ts: TimeSeries, path: str) -> None:
 def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers."""
     meta: dict = {}
-    parts: List[np.ndarray] = []
+    parts = list(_series_blocks(path, meta))
+    if not parts:
+        raise DataError(f"{path} holds no values")
+    values = np.concatenate(parts)
+    del parts  # so the loader holds the series twice at most, not three times
+    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
+
+
+class SeriesStream:
+    """A series file read one block at a time: an iterator of each block's
+    values, parsed under `load_series`' rule and with its errors. Opening
+    it reads the file up to the first value. A sample_rate_hz header after
+    that value may not change the rate, so `sample_rate_hz` holds for the
+    whole series from the start."""
+
+    def __init__(self, path: str):
+        meta: dict = {}
+        self._blocks = _series_blocks(path, meta)
+        self._next = next(self._blocks, None)
+        if self._next is None:
+            raise DataError(f"{path} holds no values")
+        self.sample_rate_hz = meta.get("sample_rate_hz")
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._next is None:
+            return next(self._blocks)
+        values, self._next = self._next, None
+        return values
+
+
+def _series_blocks(path: str, meta: dict):
+    """The values of each block of the series file at `path` that holds
+    any; its headers go to `meta`."""
+    index = 0
     for first, lines in _read_lines(path):
         # Leading headers and blank lines (every file that save_series
         # writes starts with some) go to `meta`, so the fast path takes
         # the rest of the block.
-        data_line = next(_data_lines(path, lines, first, meta), None)
+        data_line = next(_data_lines(path, lines, first, meta, index), None)
         head = len(lines) if data_line is None else data_line[0] - first
         lines, first = lines[head:], first + head
         try:
@@ -445,19 +502,17 @@ def load_series(path: str) -> TimeSeries:
             values = None
         if values is None or not np.isfinite(values).all():
             # Headers, blank lines or a fault: read the block line by line.
-            values = _walk_block(path, lines, first, sum(map(len, parts)), meta)
-        parts.append(values)
-    values = np.concatenate(parts)
-    del parts  # so the loader holds the series twice at most, not three times
-    if not values.size:
-        raise DataError(f"{path} holds no values")
-    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
+            values = _walk_block(path, lines, first, index, meta)
+        del lines  # before the reader takes the next block
+        if values.size:
+            index += values.size
+            yield values
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:
     """A block's values and headers, line by line; its first fault raises DataError."""
     values: List[float] = []
-    for lineno, text in _data_lines(path, lines, first, meta):
+    for lineno, text in _data_lines(path, lines, first, meta, index):
         try:
             value = float(text)
         except ValueError as exc:

@@ -5,12 +5,14 @@ experiments.
 The comparison grid and the ROC sweep score the test series once
 (`score_blocks`) and feed each block of that pass to one `Sweep` per run:
 the grid to one per variant, the ROC sweep to one per weight, after
-re-weighting the swept class's row of the block.
+re-weighting the swept class's row of the block. Their `bags` is the
+LabelTrack, or a function that makes it from the series length, called
+when the pass ends: a streamed series' length is known only then.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,10 +87,18 @@ def metrics(cm: ConfusionMatrix) -> Tuple[float, float, float]:
     return precision, recall, accuracy
 
 
+Bags = Union[LabelTrack, Callable[[int], LabelTrack]]
+
+
+def _bags_of(bags: Bags, track: PredictionTrack) -> LabelTrack:
+    """`bags`, or what it makes of the series length `track` covers."""
+    return bags(track.series_length) if callable(bags) else bags
+
+
 def compare_variants(
     models: Sequence[ClassModel],
     test: TimeSeries,
-    bags: LabelTrack,
+    bags: Bags,
     cfg: ClassifierConfig,
 ) -> List[Tuple[str, str, ConfusionMatrix, float, float, float]]:
     """(variant, class, confusion, precision, recall, accuracy) rows.
@@ -109,9 +119,10 @@ def compare_variants(
     for lo, tables in blocks:
         for run, block in zip(runs, tables):
             run.feed(lo, block)
+    tracks = [run.track() for run in runs]
+    bags = _bags_of(bags, tracks[0])
     rows = []
-    for (name, _), run in zip(variants, runs):
-        track = run.track()
+    for (name, _), track in zip(variants, tracks):
         for mo in models:
             cm = mil_confusion(track, bags, mo.class_id)
             rows.append((name, mo.class_id, cm, *metrics(cm)))
@@ -121,7 +132,7 @@ def compare_variants(
 def roc_sweep(
     models: Sequence[ClassModel],
     test: TimeSeries,
-    bags: LabelTrack,
+    bags: Bags,
     cfg: ClassifierConfig,
     class_id: str,
     weights: Sequence[float],
@@ -156,9 +167,11 @@ def roc_sweep(
             above = row >= floor
             above |= rest
             run.feed(lo, block, above)
+    tracks = [run.track() for run in runs]
+    bags = _bags_of(bags, tracks[0])
     points = []
-    for w, run in zip(weights, runs):
-        cm = mil_confusion(run.track(), bags, class_id)
+    for w, track in zip(weights, tracks):
+        cm = mil_confusion(track, bags, class_id)
         precision, recall, _ = metrics(cm)
         points.append(RocPoint(float(w), precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
     return points

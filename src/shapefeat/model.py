@@ -42,6 +42,13 @@ from .profiles import feature_profiles, profile_blocks, profile_table, znormaliz
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
 
+#: Positions per density lookup in a scoring pass. Each lookup's
+#: temporaries are then a few arrays of this length, which the allocator
+#: reuses; block-long ones were trimmed from the heap and faulted back in
+#: every block (the lookups of a streamed `classify` took 15.7k page faults
+#: at 65,536 positions, 258 at this length).
+LOOKUP = 1 << 14
+
 
 def histogram_build(values) -> Histogram:
     """Equal-width histogram with clamp(ceil(sqrt(len)), 10, 256) bins.
@@ -126,8 +133,8 @@ def compute_probability(
     default policy the full range spans both histograms, so floors stay small
     even for narrowly concentrated class histograms. The result is written
     into `out` (a buffer of the profile's length, or the profile itself)
-    when given. Scoring passes one block of `profiles.profile_blocks`, so
-    the temporaries are a block long; both densities are taken before `out`
+    when given. Scoring passes runs of `LOOKUP` positions of a block, so
+    the temporaries are that long; both densities are taken before `out`
     is written.
     """
     joint_width = union_width(pos_hist, neg_hist)
@@ -195,7 +202,14 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
         )
     z = np.stack([znormalize(x[s : s + m]) for s in starts])
     # Not the Gram identity: it rounds differently and can move the medoid.
-    totals = [np.sqrt(((row - z) ** 2).sum(axis=1)).sum() for row in z]
+    # One buffer for every row's squared differences: a pair of fresh
+    # [candidate, m] temporaries per row can cost a page fault per page.
+    diff = np.empty_like(z)
+    totals = []
+    for row in z:
+        np.subtract(row, z, out=diff)
+        np.multiply(diff, diff, out=diff)
+        totals.append(np.sqrt(diff.sum(axis=1)).sum())
     best = int(np.argmin(totals))
     s = starts[best]
     return x[s : s + m].copy()
@@ -326,19 +340,19 @@ def score_blocks(
 ) -> Tuple[List[tuple], Iterator[Tuple[int, List[np.ndarray]]]]:
     """The one scoring pass over the test series: the class ids of each
     `keep` predicate's table, and an iterator of (lo, [block table per keep])
-    per `profile_blocks` block.
+    per `profile_blocks` block. `test` is a series or a `data.SeriesStream`,
+    read once by the iterator; a series shorter than m is a ModelError
+    when its one slice comes.
 
     A block table holds columns lo, lo + 1, ... of a [class, position]
     table: each class's Naive Bayes combination of its locals whose spec
     passes `keep` (all when None), times its threshold weight; a class with
     no kept local drops out. Each block's profiles become local
-    probabilities in one block buffer, from which every table takes its
-    rows. The tables are buffers one block long, which the next block
-    overwrites.
+    probabilities in one block buffer, `LOOKUP` positions at a time, from
+    which every table takes its rows. The tables are buffers one block
+    long, which the next block overwrites.
     """
     m = _check_models(models)
-    if len(test) < m:
-        raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     locals_ = [feature for mo in models for feature in mo.features]
     plans = []  # per keep: [(model, block rows of its kept locals)]
     for keep in keeps:
@@ -354,12 +368,15 @@ def score_blocks(
     def blocks():
         probs = tables = None
         for lo, hi, xs in profile_blocks(test, m):
+            if hi <= lo:
+                raise ModelError(f"test series of length {xs.size} is shorter than m={m}")
             if probs is None:  # the first block is the longest
                 probs = np.empty((len(locals_), hi - lo))
                 tables = [np.empty((len(groups), hi - lo)) for groups in plans]
             block = feature_profiles(xs, [f for f, _, _ in locals_], m, probs[:, : hi - lo])
-            for (_, pos_h, neg_h), row in zip(locals_, block):
-                compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
+            for a in range(0, hi - lo, LOOKUP):
+                for (_, pos_h, neg_h), row in zip(locals_, block[:, a : a + LOOKUP]):
+                    compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
             out = [table[:, : hi - lo] for table in tables]
             for groups, table in zip(plans, out):
                 for row, (mo, rows) in zip(table, groups):
@@ -378,9 +395,11 @@ def class_probabilities(
     keep: Optional[Callable[[FeatureSpec], bool]] = None,
 ) -> Tuple[tuple, np.ndarray]:
     """(class_ids, [class, position] table) of the locals that pass `keep`
-    (all when None): the blocks of `score_blocks`, assembled."""
+    (all when None) over a loaded series: the blocks of `score_blocks`,
+    assembled."""
     [ids], blocks = score_blocks(models, test, cfg, [keep])
-    table = np.empty((len(ids), len(test) - models[0].m + 1))
+    # No column for a series shorter than m, whose pass raises ModelError.
+    table = np.empty((len(ids), max(len(test) - models[0].m + 1, 0)))
     for lo, (block,) in blocks:
         table[:, lo : lo + block.shape[1]] = block
     return ids, table
@@ -404,18 +423,16 @@ class Sweep:
     that class's exclusion zone. Between detections the visits stay in one
     stride phase, so one binary search finds the next one in a block.
     `pos`, the next position to visit, carries across block edges. A
-    detection scores its class's weighted probability.
+    detection scores its class's weighted probability. The series length
+    is the end of the last block fed; `test` gives the sample rate.
     """
 
-    def __init__(self, models: Sequence[ClassModel], test: TimeSeries, class_ids: tuple,
+    def __init__(self, models: Sequence[ClassModel], test, class_ids: tuple,
                  cfg: ClassifierConfig):
         self.models, self.test, self.class_ids, self.cfg = models, test, class_ids, cfg
-        length = len(test) - models[0].m + 1
-        # A stride past the end visits position 0 only, as `length` does.
-        self.stride = min(cfg.stride, max(length, 1))
         zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
-        self.jumps = [max(self.stride, zone_of[c] + 1) for c in class_ids]
-        self.pos = 0
+        self.jumps = [max(cfg.stride, zone_of[c] + 1) for c in class_ids]
+        self.pos = self.end = 0
         self.positions, self.codes, self.scores = array("q"), array("i"), array("d")
 
     def feed(self, lo: int, block: np.ndarray, above: Optional[np.ndarray] = None) -> None:
@@ -423,17 +440,21 @@ class Sweep:
         [class, column]; `above` is the block's at-or-above-floor mask of
         columns (`above_floor`), when the caller has it."""
         width = block.shape[1]
-        hi, pos, stride = lo + width, self.pos, self.stride
+        hi, pos, stride = lo + width, self.pos, self.cfg.stride
+        self.end = hi
         if above is None:
             above = above_floor(block, width, self.cfg.decision_floor)
         # Above-floor columns c ordered by (phase, c), the key of position
-        # lo + c being its phase (lo + c) % stride times width, plus c.
+        # lo + c being its phase (lo + c) % period times width, plus c. Two
+        # positions below hi share a phase of `stride` exactly when they
+        # share one of `period`, which keeps the keys in int64.
+        period = min(stride, hi)
         keys = np.flatnonzero(above)
-        if stride > 1:
-            keys += (keys + lo) % stride * width
+        if period > 1:
+            keys += (keys + lo) % period * width
             keys.sort()
         while pos < hi:
-            base = pos % stride * width - lo
+            base = pos % period * width - lo
             # ndarray methods: the np.* wrappers cost more than one short search.
             k = int(keys.searchsorted(base + pos))
             if k == keys.size or keys[k] >= base + hi:
@@ -458,7 +479,7 @@ class Sweep:
             label_codes=np.array(self.codes, dtype=np.int32),
             scores=np.array(self.scores, dtype=np.float64),
             m=self.models[0].m,
-            series_length=len(self.test),
+            series_length=self.end + self.models[0].m - 1,
             stride=self.cfg.stride,
             sample_rate_hz=self.test.sample_rate_hz,
         )

@@ -18,6 +18,7 @@ LeVeque. Training writes every slice into one [feature, window] table
 """
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -286,21 +287,36 @@ def feature_profiles(ts, features: Sequence[FeatureSpec], m: int, out: np.ndarra
 BLOCK = 1 << 16
 
 
-def profile_blocks(ts, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+def profile_blocks(source, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Yield (lo, hi, x[lo : hi + m - 1]), the samples of windows lo..hi-1,
     over overlapping slices of S = max(BLOCK, next_pow2(4 * m)) samples.
     Each slice holds S - m + 1 whole windows and starts where the last one
     ended, so every window's profile comes from its own slice alone. A
     series of at most S samples is one slice: the whole-series profiles,
-    bit for bit."""
-    x = _as_values(ts)
+    bit for bit. Only a series shorter than m has no window: its one slice
+    has hi <= lo.
+
+    `source` is the series, or an iterator of its consecutive sample
+    arrays (`data.SeriesStream`), which is read as far as the next slice
+    needs. Either gives the same slices; slices of a series are views."""
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
     step = size - m + 1
-    length = x.size - m + 1
-    # At least one slice, whose kernels reject an m that has no window.
-    for lo in range(0, max(length, 1), step):
-        hi = min(lo + step, length)
-        yield lo, hi, x[lo : hi + m - 1]
+    parts = source if isinstance(source, abc.Iterator) else iter([_as_values(source)])
+    lo, held, pending = 0, 0, []
+    for part in parts:
+        pending.append(part)
+        held += part.size
+        while held >= size:
+            x = _joined(pending)
+            pending = [x[step:]]
+            yield lo, lo + step, x[:size]
+            lo, held = lo + step, held - step
+    if held >= m or lo == 0:
+        yield lo, lo + held - m + 1, _joined(pending)
+
+
+def _joined(parts) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:

@@ -283,6 +283,63 @@ class TestClassify:
         assert not (tmp_path / "pred.csv").exists()
 
 
+class TestStreamedSeries:
+    """classify, compare and roc read the series one block at a time. A
+    fault in its last block, or labels that leave it, still exit 2 with
+    the fault's line, and leave no output file."""
+
+    COMMANDS = {
+        "classify": ["classify"],
+        "compare": ["compare", "--labels", "@labels"],
+        "roc": ["roc", "--labels", "@labels", "--class", "sine", "--weights", "1,2"],
+    }
+
+    @staticmethod
+    def run(workspace, tmp_path, command, series, labels):
+        argv = [str(labels) if a == "@labels" else a for a in TestStreamedSeries.COMMANDS[command]]
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(*argv, "--model", str(workspace / "model.sfcm"),
+                               "--series", str(series), "--config", str(workspace / "config.yaml"),
+                               "--out", str(out))
+        assert "Traceback" not in err
+        assert not out.exists()
+        return code, err
+
+    @pytest.fixture(scope="class")
+    def long_series(self, workspace):
+        """The test series eight times over: several read blocks."""
+        text = (workspace / "test.txt").read_text()
+        values = [line for line in text.splitlines() if not line.startswith("#")]
+        text += "\n".join(values * 7) + "\n"
+        assert len(text) > 3 * (1 << 18)
+        return text
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_bad_value_in_the_last_block(self, workspace, tmp_path, long_series, command):
+        series = tmp_path / "series.txt"
+        series.write_text(long_series + "1.0\nabc\n")
+        line = long_series.count("\n") + 2
+        code, err = self.run(workspace, tmp_path, command, series, workspace / "test-labels.csv")
+        assert code == 2, err
+        assert f"line {line}: not a number: 'abc'" in err
+
+    @pytest.mark.parametrize("command", ["compare", "roc"])
+    def test_labels_past_the_series_end(self, workspace, tmp_path, command):
+        n = len(load_series(str(workspace / "test.txt")))
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"0,10,sine\n{n - 5},{n + 1},flat\n")
+        code, err = self.run(workspace, tmp_path, command, workspace / "test.txt", labels)
+        assert code == 2, err
+        assert f"line 2: region [{n - 5},{n + 1}) outside [0,{n})" in err
+
+    def test_a_late_rate_that_changes(self, workspace, tmp_path):
+        series = tmp_path / "series.txt"
+        series.write_text((workspace / "test.txt").read_text() + "# sample_rate_hz: 7\n")
+        code, err = self.run(workspace, tmp_path, "classify", series, None)
+        assert code == 2, err
+        assert "after the first value changes the rate in effect, 100.0" in err
+
+
 class TestEval:
     def test_hand_built_fixture(self, tmp_path):
         pred = tmp_path / "pred.csv"

@@ -4,13 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapefeat import data
 from shapefeat.core import DataError, Region, TimeSeries
 from shapefeat.data import (
     MODEL_MAGIC,
+    SeriesStream,
     TwoModalityParams,
     build_gun_experiment,
     derive_seed,
@@ -33,7 +34,8 @@ from shapefeat.data import (
 )
 from shapefeat.model import ClassSpec, classify, train
 from shapefeat.core import ClassifierConfig, FeatureSpec, LabelTrack
-from shapefeat.profiles import complexity_profile, znormalize
+from shapefeat import profiles
+from shapefeat.profiles import complexity_profile, profile_blocks, znormalize
 
 
 class TestPortableRng:
@@ -218,7 +220,9 @@ class TestSeriesIo:
 def reference_load_series(path: str) -> TimeSeries:
     """The whole-file series parser the block-wise `load_series` replaced: one
     read and one `splitlines` of the whole file, then a second walk to name a
-    bad line. Kept as the oracle of the differential tests."""
+    bad line. Kept as the oracle of the differential tests. A sample_rate_hz
+    header after the first value that changes the rate ends the file there,
+    and is its fault unless a value before it is one."""
     raw = read_file(path)
 
     def data_lines():
@@ -230,6 +234,7 @@ def reference_load_series(path: str) -> TimeSeries:
     name = ""
     rate = None
     rows = []
+    late = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
         if not text:
@@ -244,9 +249,14 @@ def reference_load_series(path: str) -> TimeSeries:
                     name = value
                 elif key == "sample_rate_hz":
                     try:
-                        rate = float(value)
+                        new = float(value)
                     except ValueError as exc:
                         raise DataError(f"bad sample_rate_hz {value!r}", line=lineno) from exc
+                    if rows and new != rate:
+                        late = DataError(f"{path}: sample_rate_hz {value!r} after the first "
+                                         f"value changes the rate in effect, {rate!r}", line=lineno)
+                        break
+                    rate = new
             continue
         rows.append(text)
     if not rows:
@@ -267,6 +277,8 @@ def reference_load_series(path: str) -> TimeSeries:
         index = int(bad[0])
         lineno, text = list(data_lines())[index]
         raise DataError(f"non-finite value {text!r}", line=lineno, index=index)
+    if late is not None:
+        raise late
     return TimeSeries(values=values, sample_rate_hz=rate, name=name)
 
 
@@ -332,14 +344,34 @@ class TestBlockReader:
         with pytest.raises(DataError, match="is not UTF-8: byte offset 1200001"):
             load_series(str(path))
 
+    def test_holds_one_block_whatever_the_file_length(self, tmp_path):
+        # The reader drops each block's text and lines before it reads the
+        # next. When it kept them, a 10**6-line file peaked at about twice
+        # the one-block file.
+        def peak(path):
+            tracemalloc.start()
+            try:
+                for _, lines in data._read_lines(str(path)):
+                    del lines
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        long, one = tmp_path / "long.txt", tmp_path / "one.txt"
+        save_series(TimeSeries(values=normals(7, 10**6)), str(long))
+        with open(long, "rb") as fh:
+            one.write_bytes(fh.read(data._BLOCK_BYTES))
+        assert peak(long) < 1.25 * peak(one)
+
 
 GOOD_VALUE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["1_000", "\u0661\u0662", "\u0661.\u0665", " 2.5 ", "+3", "-0.0", ".5", "1e-320"]),
 )
-# Headers whose meaning did not change; a bad sample_rate_hz has a new rule,
-# pinned by TestSampleRateHeader.
+# Good headers. A bad sample_rate_hz, and one after the first value that
+# changes the rate, each have a rule of their own, pinned by
+# TestSampleRateHeader.
 GOOD_HEADER = st.sampled_from(
     ["# name: fixture", "# sample_rate_hz: 100.0", "# sample_rate_hz: 0.25", "# a comment",
      "#", "  # name: a: b", "# name:", "#sample_rate_hz:3"]
@@ -347,15 +379,30 @@ GOOD_HEADER = st.sampled_from(
 FAULT = st.sampled_from(["abc", "nan", "inf", "-Infinity", "1 2", "0x10", "1,5", "1e999"])
 
 
+def changes_rate_late(lines) -> bool:
+    """Whether a sample_rate_hz header after the first value changes the rate in effect."""
+    rate, started = None, False
+    for text in map(str.strip, lines):
+        key, colon, value = (part.strip() for part in text[1:].partition(":"))
+        if text.startswith("#") and colon and key == "sample_rate_hz":
+            if started and float(value) != rate:
+                return True
+            rate = float(value)
+        started = started or bool(text) and not text.startswith("#")
+    return False
+
+
 @st.composite
 def series_files(draw):
-    """Series files with at most one fault: a bad value, bytes that are not
-    UTF-8, or no value at all."""
+    """Series files with at most one kind of fault: a bad value or a
+    sample_rate_hz header after the first value that changes the rate
+    (both reported in line order), bytes that are not UTF-8, or no value
+    at all."""
     lines = draw(st.lists(st.one_of(GOOD_VALUE, GOOD_HEADER, st.sampled_from(["", "  "])), max_size=25))
     fault = draw(st.booleans())
     if fault:
         lines.insert(draw(st.integers(0, len(lines))), draw(FAULT))
-    return draw(text_files(st.just(lines), corrupt=not fault))
+    return draw(text_files(st.just(lines), corrupt=not (fault or changes_rate_late(lines))))
 
 
 def outcome(load, path):
@@ -383,8 +430,8 @@ class TestLoadSeriesDifferential:
         (b"# name: a\n\n  \n1e999\n1.0\n", 1),
         # Headers at the start of a later block (16 bytes): every block
         # parses whole once its headers are read.
-        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# sample_rate_hz: 4\n5.0\n6.0\n7.0\n8.0\n", 0),
-        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# sample_rate_hz: 4\n5.0\nx\n7.0\n8.0\n", 1),
+        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# name: bbbbbbbbbbb\n5.0\n6.0\n7.0\n8.0\n", 0),
+        (b"# name: a\n1.25\n2.5\n-3.0\n4.0\n# name: bbbbbbbbbbb\n5.0\nx\n7.0\n8.0\n", 1),
     ], ids=["fault-after-headers", "non-finite-after-headers", "headers-in-a-later-block",
             "fault-in-a-later-block"])
     def test_leading_headers_skip_the_walk(self, tmp_path, raw, walks):
@@ -422,9 +469,101 @@ class TestLoadSeriesDifferential:
         assert peak < 2.5 * ts.values.nbytes
 
 
+def slices(source, m):
+    return [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(source, m)]
+
+
+def stream_outcome(path):
+    """`outcome` of reading the file at `path` through a `SeriesStream`."""
+    try:
+        stream = SeriesStream(path)
+        values = np.concatenate(list(stream))
+    except DataError as exc:
+        return ("error", str(exc), exc.line, exc.index)
+    return ("ok", values.tobytes(), stream.sample_rate_hz)
+
+
+NAME_HEADER = "# name: a header line"
+RATE_HEADER = "# sample_rate_hz: 2.5"
+
+
+@st.composite
+def stream_files(draw):
+    """(file bytes, m, profiles.BLOCK, read block size): a series of m + 1
+    samples to several slices of S = max(BLOCK, next_pow2(4m)), with name
+    headers anywhere and sample_rate_hz headers of one rate, never a fault."""
+    block = draw(st.sampled_from([64, 128]))
+    m = draw(st.integers(2, block // 2))
+    size = max(block, 1 << (4 * m - 1).bit_length())
+    n = draw(st.integers(m + 1, 4 * size))
+    lines = [repr(v) for v in normals(draw(st.integers(0, 2**32)), n).tolist()]
+    rated = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 6))):
+        # A rate header may follow the first value only when one came before it.
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, RATE_HEADER if rated and draw(st.booleans()) else NAME_HEADER)
+    if rated:
+        lines.insert(0, RATE_HEADER)
+    raw = ("\n".join(lines) + "\n").encode()
+    return raw, m, block, draw(st.sampled_from([16, 64, 256, 4096]))
+
+
+class TestSeriesStream:
+    """A `SeriesStream` gives `profile_blocks` the slices of the loaded
+    series, byte for byte, and fails as `load_series` fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stream_files())
+    def test_slices_match_the_loaded_series(self, tmp_path_factory, case):
+        raw, m, block, read = case
+        path = tmp_path_factory.getbasetemp() / "stream.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_BLOCK_BYTES", read), \
+                mock.patch.object(profiles, "BLOCK", block):
+            stream = SeriesStream(str(path))
+            assert stream.sample_rate_hz == load_series(str(path)).sample_rate_hz
+            assert slices(stream, m) == slices(load_series(str(path)), m)
+
+    @pytest.mark.parametrize("header", ["# name: " + "x" * 15, "# sample_rate_hz: 2.500"])
+    @pytest.mark.parametrize("line", range(2, 6))
+    def test_a_header_at_a_read_block_edge(self, tmp_path, header, line):
+        # A 24-byte rate header, then 8-byte value lines, in 64-byte reads:
+        # a 24-byte header before value line 2, 3, 4 or 5 ends on,
+        # straddles, or starts on the edge at byte 64.
+        lines = [f"{v:7.4f}" for v in uniforms(4, 400)]
+        lines.insert(line, header)
+        path = tmp_path / "edge.txt"
+        path.write_text("# sample_rate_hz: 2.500\n" + "\n".join(lines) + "\n")
+        assert path.read_bytes()[24 + 8 * line :].startswith(header.encode())
+        with mock.patch.object(data, "_BLOCK_BYTES", 64), \
+                mock.patch.object(profiles, "BLOCK", 64):
+            assert slices(SeriesStream(str(path)), 5) == slices(load_series(str(path)), 5)
+
+    def test_headers_longer_than_a_read_block(self, tmp_path):
+        # Opening reads on past blocks that hold headers alone.
+        path = tmp_path / "headers.txt"
+        path.write_text(f"{NAME_HEADER}\n" * 40 + f"{RATE_HEADER}\n" + "1.0\n2.0\n3.0\n")
+        with mock.patch.object(data, "_BLOCK_BYTES", 64):
+            stream = SeriesStream(str(path))
+            assert stream.sample_rate_hz == 2.5
+            assert slices(stream, 2) == slices(load_series(str(path)), 2)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @given(raw=series_files())
+    def test_faults_match_load_series(self, tmp_path_factory, block, raw):
+        path = tmp_path_factory.getbasetemp() / f"stream-{block}.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            loaded = outcome(load_series, str(path))
+            if loaded[0] == "ok":
+                loaded = ("ok", loaded[1], loaded[3])
+            assert stream_outcome(str(path)) == loaded
+
+
 class TestSampleRateHeader:
     """One rule for a `# sample_rate_hz:` header, in every text file: a
-    finite number > 0, or a DataError that names the header's line."""
+    finite number > 0, or a DataError that names the header's line. In a
+    series, a header after the first value must keep the rate in effect."""
 
     @pytest.mark.parametrize("rate", ["abc", "inf", "-5", "0", "nan", ""])
     @pytest.mark.parametrize(
@@ -448,6 +587,32 @@ class TestSampleRateHeader:
         path = tmp_path / "f.txt"
         path.write_text("# sample_rate_hz: 2.5e3\n1.0\n")
         assert load_series(str(path)).sample_rate_hz == 2500.0
+
+    @pytest.mark.parametrize("block", [16, 1 << 18])
+    @pytest.mark.parametrize("text, line, before", [
+        ("1.0\n2.0\n# sample_rate_hz: 50\n3.0\n", 3, None),
+        ("# sample_rate_hz: 2\n1.0\n# name: b\n\n# sample_rate_hz: 3\n2.0\n", 5, 2.0),
+        ("# sample_rate_hz: 2\n1.0\n2.0\n3.0\n4.0\n# sample_rate_hz: 0.5\n", 6, 2.0),
+    ], ids=["none-then-a-rate", "another-rate", "a-rate-after-the-last-value"])
+    def test_a_late_rate_that_changes_is_a_fault(self, tmp_path, block, text, line, before):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        message = f"after the first value changes the rate in effect, {before!r}"
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            for read in (load_series, lambda path: list(SeriesStream(path))):
+                with pytest.raises(DataError, match=re.escape(message)) as err:
+                    read(str(path))
+                assert err.value.line == line
+
+    @pytest.mark.parametrize("text, rate", [
+        ("# sample_rate_hz: 2\n1.0\n# sample_rate_hz: 2.0\n2.0\n", 2.0),
+        ("# sample_rate_hz: 2\n\n# sample_rate_hz: 3\n1.0\n2.0\n", 3.0),
+    ], ids=["late-but-the-same", "changed-before-the-first-value"])
+    def test_rates_that_load(self, tmp_path, text, rate):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        assert load_series(str(path)).sample_rate_hz == rate
+        assert SeriesStream(str(path)).sample_rate_hz == rate
 
 
 class TestLabelIo:

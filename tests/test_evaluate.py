@@ -352,6 +352,15 @@ class TestScoreOnce:
                         monkeypatch.setattr(mod, key, wrapper)
         return counts
 
+    @staticmethod
+    def pass_cuts(series):
+        """(blocks, runs of LOOKUP positions in them) of a pass over the
+        series file at m = 48."""
+        windows = len(load_series(series)) - 48 + 1
+        step = profiles.BLOCK - 48 + 1
+        starts = range(0, windows, step)
+        return len(starts), sum(-(-min(step, windows - lo) // model.LOOKUP) for lo in starts)
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -371,8 +380,7 @@ class TestScoreOnce:
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
         # One pass, whose blocks of BLOCK samples (m = 48) each build one
         # set of profiles.
-        windows = len(load_series(argv[argv.index("--series") + 1])) - 48 + 1
-        blocks = -(-windows // (profiles.BLOCK - 48 + 1))
+        blocks, runs = self.pass_cuts(argv[argv.index("--series") + 1])
         assert (blocks > 1) == (command[-1] == "@long.txt")
         one_pass = {
             "model._check_models": 1,
@@ -387,9 +395,9 @@ class TestScoreOnce:
             assert counts == {**one_pass, "profiles.profile_table": 1,
                               "model.compute_distributions": 1}
         else:
-            # One lookup per local and block.
+            # One lookup per local and run of a block.
             assert counts == {**one_pass, "model.score_blocks": 1,
-                              "model.compute_probability": 10 * blocks}
+                              "model.compute_probability": 10 * runs}
 
     @pytest.mark.parametrize("series", ["test.txt", "long.txt"])
     def test_no_spectrum_without_shape_features(self, files, monkeypatch, tmp_path, series):
@@ -397,12 +405,11 @@ class TestScoreOnce:
         argv = ["classify", "--model", str(files / "features.sfcm"),
                 "--series", str(files / series), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
-        windows = len(load_series(str(files / series))) - 48 + 1
-        blocks = -(-windows // (profiles.BLOCK - 48 + 1))
+        blocks, runs = self.pass_cuts(str(files / series))
         # The 7 non-shape locals of the 4 classes share each block's stats.
         assert counts == {"model._check_models": 1, "profiles.profile_blocks": 1,
                           "profiles.feature_profiles": blocks, "profiles.sliding_stats": blocks,
-                          "model.score_blocks": 1, "model.compute_probability": 7 * blocks}
+                          "model.score_blocks": 1, "model.compute_probability": 7 * runs}
 
     @pytest.mark.parametrize("cfg", [
         ClassifierConfig(),

@@ -742,6 +742,18 @@ class TestClassify:
         hits = [p for p, _, _ in track.detections()]
         assert hits == [0, 5, 10, 15]
 
+    @pytest.mark.parametrize("score", [
+        lambda models, test, cfg: classify(models, test, cfg),
+        lambda models, test, cfg: class_probabilities(models, test, cfg),
+        lambda models, test, cfg: compare_variants(models, test, LabelTrack(3, ()), cfg),
+        lambda models, test, cfg: roc_sweep(models, test, LabelTrack(3, ()), cfg, "a", [1.0]),
+    ], ids=["classify", "class_probabilities", "compare_variants", "roc_sweep"])
+    def test_series_shorter_than_m(self, score):
+        # The pass finds it when the series ends, as a streamed series does.
+        model = constant_probability_model("a", 4, 0, level_value=2.0)
+        with pytest.raises(ModelError, match="test series of length 3 is shorter than m=4"):
+            score([model], TimeSeries(values=np.full(3, 2.0)), ClassifierConfig())
+
     def test_determinism(self):
         from shapefeat.data import TwoModalityParams, gen_two_modality_dataset
 

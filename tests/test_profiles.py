@@ -21,7 +21,14 @@ from shapefeat.core import (
     Region,
     TimeSeries,
 )
-from shapefeat.data import gen_random_noise, gen_random_walk, normals, uniforms
+from shapefeat.data import (
+    SeriesStream,
+    gen_random_noise,
+    gen_random_walk,
+    normals,
+    save_series,
+    uniforms,
+)
 from shapefeat.evaluate import compare_variants
 from shapefeat.model import classify
 from shapefeat.profiles import (
@@ -567,6 +574,17 @@ class TestProfileBlocks:
         assert (lo, hi) == (0, BLOCK - 99)
         assert xs.tobytes() == x.tobytes()
 
+    @settings(max_examples=60)
+    @given(st.integers(2, BLOCK // 2), st.integers(1, 3 * BLOCK),
+           st.lists(st.integers(1, 2 * BLOCK), max_size=12))
+    def test_any_cut_into_parts_gives_the_same_slices(self, m, n, cuts):
+        # An iterator of consecutive parts, as a streamed file gives them.
+        x = np.arange(n, dtype=np.float64)
+        edges = [0, *sorted({c for c in cuts if c < n}), n]
+        parts = iter([x[a:b] for a, b in zip(edges, edges[1:])])
+        assert [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(parts, m)] == \
+            [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(x, m)]
+
 
 def mixed_features(m):
     """Two shape features of different queries, then every other kind."""
@@ -641,9 +659,12 @@ class TestBlockLifetime:
         monkeypatch.setattr(model, "compute_probability", lookup)
         test = TimeSeries(values=normals(9, 2 * BLOCK + 500))
         classify(TestScoringMemory.two_class_models(100), test, ClassifierConfig())
-        # Three blocks of a stats and a spectrum each; four locals per block.
+        # Three blocks of a stats and a spectrum each; four locals per run
+        # of LOOKUP positions of a block.
         assert len(refs) == 6
-        assert live == [0] * 12
+        step = BLOCK - 99
+        widths = [step, step, 2 * BLOCK + 500 - 99 - 2 * step]
+        assert live == [0] * (4 * sum(-(-w // model.LOOKUP) for w in widths))
 
 
 class TestScoringMemory:
@@ -714,3 +735,17 @@ class TestScoringMemory:
         # 4n measured, against 37 MB more with a full-length table.
         at_n = self.scoring_peaks(500_000, ["classify"])["classify"]
         assert peaks_at_2m["classify"] - at_n < 2e6
+
+    def test_classify_on_a_file_does_not_grow_with_the_series(self, tmp_path):
+        # The series streams in one read block at a time, so the traced
+        # peak, series included, is the block buffers and one block of
+        # text: 0.05 MB more at 4n measured, against 8.1 MB more when
+        # `load_series` read the file whole.
+        models = self.two_class_models(100)
+        cfg = ClassifierConfig(stride=4)
+        peaks = []
+        for n in (250_000, 1_000_000):
+            path = str(tmp_path / f"series-{n}.txt")
+            save_series(TimeSeries(values=normals(9, n)), path)
+            peaks.append(self.peak(lambda: classify(models, SeriesStream(path), cfg)))
+        assert peaks[1] - peaks[0] < 2e6

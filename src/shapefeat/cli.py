@@ -263,9 +263,9 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.SeriesStream(args.series)
-    cfg = _classifier_config(args, series.sample_rate_hz)
-    track = classify(models, series, cfg)
+    with dataio.SeriesStream(args.series) as series:
+        cfg = _classifier_config(args, series.sample_rate_hz)
+        track = classify(models, series, cfg)
     dataio.save_predictions(track, args.out)
     print(
         f"wrote {args.out} ({len(track.positions)} detections over "
@@ -303,10 +303,10 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.SeriesStream(args.series)
-    cfg = _classifier_config(args, series.sample_rate_hz)
-    # The labels' bounds need the series length, known when the pass ends.
-    rows = compare_variants(models, series, partial(dataio.load_labels, args.labels), cfg)
+    with dataio.SeriesStream(args.series) as series:
+        cfg = _classifier_config(args, series.sample_rate_hz)
+        # The labels' bounds need the series length, known when the pass ends.
+        rows = compare_variants(models, series, partial(dataio.load_labels, args.labels), cfg)
     lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
     for name, class_id, cm, precision, recall, accuracy in rows:
         lines.append(f"{name},{class_id},{_confusion_csv(cm, precision, recall, accuracy)}")
@@ -321,15 +321,15 @@ def cmd_compare(args) -> int:
 
 def cmd_roc(args) -> int:
     models = dataio.load_model(args.model)
-    series = dataio.SeriesStream(args.series)
-    cfg = _classifier_config(args, series.sample_rate_hz)
-    weights = [
-        _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
-    ]
-    if len(weights) < 2:
-        raise DataError("need at least two weights")
-    points = roc_sweep(models, series, partial(dataio.load_labels, args.labels), cfg,
-                       args.class_id, weights)
+    with dataio.SeriesStream(args.series) as series:
+        cfg = _classifier_config(args, series.sample_rate_hz)
+        weights = [
+            _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
+        ]
+        if len(weights) < 2:
+            raise DataError("need at least two weights")
+        points = roc_sweep(models, series, partial(dataio.load_labels, args.labels), cfg,
+                           args.class_id, weights)
     rows = [
         f"{_fmt(pt.threshold_weight)},{_fmt(pt.precision)},{_fmt(pt.recall)},"
         f"{pt.tp},{pt.fp},{pt.fn},{pt.tn}"

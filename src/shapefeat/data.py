@@ -14,6 +14,10 @@ File formats:
 
 * series: UTF-8 text, one value per line, optional ``# key: value`` header
   comments (name, sample_rate_hz);
+* series sidecar: ``.<basename>.sfsc`` beside a series text, the values of
+  its last clean parse: 4-byte magic ``SFSC`` + 1 version byte, the values
+  as little-endian float64, then a trailer (see `_FOOTER`). It is used only
+  while its key, a hash of the text's bytes, matches the text;
 * labels: CSV lines ``start,end,class`` with end exclusive, 0-based;
 * models: 4-byte magic ``SFCM`` + 1 version byte + JSON payload;
 * predictions: header comments + CSV rows ``position,class,score`` for
@@ -24,8 +28,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
+import struct
 import tempfile
+import weakref
 from dataclasses import dataclass
+from importlib.util import source_hash
 from itertools import chain, islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -332,16 +340,19 @@ def read_file(path: str, binary: bool = False):
 _BLOCK_BYTES = 1 << 18
 
 
-def _read_lines(path: str):
+def _read_lines(path: str, key: Optional[_Key] = None):
     """Yield (number of the first line, lines) per block of a UTF-8 text
-    file. The reader keeps no block's text or lines while it reads the
-    next, so a caller that drops its own reference holds one block."""
+    file, each block read also going to `key` when given. The reader keeps
+    no block's text or lines while it reads the next, so a caller that
+    drops its own reference holds one block."""
     first, offset, pending = 1, 0, []
     try:
         with open(path, "rb") as fh:
             while True:
                 block = fh.read(_BLOCK_BYTES)
                 end = not block
+                if key is not None and block:
+                    key.update(block)
                 # No multi-byte character holds b"\n": the lines are the whole file's.
                 cut = block.rfind(b"\n") + 1
                 pending.append(block[:cut] if cut else block)
@@ -445,51 +456,117 @@ def _atomic_write(path: str, chunks) -> None:
 
 def save_series(ts: TimeSeries, path: str) -> None:
     header = _header_lines(name=ts.name or None, sample_rate_hz=ts.sample_rate_hz)
-    # A memoryview yields Python floats one at a time, without numpy scalars.
-    write_lines(path, chain(header, map(repr, memoryview(ts.values))))
+    # `tolist` makes a chunk's Python floats in one call, without numpy scalars.
+    chunks = (ts.values[i : i + (1 << 16)].tolist() for i in range(0, len(ts), 1 << 16))
+    write_lines(path, chain(header, map(repr, chain.from_iterable(chunks))))
 
 
 def load_series(path: str) -> TimeSeries:
-    """Parse the one-value-per-line series format; errors carry line numbers."""
+    """Parse the one-value-per-line series format; errors carry line numbers.
+    The values come from the file's sidecar in one read when it holds them;
+    otherwise a parse that ends with values writes that sidecar."""
+    found = _open_sidecar(path)
+    if found is not None:
+        fh, count, name, rate = found
+        with fh:
+            try:
+                return TimeSeries(next(_sidecar_values(fh, count, count)), rate, name, owned=True)
+            except DataError:
+                pass  # the sidecar does not hold what its trailer says: parse the text
     meta: dict = {}
-    parts = list(_series_blocks(path, meta))
-    if not parts:
-        raise DataError(f"{path} holds no values")
-    values = np.concatenate(parts)
-    del parts  # so the loader holds the series twice at most, not three times
-    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
+    with _SidecarWriter(path) as sidecar:
+        parts = list(_series_blocks(path, meta, sidecar))
+        if not parts:
+            raise DataError(f"{path} holds no values")
+        values = np.concatenate(parts)
+        del parts  # so the loader holds the series twice at most, not three times
+        ts = TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
+        sidecar.commit(meta)
+    return ts
 
 
 class SeriesStream:
     """A series file read one block at a time: an iterator of each block's
-    values, parsed under `load_series`' rule and with its errors. Opening
-    it reads the file up to the first value. A sample_rate_hz header after
-    that value may not change the rate, so `sample_rate_hz` holds for the
-    whole series from the start."""
+    values, under `load_series`' rule and with its errors.
+
+    Opening it checks the file's sidecar, which hashes the whole text and
+    reads the sidecar through. When the sidecar holds the text's values, the
+    stream reads them `_BLOCK_BYTES` at a time. Otherwise opening parses the
+    text up to the first value. A sample_rate_hz header after that value may
+    not change the rate, so `sample_rate_hz` holds for the whole series from
+    the start.
+
+    A parse writes its values to a temp file as it goes. When the stream is
+    a `with` block's, was read to its end and the block exits without an
+    exception, that file becomes the sidecar; `close`, a fault, or any other
+    end drops it."""
 
     def __init__(self, path: str):
-        meta: dict = {}
-        self._blocks = _series_blocks(path, meta)
-        self._next = next(self._blocks, None)
-        if self._next is None:
-            raise DataError(f"{path} holds no values")
-        self.sample_rate_hz = meta.get("sample_rate_hz")
+        self._file = self._sidecar = self._next = None
+        self._ended = False
+        found = _open_sidecar(path)
+        if found is not None:
+            fh, count, _, rate = found
+            step = max(1, _BLOCK_BYTES // 8)
+            try:
+                for _ in _sidecar_values(fh, count, step):  # every value is finite
+                    pass
+            except DataError:
+                fh.close()
+            else:
+                self._file, self.sample_rate_hz = fh, rate
+                self._blocks = _sidecar_values(fh, count, step)
+                return
+        self._meta: dict = {}
+        self._sidecar = _SidecarWriter(path)
+        self._blocks = _series_blocks(path, self._meta, self._sidecar)
+        try:
+            self._next = next(self._blocks, None)
+            if self._next is None:
+                raise DataError(f"{path} holds no values")
+        except BaseException:
+            self.close()
+            raise
+        self.sample_rate_hz = self._meta.get("sample_rate_hz")
 
     def __iter__(self):
         return self
 
     def __next__(self) -> np.ndarray:
-        if self._next is None:
+        if self._next is not None:
+            values, self._next = self._next, None
+            return values
+        try:
             return next(self._blocks)
-        values, self._next = self._next, None
-        return values
+        except StopIteration:
+            self._ended = True
+            raise
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Stop reading, and drop the sidecar that a parse was writing."""
+        self._blocks.close()
+        if self._file is not None:
+            self._file.close()
+        if self._sidecar is not None:
+            self._sidecar.discard()
+
+    def __enter__(self) -> "SeriesStream":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if kind is None and self._ended and self._sidecar is not None:
+            self._sidecar.commit(self._meta)
+        self.close()
 
 
-def _series_blocks(path: str, meta: dict):
+def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter):
     """The values of each block of the series file at `path` that holds
-    any; its headers go to `meta`."""
+    any, each also written to `sidecar`; its headers go to `meta`."""
     index = 0
-    for first, lines in _read_lines(path):
+    for first, lines in _read_lines(path, sidecar.key):
         # Leading headers and blank lines (every file that save_series
         # writes starts with some) go to `meta`, so the fast path takes
         # the rest of the block.
@@ -506,7 +583,183 @@ def _series_blocks(path: str, meta: dict):
         del lines  # before the reader takes the next block
         if values.size:
             index += values.size
+            sidecar.write(values)
             yield values
+
+
+# The sidecar of a series text: its magic and version (bump the version
+# whenever the series parse rule changes), the values as little-endian
+# float64, then the name in UTF-8 and a footer: the key (the text's chained
+# `source_hash` and its length in bytes), the value count, the sample rate
+# (0 for none) and the name's length in bytes.
+SIDECAR_MAGIC = b"SFSC"
+SIDECAR_VERSION = 1
+_SIDECAR_HEAD = SIDECAR_MAGIC + bytes([SIDECAR_VERSION])
+_FOOTER = struct.Struct("<8sQQdQ")
+
+
+class _Key:
+    """The sidecar key of a series text, fed its read blocks in order:
+    `source_hash` chained over the blocks, and the text's length in bytes.
+    (`source_hash` is the hash of PEP 552's hash-based .pyc files; it needs
+    no hashlib, whose OpenSSL import alone costs about 3.5 MiB.)"""
+
+    def __init__(self):
+        self.hash, self.size = bytes(8), 0
+
+    def update(self, block: bytes) -> None:
+        self.hash = source_hash(self.hash + source_hash(block))
+        self.size += len(block)
+
+
+def _text_key(path: str) -> _Key:
+    """The key of the text at `path`, read `_BLOCK_BYTES` at a time as the parse reads it."""
+    key = _Key()
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            key.update(block)
+    return key
+
+
+def _sidecar_path(path: str) -> Optional[str]:
+    """Where the sidecar of the series file at `path` lives, when that is a
+    regular file; a pipe, a device or a missing file has none."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        return None
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.sfsc")
+
+
+def _open_sidecar(path: str):
+    """(sidecar open for reading, value count, name, sample rate) of the
+    series file at `path`, when the sidecar's magic, version, size and key
+    match that text; else None, whatever fails. `_sidecar_values` checks
+    the values as it reads them."""
+    target = _sidecar_path(path)
+    if target is None:
+        return None
+    try:
+        fh = open(target, "rb")
+    except OSError:
+        return None
+    try:
+        found = _sidecar_trailer(fh, path)
+    except (OSError, ValueError, struct.error):
+        found = None
+    if found is None:
+        fh.close()
+        return None
+    return (fh, *found)
+
+
+def _sidecar_trailer(fh, path: str):
+    """(value count, name, sample rate) from the open sidecar `fh` of the
+    text at `path`, or None when its layout or key does not match."""
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(_SIDECAR_HEAD)) != _SIDECAR_HEAD or size < len(_SIDECAR_HEAD) + _FOOTER.size:
+        return None
+    fh.seek(size - _FOOTER.size)
+    digest, text_size, count, rate, name_size = _FOOTER.unpack(fh.read(_FOOTER.size))
+    if not count or size != len(_SIDECAR_HEAD) + 8 * count + name_size + _FOOTER.size:
+        return None
+    if not (rate == 0.0 or 0.0 < rate < math.inf):
+        return None
+    fh.seek(size - _FOOTER.size - name_size)
+    name = fh.read(name_size).decode("utf-8")
+    key = _text_key(path)
+    if (key.hash, key.size) != (digest, text_size):
+        return None
+    return count, name, rate or None
+
+
+def _sidecar_values(fh, count: int, step: int):
+    """The `count` values of the open sidecar `fh`, `step` per read; a
+    DataError when a read fails or comes short, or a value is not finite."""
+    try:
+        fh.seek(len(_SIDECAR_HEAD))
+        for lo in range(0, count, step):
+            values = np.empty(min(step, count - lo), dtype="<f8")
+            if fh.readinto(values) != values.nbytes or not np.isfinite(values).all():
+                raise DataError(f"{fh.name} holds fewer values than its trailer counts, "
+                                "or one that is not finite")
+            yield values.astype(np.float64, copy=False)
+    except OSError as exc:
+        raise DataError(f"cannot read {fh.name}: {exc}") from exc
+
+
+class _SidecarWriter:
+    """The sidecar of a series text as a parse reads it: the values go to a
+    temp file beside the text as they come, and `commit` adds the trailer
+    and renames the file into place. An OSError drops the file, as do
+    `discard`, the end of a `with` block that did not commit, and the
+    writer's collection; none of them raises."""
+
+    def __init__(self, path: str):
+        self.key, self._count = _Key(), 0
+        self._target, self._fh = _sidecar_path(path), None
+        if self._target is None:
+            return
+        try:
+            fd, self._tmp = tempfile.mkstemp(
+                dir=os.path.dirname(self._target) or ".", prefix=".tmp-", suffix="~")
+        except OSError:
+            return
+        self._fh = os.fdopen(fd, "wb")
+        self._drop = weakref.finalize(self, _drop_temp, self._fh, self._tmp)
+        self._write(_SIDECAR_HEAD)
+
+    def _write(self, data) -> None:
+        if self._fh is not None:
+            try:
+                self._fh.write(data)
+            except OSError:
+                self.discard()
+
+    def write(self, values: np.ndarray) -> None:
+        self._count += values.size
+        self._write(values.astype("<f8", copy=False))
+
+    def commit(self, meta: dict) -> None:
+        """Finish the sidecar with the series' `meta` (name, sample_rate_hz) and move it into place."""
+        name = meta.get("name", "").encode("utf-8")
+        rate = meta.get("sample_rate_hz") or 0.0
+        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self._count, rate, len(name)))
+        if self._fh is None:
+            return
+        try:
+            self._fh.close()
+            os.replace(self._tmp, self._target)
+        except OSError:
+            self.discard()
+        else:
+            self._drop.detach()
+            self._fh = None
+
+    def discard(self) -> None:
+        if self._fh is not None:
+            self._fh = None
+            self._drop()
+
+    def __enter__(self) -> "_SidecarWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.discard()
+
+
+def _drop_temp(fh, tmp: str) -> None:
+    """Close and remove an unfinished sidecar."""
+    try:
+        fh.close()
+    except OSError:
+        pass
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:

@@ -267,9 +267,14 @@ class TestClassify:
         assert "must be > 0" in err
 
     def test_deterministic(self, workspace, tmp_path):
+        # The first run parses a fresh copy of the series and leaves its
+        # sidecar; the second reads the sidecar.
+        series = tmp_path / "test.txt"
+        series.write_bytes((workspace / "test.txt").read_bytes())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert self.classify(workspace, a)[0] == 0
-        assert self.classify(workspace, b)[0] == 0
+        assert self.classify(workspace, a, "--series", str(series))[0] == 0
+        assert (tmp_path / ".test.txt.sfsc").exists()
+        assert self.classify(workspace, b, "--series", str(series))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_short_series_is_model_error(self, workspace, tmp_path):
@@ -280,7 +285,7 @@ class TestClassify:
             "--series", str(short), "--out", str(tmp_path / "pred.csv"),
         )
         assert code == 3
-        assert not (tmp_path / "pred.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["short.txt"]
 
 
 class TestStreamedSeries:
@@ -322,6 +327,7 @@ class TestStreamedSeries:
         code, err = self.run(workspace, tmp_path, command, series, workspace / "test-labels.csv")
         assert code == 2, err
         assert f"line {line}: not a number: 'abc'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
 
     @pytest.mark.parametrize("command", ["compare", "roc"])
     def test_labels_past_the_series_end(self, workspace, tmp_path, command):

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapefeat import data
-from shapefeat.core import DataError, Region, TimeSeries
+from shapefeat.core import ClassModel, DataError, Histogram, ModelError, Region, TimeSeries
 from shapefeat.data import (
     MODEL_MAGIC,
     SeriesStream,
@@ -177,6 +179,16 @@ class TestSeriesIo:
             ts = load_series(path)
         assert any(a is ts.values for a in made)
         assert not ts.values.flags.writeable
+
+    def test_save_series_formats_each_value_by_repr(self, tmp_path):
+        # Chunks of 65,536 values: the bytes of one repr per value, header first.
+        odd = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-300, 0.1, -1.5e300]
+        values = np.concatenate([odd, normals(2, 70_000), odd])
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=values, sample_rate_hz=10.0, name="x"), str(path))
+        expected = "# name: x\n# sample_rate_hz: 10.0\n" + "".join(f"{v!r}\n" for v in memoryview(values))
+        assert path.read_bytes() == expected.encode()
+        assert load_series(str(path)).values.tobytes() == values.tobytes()
 
     def test_numpy_rate_round_trips(self, tmp_path):
         # A header holds the number, not its repr ("np.float64(100.0)").
@@ -473,14 +485,20 @@ def slices(source, m):
     return [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(source, m)]
 
 
+def read_stream(path):
+    """The values and rate of the series at `path`, read through a
+    `SeriesStream` in a `with` block, so a parse writes the sidecar."""
+    with SeriesStream(str(path)) as stream:
+        return np.concatenate(list(stream)), stream.sample_rate_hz
+
+
 def stream_outcome(path):
     """`outcome` of reading the file at `path` through a `SeriesStream`."""
     try:
-        stream = SeriesStream(path)
-        values = np.concatenate(list(stream))
+        values, rate = read_stream(path)
     except DataError as exc:
         return ("error", str(exc), exc.line, exc.index)
-    return ("ok", values.tobytes(), stream.sample_rate_hz)
+    return ("ok", values.tobytes(), rate)
 
 
 NAME_HEADER = "# name: a header line"
@@ -558,6 +576,223 @@ class TestSeriesStream:
             if loaded[0] == "ok":
                 loaded = ("ok", loaded[1], loaded[3])
             assert stream_outcome(str(path)) == loaded
+
+
+def sidecar(path):
+    return path.parent / f".{path.name}.sfsc"
+
+
+def parses(read, path) -> bool:
+    """Whether `read(path)` parsed the text rather than reading the sidecar."""
+    with mock.patch.object(data, "_series_blocks", wraps=data._series_blocks) as parse:
+        read(path)
+    return parse.call_count > 0
+
+
+def loaded_outcome(path):
+    return outcome(load_series, str(path))
+
+
+class TestSidecar:
+    """A clean parse of a series text leaves `.<name>.sfsc` beside it, and
+    later reads of the same bytes take the values from it, bit for bit.
+    Anything that does not check out is a miss, never an error."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 18])
+    @given(raw=series_files())
+    def test_miss_then_hit_match_the_whole_file_parser(self, tmp_path_factory, block, raw):
+        path = tmp_path_factory.mktemp("sidecar") / "series.txt"
+        path.write_bytes(raw)
+        expected = outcome(reference_load_series, str(path))
+        streamed = expected[:2] + expected[3:] if expected[0] == "ok" else expected
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            for read, want in ((loaded_outcome, expected), (stream_outcome, streamed)):
+                assert read(path) == want  # a miss, which writes the sidecar when clean
+                assert sidecar(path).exists() == (want[0] == "ok")
+                assert not parses(read, path) if want[0] == "ok" else parses(read, path)
+                assert read(path) == want  # a hit, or the same error again
+                sidecar(path).unlink(missing_ok=True)
+        assert [p.name for p in path.parent.iterdir()] == ["series.txt"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=stream_files())
+    def test_hit_slices_match_the_loaded_series(self, tmp_path_factory, case):
+        raw, m, block, read = case
+        path = tmp_path_factory.mktemp("sidecar") / "stream.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_BLOCK_BYTES", read), \
+                mock.patch.object(profiles, "BLOCK", block):
+            expected = slices(reference_load_series(str(path)), m)
+            assert slices(load_series(str(path)), m) == expected
+            for _ in range(2):  # a hit, then a hit after a streamed miss
+                assert not parses(read_stream, path)
+                with SeriesStream(str(path)) as stream:
+                    assert slices(stream, m) == expected
+                sidecar(path).unlink()
+                with SeriesStream(str(path)) as stream:
+                    assert slices(stream, m) == expected
+            assert slices(load_series(str(path)), m) == expected
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"1.0\nabc\n3.0\n", "line 2: not a number"),
+        (b"# name: a\n1.0\nnan\n", "line 3: non-finite value"),
+        (b"1.0\n" * 40 + b"2.5\n1e999\n", "line 42: non-finite value"),
+        (b"1.0\n" * 40 + b"2.5\n\xff\n", "is not UTF-8: byte offset 164"),
+        (b"# sample_rate_hz: 2\n1.0\n" * 20 + b"# sample_rate_hz: 3\n", "line 41:"),
+        (b"# name: a\n\n", "holds no values"),
+    ], ids=["bad-value", "nan", "in-the-last-block", "not-utf8-in-the-last-block",
+            "late-rate", "no-values"])
+    @pytest.mark.parametrize("read", [load_series, read_stream, lambda path: list(SeriesStream(path))],
+                             ids=["load", "stream", "stream-outside-with"])
+    def test_a_fault_leaves_nothing_and_raises_again(self, tmp_path, raw, message, read):
+        path = tmp_path / "series.txt"
+        path.write_bytes(raw)
+        faults = []
+        with mock.patch.object(data, "_BLOCK_BYTES", 16):
+            for _ in range(2):
+                with pytest.raises(DataError, match=re.escape(message)) as err:
+                    read(path)
+                faults.append((str(err.value), err.value.line, err.value.index))
+                assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+        assert faults[0] == faults[1]
+
+    def test_a_stream_that_does_not_end_leaves_nothing(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(1, 100)), str(path))
+        with mock.patch.object(data, "_BLOCK_BYTES", 64):
+            with SeriesStream(str(path)) as stream:
+                next(stream)  # closed early
+            stream = SeriesStream(str(path))
+            list(stream)
+            stream.close()  # read to its end, but outside a `with` block
+            stream = SeriesStream(str(path))
+            list(stream)
+            del stream  # collected
+            with pytest.raises(KeyError):
+                with SeriesStream(str(path)) as stream:
+                    list(stream)
+                    raise KeyError("the consumer failed")
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+    def test_a_series_shorter_than_m_under_classify_leaves_nothing(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(1, 10)), str(path))
+        hist = Histogram(edges=np.linspace(-1.0, 1.0, 5), counts=np.ones(4))
+        models = [ClassModel("a", 16, 15, ((FeatureSpec(kind="sliding_std"), hist, hist),), 0.5)]
+        with pytest.raises(ModelError, match="shorter than m=16"):
+            with SeriesStream(str(path)) as stream:
+                classify(models, stream, ClassifierConfig())
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+    @staticmethod
+    def stale(path):
+        """Rewrite the text at the same size, and put its mtime back."""
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"\n1", b"\n2"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+
+    @staticmethod
+    def truncated(path):
+        raw = sidecar(path).read_bytes()
+        sidecar(path).write_bytes(raw[:-1])
+
+    @staticmethod
+    def a_value_short(path):
+        raw = sidecar(path).read_bytes()
+        sidecar(path).write_bytes(raw[:5] + raw[13:])
+
+    @staticmethod
+    def bad_magic(path):
+        raw = sidecar(path).read_bytes()
+        sidecar(path).write_bytes(b"X" + raw[1:])
+
+    @staticmethod
+    def a_nan(path):
+        raw = bytearray(sidecar(path).read_bytes())
+        raw[5 + 8 * 3 : 5 + 8 * 4] = np.array([np.nan], dtype="<f8").tobytes()
+        sidecar(path).write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("spoil", ["stale", "truncated", "a_value_short", "bad_magic", "a_nan"])
+    @pytest.mark.parametrize("read", [load_series, read_stream], ids=["load", "stream"])
+    def test_a_spoilt_sidecar_is_ignored_then_replaced(self, tmp_path, spoil, read):
+        path = tmp_path / "series.txt"
+        path.write_text("# sample_rate_hz: 4\n" + "".join(f"1.{k}\n" for k in range(300)))
+        load_series(str(path))
+        assert sidecar(path).exists()
+        getattr(self, spoil)(path)
+        expected = outcome(reference_load_series, str(path))
+        assert parses(read, path)
+        assert not parses(read, path)  # replaced
+        assert loaded_outcome(path) == expected
+        assert stream_outcome(path) == expected[:2] + expected[3:]
+
+    def test_an_unwritable_directory_loads_without_a_sidecar(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(2, 50), sample_rate_hz=8.0), str(path))
+        refused = PermissionError(13, "Permission denied")
+        with mock.patch.object(data.tempfile, "mkstemp", side_effect=refused):
+            assert outcome(load_series, str(path)) == outcome(reference_load_series, str(path))
+            assert read_stream(path)[1] == 8.0
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+    def test_a_directory_in_the_sidecars_place(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(2, 50)), str(path))
+        sidecar(path).mkdir()
+        for read in (load_series, read_stream):
+            assert parses(read, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".series.txt.sfsc", "series.txt"]
+        assert sidecar(path).is_dir()
+
+    @pytest.mark.parametrize("read", [load_series, read_stream], ids=["load", "stream"])
+    def test_a_fifo_loads_without_a_sidecar(self, tmp_path, read):
+        path = tmp_path / "series.fifo"
+        os.mkfifo(path)
+        raw = b"# sample_rate_hz: 2\n1.5\n-2.25\n"
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = read(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        values = got.values if read is load_series else got[0]
+        assert values.tolist() == [1.5, -2.25]
+        assert [p.name for p in tmp_path.iterdir()] == ["series.fifo"]
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "series.txt"
+        ts = TimeSeries(values=[1.5, -0.0, 2.0], sample_rate_hz=50.0, name="fixture")
+        save_series(ts, str(path))
+        load_series(str(path))
+        raw = sidecar(path).read_bytes()
+        assert raw[:5] == b"SFSC\x01"
+        assert np.frombuffer(raw[5:29], dtype="<f8").tobytes() == ts.values.tobytes()
+        text = path.read_bytes()
+        key = data._text_key(str(path))
+        footer = data._FOOTER.pack(key.hash, len(text), 3, 50.0, len(b"fixture"))
+        assert raw[29:] == b"fixture" + footer
+
+    def test_hit_peak_below_one_and_a_half_series(self, tmp_path):
+        # One read into the series' own array, and its finite mask: 1.13
+        # series measured, against 2.0 for the parse.
+        path = str(tmp_path / "long.txt")
+        save_series(TimeSeries(values=normals(6, 10**6)), path)
+        load_series(path)
+        tracemalloc.start()
+        try:
+            ts = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not parses(load_series, path)
+        assert peak < 1.5 * ts.values.nbytes
 
 
 class TestSampleRateHeader:

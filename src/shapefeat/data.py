@@ -31,7 +31,7 @@ import os
 import stat
 import struct
 import tempfile
-import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib.util import source_hash
 from itertools import chain, islice
@@ -353,8 +353,10 @@ def _read_lines(path: str, key: Optional[_Key] = None):
                 end = not block
                 if key is not None and block:
                     key.update(block)
-                # No multi-byte character holds b"\n": the lines are the whole file's.
-                cut = block.rfind(b"\n") + 1
+                # Cut after the last b"\n", else after the last b"\r" but
+                # the final byte, which may be half of a b"\r\n". No
+                # multi-byte character holds either: the lines are the whole file's.
+                cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
                 pending.append(block[:cut] if cut else block)
                 if not (end or cut):
                     continue
@@ -465,69 +467,29 @@ def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers.
     The values come from the file's sidecar in one read when it holds them;
     otherwise a parse that ends with values writes that sidecar."""
-    found = _open_sidecar(path)
-    if found is not None:
-        fh, count, name, rate = found
-        with fh:
-            try:
-                return TimeSeries(next(_sidecar_values(fh, count, count)), rate, name, owned=True)
-            except DataError:
-                pass  # the sidecar does not hold what its trailer says: parse the text
     meta: dict = {}
-    with _SidecarWriter(path) as sidecar:
-        parts = list(_series_blocks(path, meta, sidecar))
-        if not parts:
-            raise DataError(f"{path} holds no values")
-        values = np.concatenate(parts)
-        del parts  # so the loader holds the series twice at most, not three times
-        ts = TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
-        sidecar.commit(meta)
-    return ts
+    parts = list(_series_values(path, meta, None))
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # so the loader holds the series twice at most, not three times
+    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
 
 
 class SeriesStream:
     """A series file read one block at a time: an iterator of each block's
-    values, under `load_series`' rule and with its errors.
+    values, from `_series_values` under `load_series`' rule, its errors and
+    its sidecar.
 
-    Opening it checks the file's sidecar, which hashes the whole text and
-    reads the sidecar through. When the sidecar holds the text's values, the
-    stream reads them `_BLOCK_BYTES` at a time. Otherwise opening parses the
-    text up to the first value. A sample_rate_hz header after that value may
-    not change the rate, so `sample_rate_hz` holds for the whole series from
-    the start.
-
-    A parse writes its values to a temp file as it goes. When the stream is
-    a `with` block's, was read to its end and the block exits without an
-    exception, that file becomes the sidecar; `close`, a fault, or any other
-    end drops it."""
+    Opening it reads up to the first block of values: the sidecar's when it
+    holds the text's values, else the text's up to the first value. A
+    sample_rate_hz header after that value may not change the rate, so
+    `sample_rate_hz` holds for the whole series from the start. `close`
+    stops the read; a parse it stops leaves no sidecar."""
 
     def __init__(self, path: str):
-        self._file = self._sidecar = self._next = None
-        self._ended = False
-        found = _open_sidecar(path)
-        if found is not None:
-            fh, count, _, rate = found
-            step = max(1, _BLOCK_BYTES // 8)
-            try:
-                for _ in _sidecar_values(fh, count, step):  # every value is finite
-                    pass
-            except DataError:
-                fh.close()
-            else:
-                self._file, self.sample_rate_hz = fh, rate
-                self._blocks = _sidecar_values(fh, count, step)
-                return
-        self._meta: dict = {}
-        self._sidecar = _SidecarWriter(path)
-        self._blocks = _series_blocks(path, self._meta, self._sidecar)
-        try:
-            self._next = next(self._blocks, None)
-            if self._next is None:
-                raise DataError(f"{path} holds no values")
-        except BaseException:
-            self.close()
-            raise
-        self.sample_rate_hz = self._meta.get("sample_rate_hz")
+        meta: dict = {}
+        self._blocks = _series_values(path, meta, max(1, _BLOCK_BYTES // 8))
+        self._next = next(self._blocks)
+        self.sample_rate_hz = meta.get("sample_rate_hz")
 
     def __iter__(self):
         return self
@@ -536,30 +498,36 @@ class SeriesStream:
         if self._next is not None:
             values, self._next = self._next, None
             return values
-        try:
-            return next(self._blocks)
-        except StopIteration:
-            self._ended = True
-            raise
-        except BaseException:
-            self.close()
-            raise
+        return next(self._blocks)
 
     def close(self) -> None:
-        """Stop reading, and drop the sidecar that a parse was writing."""
+        """Stop reading."""
         self._blocks.close()
-        if self._file is not None:
-            self._file.close()
-        if self._sidecar is not None:
-            self._sidecar.discard()
 
     def __enter__(self) -> "SeriesStream":
         return self
 
-    def __exit__(self, kind, value, traceback) -> None:
-        if kind is None and self._ended and self._sidecar is not None:
-            self._sidecar.commit(self._meta)
+    def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _series_values(path: str, meta: dict, step: Optional[int]):
+    """The values of the series file at `path`; its name and rate go to
+    `meta`. When the sidecar holds them, they come `step` at a time (all
+    at once for None). Otherwise they come per read block of a parse, which
+    leaves the sidecar once it reaches the end of the text with values and
+    no fault."""
+    found = _open_sidecar(path)
+    if found is not None:
+        fh, count, meta["name"], meta["sample_rate_hz"] = found
+        with fh:
+            yield from _sidecar_values(fh, count, step or count)
+        return
+    with _SidecarWriter(path) as sidecar:
+        yield from _series_blocks(path, meta, sidecar)
+        if not sidecar.count:
+            raise DataError(f"{path} holds no values")
+        sidecar.commit(meta)
 
 
 def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter):
@@ -635,9 +603,8 @@ def _sidecar_path(path: str) -> Optional[str]:
 
 def _open_sidecar(path: str):
     """(sidecar open for reading, value count, name, sample rate) of the
-    series file at `path`, when the sidecar's magic, version, size and key
-    match that text; else None, whatever fails. `_sidecar_values` checks
-    the values as it reads them."""
+    series file at `path`, when the sidecar's layout, key and name match
+    that text and every value it holds is finite; else None, whatever fails."""
     target = _sidecar_path(path)
     if target is None:
         return None
@@ -645,46 +612,45 @@ def _open_sidecar(path: str):
         fh = open(target, "rb")
     except OSError:
         return None
+    found = None
     try:
-        found = _sidecar_trailer(fh, path)
-    except (OSError, ValueError, struct.error):
-        found = None
-    if found is None:
-        fh.close()
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_SIDECAR_HEAD)) != _SIDECAR_HEAD or size < len(_SIDECAR_HEAD) + _FOOTER.size:
+            return None
+        fh.seek(size - _FOOTER.size)
+        digest, text_size, count, rate, name_size = _FOOTER.unpack(fh.read(_FOOTER.size))
+        if not count or size != len(_SIDECAR_HEAD) + 8 * count + name_size + _FOOTER.size:
+            return None
+        if not (rate == 0.0 or 0.0 < rate < math.inf):
+            return None
+        fh.seek(size - _FOOTER.size - name_size)
+        name = fh.read(name_size).decode("utf-8")
+        if len(name.splitlines()) > 1 or name.strip() != name:
+            return None  # a name that TimeSeries would refuse
+        key = _text_key(path)
+        if (key.hash, key.size) != (digest, text_size):
+            return None
+        reads = _sidecar_values(fh, count, max(1, _BLOCK_BYTES // 8))
+        if not all(np.isfinite(values).all() for values in reads):
+            return None
+        found = fh, count, name, rate or None
+        return found
+    except (DataError, OSError, ValueError, struct.error):
         return None
-    return (fh, *found)
-
-
-def _sidecar_trailer(fh, path: str):
-    """(value count, name, sample rate) from the open sidecar `fh` of the
-    text at `path`, or None when its layout or key does not match."""
-    size = os.fstat(fh.fileno()).st_size
-    if fh.read(len(_SIDECAR_HEAD)) != _SIDECAR_HEAD or size < len(_SIDECAR_HEAD) + _FOOTER.size:
-        return None
-    fh.seek(size - _FOOTER.size)
-    digest, text_size, count, rate, name_size = _FOOTER.unpack(fh.read(_FOOTER.size))
-    if not count or size != len(_SIDECAR_HEAD) + 8 * count + name_size + _FOOTER.size:
-        return None
-    if not (rate == 0.0 or 0.0 < rate < math.inf):
-        return None
-    fh.seek(size - _FOOTER.size - name_size)
-    name = fh.read(name_size).decode("utf-8")
-    key = _text_key(path)
-    if (key.hash, key.size) != (digest, text_size):
-        return None
-    return count, name, rate or None
+    finally:
+        if found is None:
+            fh.close()
 
 
 def _sidecar_values(fh, count: int, step: int):
     """The `count` values of the open sidecar `fh`, `step` per read; a
-    DataError when a read fails or comes short, or a value is not finite."""
+    DataError when a read fails or comes short."""
     try:
         fh.seek(len(_SIDECAR_HEAD))
         for lo in range(0, count, step):
             values = np.empty(min(step, count - lo), dtype="<f8")
-            if fh.readinto(values) != values.nbytes or not np.isfinite(values).all():
-                raise DataError(f"{fh.name} holds fewer values than its trailer counts, "
-                                "or one that is not finite")
+            if fh.readinto(values) != values.nbytes:
+                raise DataError(f"{fh.name} holds fewer values than its trailer counts")
             yield values.astype(np.float64, copy=False)
     except OSError as exc:
         raise DataError(f"cannot read {fh.name}: {exc}") from exc
@@ -693,12 +659,11 @@ def _sidecar_values(fh, count: int, step: int):
 class _SidecarWriter:
     """The sidecar of a series text as a parse reads it: the values go to a
     temp file beside the text as they come, and `commit` adds the trailer
-    and renames the file into place. An OSError drops the file, as do
-    `discard`, the end of a `with` block that did not commit, and the
-    writer's collection; none of them raises."""
+    and renames the file into place. An OSError drops the file, as does the
+    end of a `with` block that did not commit; neither raises."""
 
     def __init__(self, path: str):
-        self.key, self._count = _Key(), 0
+        self.key, self.count = _Key(), 0
         self._target, self._fh = _sidecar_path(path), None
         if self._target is None:
             return
@@ -708,7 +673,6 @@ class _SidecarWriter:
         except OSError:
             return
         self._fh = os.fdopen(fd, "wb")
-        self._drop = weakref.finalize(self, _drop_temp, self._fh, self._tmp)
         self._write(_SIDECAR_HEAD)
 
     def _write(self, data) -> None:
@@ -716,50 +680,41 @@ class _SidecarWriter:
             try:
                 self._fh.write(data)
             except OSError:
-                self.discard()
+                self._discard()
 
     def write(self, values: np.ndarray) -> None:
-        self._count += values.size
+        self.count += values.size
         self._write(values.astype("<f8", copy=False))
 
     def commit(self, meta: dict) -> None:
         """Finish the sidecar with the series' `meta` (name, sample_rate_hz) and move it into place."""
         name = meta.get("name", "").encode("utf-8")
         rate = meta.get("sample_rate_hz") or 0.0
-        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self._count, rate, len(name)))
+        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self.count, rate, len(name)))
         if self._fh is None:
             return
         try:
             self._fh.close()
             os.replace(self._tmp, self._target)
         except OSError:
-            self.discard()
+            self._discard()
         else:
-            self._drop.detach()
             self._fh = None
 
-    def discard(self) -> None:
+    def _discard(self) -> None:
+        """Close and remove an unfinished sidecar."""
         if self._fh is not None:
-            self._fh = None
-            self._drop()
+            fh, self._fh = self._fh, None
+            with suppress(OSError):
+                fh.close()
+            with suppress(OSError):
+                os.unlink(self._tmp)
 
     def __enter__(self) -> "_SidecarWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.discard()
-
-
-def _drop_temp(fh, tmp: str) -> None:
-    """Close and remove an unfinished sidecar."""
-    try:
-        fh.close()
-    except OSError:
-        pass
-    try:
-        os.unlink(tmp)
-    except OSError:
-        pass
+        self._discard()
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:

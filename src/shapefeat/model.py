@@ -485,19 +485,6 @@ class Sweep:
         )
 
 
-def sweep(
-    models: Sequence[ClassModel],
-    test: TimeSeries,
-    class_ids: tuple,
-    weighted: np.ndarray,
-    cfg: ClassifierConfig,
-) -> PredictionTrack:
-    """`Sweep` of a whole [class, position] table, fed as one block."""
-    run = Sweep(models, test, class_ids, cfg)
-    run.feed(0, weighted)
-    return run.track()
-
-
 def classify(
     models: Sequence[ClassModel],
     test: TimeSeries,

@@ -284,8 +284,10 @@ class TestClassify:
             "classify", "--model", str(workspace / "model.sfcm"),
             "--series", str(short), "--out", str(tmp_path / "pred.csv"),
         )
+        # The series was read to its end before the length check, so its
+        # sidecar stays; no temp file and no output file.
         assert code == 3
-        assert [p.name for p in tmp_path.iterdir()] == ["short.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".short.txt.sfsc", "short.txt"]
 
 
 class TestStreamedSeries:

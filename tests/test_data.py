@@ -166,19 +166,31 @@ class TestSeriesIo:
         assert load_series(path) == ts
 
     def test_loaded_values_are_not_copied_again(self, tmp_path):
-        # The loader's one concatenated array becomes the series, frozen.
+        # The one array the loader yields or joins becomes the series,
+        # frozen: on a parse of several blocks or of one, and on a hit.
         path = str(tmp_path / "series.txt")
         save_series(TimeSeries(values=normals(3, 500)), path)
-        made, concatenate = [], np.concatenate
+        made, series_values, concatenate = [], data._series_values, np.concatenate
 
-        def spy(parts):
+        def yielded(*args):
+            for values in series_values(*args):
+                made.append(values)
+                yield values
+
+        def joined(parts):
             made.append(concatenate(parts))
             return made[-1]
 
-        with mock.patch.object(data.np, "concatenate", spy):
-            ts = load_series(path)
-        assert any(a is ts.values for a in made)
-        assert not ts.values.flags.writeable
+        for block in (64, 1 << 18):
+            sidecar(tmp_path / "series.txt").unlink(missing_ok=True)
+            with mock.patch.object(data, "_BLOCK_BYTES", block), \
+                    mock.patch.object(data, "_series_values", yielded), \
+                    mock.patch.object(data.np, "concatenate", joined):
+                for _ in range(2):  # a parse, then a hit
+                    made.clear()
+                    ts = load_series(path)
+                    assert any(a is ts.values for a in made)
+                    assert not ts.values.flags.writeable
 
     def test_save_series_formats_each_value_by_repr(self, tmp_path):
         # Chunks of 65,536 values: the bytes of one repr per value, header first.
@@ -359,7 +371,8 @@ class TestBlockReader:
     def test_holds_one_block_whatever_the_file_length(self, tmp_path):
         # The reader drops each block's text and lines before it reads the
         # next. When it kept them, a 10**6-line file peaked at about twice
-        # the one-block file.
+        # the one-block file; a file of lines that end in "\r" alone, cut
+        # only after "\n", was one block.
         def peak(path):
             tracemalloc.start()
             try:
@@ -371,9 +384,11 @@ class TestBlockReader:
 
         long, one = tmp_path / "long.txt", tmp_path / "one.txt"
         save_series(TimeSeries(values=normals(7, 10**6)), str(long))
-        with open(long, "rb") as fh:
-            one.write_bytes(fh.read(data._BLOCK_BYTES))
-        assert peak(long) < 1.25 * peak(one)
+        for newline in (b"\n", b"\r"):
+            long.write_bytes(long.read_bytes().replace(b"\n", newline))
+            with open(long, "rb") as fh:
+                one.write_bytes(fh.read(data._BLOCK_BYTES))
+            assert peak(long) < 1.25 * peak(one), newline
 
 
 GOOD_VALUE = st.one_of(
@@ -657,24 +672,51 @@ class TestSidecar:
         assert faults[0] == faults[1]
 
     def test_a_stream_that_does_not_end_leaves_nothing(self, tmp_path):
+        # A parse read to its end leaves the sidecar, however the stream is
+        # then closed, dropped or left by an exception; one stopped early
+        # leaves nothing.
         path = tmp_path / "series.txt"
         save_series(TimeSeries(values=normals(1, 100)), str(path))
-        with mock.patch.object(data, "_BLOCK_BYTES", 64):
+
+        def closed_early(path):
             with SeriesStream(str(path)) as stream:
-                next(stream)  # closed early
+                next(stream)
+
+        def dropped_early(path):
+            stream = SeriesStream(str(path))
+            next(stream)
+            del stream  # collected
+
+        def closed(path):
             stream = SeriesStream(str(path))
             list(stream)
-            stream.close()  # read to its end, but outside a `with` block
+            stream.close()  # outside a `with` block
+
+        def dropped(path):
             stream = SeriesStream(str(path))
             list(stream)
             del stream  # collected
+
+        def failed(path):
             with pytest.raises(KeyError):
                 with SeriesStream(str(path)) as stream:
                     list(stream)
                     raise KeyError("the consumer failed")
-        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+        with mock.patch.object(data, "_BLOCK_BYTES", 64):
+            for read in (closed_early, dropped_early):
+                read(path)
+                assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+            for read in (closed, dropped, failed):
+                assert parses(read, path)
+                assert sorted(p.name for p in tmp_path.iterdir()) == [".series.txt.sfsc",
+                                                                       "series.txt"]
+                assert not parses(read_stream, path)
+                sidecar(path).unlink()
 
     def test_a_series_shorter_than_m_under_classify_leaves_nothing(self, tmp_path):
+        # Nothing but the sidecar: the stream was read to its end before
+        # the length check. No temp file is left.
         path = tmp_path / "series.txt"
         save_series(TimeSeries(values=normals(1, 10)), str(path))
         hist = Histogram(edges=np.linspace(-1.0, 1.0, 5), counts=np.ones(4))
@@ -682,7 +724,8 @@ class TestSidecar:
         with pytest.raises(ModelError, match="shorter than m=16"):
             with SeriesStream(str(path)) as stream:
                 classify(models, stream, ClassifierConfig())
-        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".series.txt.sfsc", "series.txt"]
+        assert not parses(read_stream, path)
 
     @staticmethod
     def stale(path):
@@ -713,11 +756,21 @@ class TestSidecar:
         raw[5 + 8 * 3 : 5 + 8 * 4] = np.array([np.nan], dtype="<f8").tobytes()
         sidecar(path).write_bytes(bytes(raw))
 
-    @pytest.mark.parametrize("spoil", ["stale", "truncated", "a_value_short", "bad_magic", "a_nan"])
+    @staticmethod
+    def a_bad_name(path):
+        """A name of the same byte length that TimeSeries refuses."""
+        raw = sidecar(path).read_bytes()
+        at = len(raw) - data._FOOTER.size - 3
+        assert raw[at : at + 3] == b"abc"
+        sidecar(path).write_bytes(raw[:at] + b"a\nc" + raw[at + 3 :])
+
+    @pytest.mark.parametrize("spoil", ["stale", "truncated", "a_value_short", "bad_magic", "a_nan",
+                                       "a_bad_name"])
     @pytest.mark.parametrize("read", [load_series, read_stream], ids=["load", "stream"])
     def test_a_spoilt_sidecar_is_ignored_then_replaced(self, tmp_path, spoil, read):
         path = tmp_path / "series.txt"
-        path.write_text("# sample_rate_hz: 4\n" + "".join(f"1.{k}\n" for k in range(300)))
+        path.write_text("# name: abc\n# sample_rate_hz: 4\n"
+                        + "".join(f"1.{k}\n" for k in range(300)))
         load_series(str(path))
         assert sidecar(path).exists()
         getattr(self, spoil)(path)
@@ -767,17 +820,20 @@ class TestSidecar:
         assert [p.name for p in tmp_path.iterdir()] == ["series.fifo"]
 
     def test_layout(self, tmp_path):
+        # The parse of either reader writes the same bytes.
         path = tmp_path / "series.txt"
         ts = TimeSeries(values=[1.5, -0.0, 2.0], sample_rate_hz=50.0, name="fixture")
         save_series(ts, str(path))
-        load_series(str(path))
-        raw = sidecar(path).read_bytes()
-        assert raw[:5] == b"SFSC\x01"
-        assert np.frombuffer(raw[5:29], dtype="<f8").tobytes() == ts.values.tobytes()
         text = path.read_bytes()
         key = data._text_key(str(path))
         footer = data._FOOTER.pack(key.hash, len(text), 3, 50.0, len(b"fixture"))
-        assert raw[29:] == b"fixture" + footer
+        for read in (load_series, read_stream):
+            read(str(path))
+            raw = sidecar(path).read_bytes()
+            assert raw[:5] == b"SFSC\x01"
+            assert np.frombuffer(raw[5:29], dtype="<f8").tobytes() == ts.values.tobytes()
+            assert raw[29:] == b"fixture" + footer
+            sidecar(path).unlink()
 
     def test_hit_peak_below_one_and_a_half_series(self, tmp_path):
         # One read into the series' own array, and its finite mask: 1.13

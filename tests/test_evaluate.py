@@ -50,9 +50,9 @@ from shapefeat.evaluate import (
 from shapefeat.model import (
     ClassSpec,
     PredictionTrack,
+    Sweep,
     class_probabilities,
     classify,
-    sweep,
     train,
 )
 from shapefeat.profiles import znormalize
@@ -278,7 +278,10 @@ class TestCompareVariants:
         rows = compare_variants(models, test.series, test.labels, cfg)
         for variant, keep in [("shape", lambda f: f.kind == SHAPE),
                               ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
-            track = sweep(models, test.series, *class_probabilities(models, test.series, cfg, keep), cfg)
+            ids, table = class_probabilities(models, test.series, cfg, keep)
+            run = Sweep(models, test.series, ids, cfg)
+            run.feed(0, table)
+            track = run.track()
             expected = [mil_confusion(track, test.labels, mo.class_id) for mo in models]
             assert [cm for name, _, cm, *_ in rows if name == variant] == expected
 
@@ -424,7 +427,10 @@ class TestScoreOnce:
         expected = []
         for name, keep in [("shape", lambda f: f.kind == SHAPE),
                            ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
-            track = sweep(models, series, *class_probabilities(models, series, cfg, keep), cfg)
+            ids, table = class_probabilities(models, series, cfg, keep)
+            run = Sweep(models, series, ids, cfg)
+            run.feed(0, table)
+            track = run.track()
             for mo in models:
                 cm = mil_confusion(track, bags, mo.class_id)
                 expected.append((name, mo.class_id, cm, *metrics(cm)))
@@ -436,7 +442,9 @@ class TestScoreOnce:
         expected = []
         for w in weights:
             table[ids.index("hum")] = base * w
-            cm = mil_confusion(sweep(models, series, ids, table, cfg), bags, "hum")
+            run = Sweep(models, series, ids, cfg)
+            run.feed(0, table)
+            cm = mil_confusion(run.track(), bags, "hum")
             expected.append(RocPoint(w, *metrics(cm)[:2], cm.tp, cm.fp, cm.fn, cm.tn))
         assert roc_sweep(models, series, bags, cfg, "hum", weights) == expected
         assert len({p.tp for p in expected}) > 1

@@ -39,7 +39,6 @@ from shapefeat.model import (
     histogram_build,
     score_blocks,
     select_prototype,
-    sweep,
     train,
 )
 from shapefeat.profiles import (
@@ -860,7 +859,9 @@ class TestSuppressionSweep:
         """Sweep `table` as the class table of `zone_models`."""
         models, test = zone_models(zones, table.shape[1])
         ids = tuple(mo.class_id for mo in models[: table.shape[0]])
-        return sweep(models, test, ids, table, ClassifierConfig(decision_floor=floor, stride=stride))
+        run = Sweep(models, test, ids, ClassifierConfig(decision_floor=floor, stride=stride))
+        run.feed(0, table)
+        return run.track()
 
     def test_matches_per_position_reference(self):
         rng = np.random.default_rng(2024)
@@ -1106,7 +1107,10 @@ class TestClassTables:
         cfg = ClassifierConfig(thresholds={"sine": 1.3, "hum": 0.8})
         expected = []
         for name, keep in zip(["shape", "feature", "combined"], KEEPS):
-            track = sweep(models, test.series, *oracle_class_table(models, test.series, cfg, keep), cfg)
+            ids, table = oracle_class_table(models, test.series, cfg, keep)
+            run = Sweep(models, test.series, ids, cfg)
+            run.feed(0, table)
+            track = run.track()
             for mo in models:
                 cm = mil_confusion(track, test.labels, mo.class_id)
                 expected.append((name, mo.class_id, cm, *metrics(cm)))
@@ -1124,7 +1128,9 @@ class TestClassTables:
         expected = []
         for w in weights:
             table[ids.index("flat")] = base * w
-            cm = mil_confusion(sweep(models, test.series, ids, table, cfg), test.labels, "flat")
+            run = Sweep(models, test.series, ids, cfg)
+            run.feed(0, table)
+            cm = mil_confusion(run.track(), test.labels, "flat")
             precision, recall, _ = metrics(cm)
             expected.append((w, precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
         points = roc_sweep(models, test.series, test.labels, cfg, "flat", weights)

@@ -79,7 +79,7 @@ def prediction_tracks(draw):
         scores=np.array([draw(values) for _ in positions], dtype=np.float64),
         m=m,
         series_length=series_length,
-        # A stride past the end is kept as given (`sweep`).
+        # A stride past the end is kept as given (`Sweep`).
         stride=draw(st.integers(1, 5) | st.just(10**30)),
         sample_rate_hz=draw(rates),
     )

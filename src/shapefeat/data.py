@@ -338,6 +338,21 @@ def read_file(path: str, binary: bool = False):
 # Bytes per read of a text file. A text loader holds about one block at a
 # time: its text, and one string per line.
 _BLOCK_BYTES = 1 << 18
+# The line breaks of `str.splitlines` other than \n and \r, in UTF-8. None
+# of them is part of another character, or of another break. A lone \x85
+# byte is not one of them: it also ends characters such as "Å" (C3 85).
+_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                 b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+
+
+def _cut(block: bytes) -> int:
+    """Where to cut a block so that its lines are the whole file's: after
+    its last b"\n", else after its last b"\r" but the final byte (which may
+    be half of a b"\r\n"), else after its last complete other break; 0 when
+    it holds none."""
+    return (block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+            or max((at + len(brk) for brk in _OTHER_BREAKS if (at := block.rfind(brk)) >= 0),
+                   default=0))
 
 
 def _read_lines(path: str, key: Optional[_Key] = None):
@@ -353,10 +368,7 @@ def _read_lines(path: str, key: Optional[_Key] = None):
                 end = not block
                 if key is not None and block:
                     key.update(block)
-                # Cut after the last b"\n", else after the last b"\r" but
-                # the final byte, which may be half of a b"\r\n". No
-                # multi-byte character holds either: the lines are the whole file's.
-                cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+                cut = _cut(block)
                 pending.append(block[:cut] if cut else block)
                 if not (end or cut):
                     continue

@@ -3,11 +3,12 @@ ROC sweeps, and the leave-one-out 1NN machinery used by the motivating
 experiments.
 
 The comparison grid and the ROC sweep score the test series once
-(`score_blocks`) and feed each block of that pass to one `Sweep` per run:
-the grid to one per variant, the ROC sweep to one per weight, after
-re-weighting the swept class's row of the block. Their `bags` is the
-LabelTrack, or a function that makes it from the series length, called
-when the pass ends: a streamed series' length is known only then.
+(`score_blocks`), which holds only the columns that a sweep at the
+configured stride can visit, and feed each run of that pass to one
+`Sweep` each: the grid to one per variant, the ROC sweep to one per
+weight, after re-weighting the swept class's row of the run. Their `bags` is the LabelTrack, or a
+function that makes it from the series length, called when the pass
+ends: a streamed series' length is known only then.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def compare_variants(
         ("combined", None),
     ]
     ids, blocks = score_blocks(models, test, cfg, [keep for _, keep in variants])
-    runs = [Sweep(models, test, class_ids, cfg) for class_ids in ids]
+    runs = [Sweep(models, test, class_ids, cfg, whole=False) for class_ids in ids]
     for lo, tables in blocks:
         for run, block in zip(runs, tables):
             run.feed(lo, block)
@@ -140,8 +141,8 @@ def roc_sweep(
     """One operating point per threshold weight of `class_id`, scored with MIL.
 
     The series is scored once. Each weight re-weights that class's row of
-    each block and feeds the block to its own sweep; the above-floor mask
-    of the other rows is built once per block. A `class_id` that no model
+    each run and feeds the run to its own sweep; the above-floor mask of
+    the other rows is built once per run. A `class_id` that no model
     has is a ModelError.
     """
     if not weights:
@@ -155,7 +156,7 @@ def roc_sweep(
         raise ModelError(f"no model for class {class_id!r}")
     # At weight 1 the swept row is the class's unweighted combined probability.
     [ids], blocks = score_blocks(models, test, cfg.replace_threshold(class_id, 1.0), [None])
-    runs = [Sweep(models, test, ids, cfg) for _ in weights]
+    runs = [Sweep(models, test, ids, cfg, whole=False) for _ in weights]
     swept = ids.index(class_id)
     floor = cfg.decision_floor
     for lo, (block,) in blocks:

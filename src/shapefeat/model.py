@@ -3,17 +3,20 @@
 Training and scoring build their profiles in one pass over the slices of
 `profiles.profile_blocks`. Training writes them into one [feature, window]
 table (`profile_table`) and turns each row into a pair of value histograms
-(class / non-class). Scoring (`score_blocks`) keeps one block at a time: it
-writes the block's profiles into one buffer (`feature_profiles`), turns
-them in place into (class, feature) local probabilities, combines each
+(class / non-class). Scoring (`score_blocks`) keeps one block of profiles
+at a time (`feature_profiles`) and scores it in runs of `LOOKUP` columns:
+it turns a run into (class, feature) local probabilities, combines each
 class's locals with a Naive Bayes product, weights it by the class's
-threshold, and yields the block's columns of a [class, position] table
-per feature predicate, so the variant grid scores the series once.
-A `Sweep` takes those blocks in order and goes left to right with
-exclusion-zone suppression, so no full-length table is ever built.
+threshold, and yields the run's columns of a [class, position] table per
+feature predicate, so the variant grid scores the series once. At stride
+k it scores only the columns a sweep can visit, those at multiples of
+gcd(k, every class's jump). A `Sweep` takes those runs in order and goes
+left to right with exclusion-zone suppression, so no full-length table is
+ever built.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -42,11 +45,12 @@ from .profiles import feature_profiles, profile_blocks, profile_table, znormaliz
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
 
-#: Positions per density lookup in a scoring pass. Each lookup's
-#: temporaries are then a few arrays of this length, which the allocator
-#: reuses; block-long ones were trimmed from the heap and faulted back in
-#: every block (the lookups of a streamed `classify` took 15.7k page faults
-#: at 65,536 positions, 258 at this length).
+#: Columns per run of a scoring pass: per density lookup, Naive Bayes
+#: combination and yielded table. Each lookup's temporaries are then a few
+#: arrays of this length, which the allocator reuses; block-long ones were
+#: trimmed from the heap and faulted back in every block (the lookups of a
+#: streamed `classify` took 15.7k page faults at 65,536 positions, 258 at
+#: this length).
 LOOKUP = 1 << 14
 
 
@@ -104,7 +108,9 @@ def _slots(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     bounds[-2] = np.nextafter(bounds[-2], np.inf)
     with np.errstate(all="ignore"):  # a bad estimate only misses the check
         est = np.subtract(v, edges[0])
-        est *= nbins / (edges[-1] - edges[0])
+        # Scaled to the raised last bound, so the last edge's own value
+        # lands in the last bin rather than one slot past it.
+        est *= nbins / (bounds[-2] - edges[0])
         est += 1.0
     np.fmax(est, 0.0, out=est)  # NaN goes to 0, and misses
     np.fmin(est, nbins + 1, out=est)
@@ -133,9 +139,9 @@ def compute_probability(
     default policy the full range spans both histograms, so floors stay small
     even for narrowly concentrated class histograms. The result is written
     into `out` (a buffer of the profile's length, or the profile itself)
-    when given. Scoring passes runs of `LOOKUP` positions of a block, so
-    the temporaries are that long; both densities are taken before `out`
-    is written.
+    when given. Scoring passes runs of `LOOKUP` columns, so the
+    temporaries are that long; both densities are taken before `out` is
+    written.
     """
     joint_width = union_width(pos_hist, neg_hist)
     pos_table, neg_table = (
@@ -157,7 +163,7 @@ def combine_naive_bayes(
     """Multiply local probabilities and divide by the class prior.
 
     Locals are 1-D arrays of probabilities of one length: in scoring, one
-    block of `profiles.profile_blocks`, so the temporaries are a block long.
+    run of `LOOKUP` columns, so the temporaries are a run long.
     standard: divide by prior^(k-1) for k locals (exact Bayes form; the
     identity for k=1). paper-literal: divide by the prior exactly once
     regardless of k. Locals are floored at 1e-12 before multiplying and the
@@ -332,6 +338,13 @@ def _check_models(models: Sequence) -> int:
     return m
 
 
+def _visit_step(models: Sequence[ClassModel], cfg: ClassifierConfig) -> int:
+    """g, the step of the only columns a sweep can visit: the gcd of the
+    stride and every class's jump max(stride, e + 1). A sweep starts at 0
+    and moves by the stride or a jump, so it stays on multiples of g."""
+    return math.gcd(cfg.stride, *(max(cfg.stride, mo.exclusion_zone + 1) for mo in models))
+
+
 def score_blocks(
     models: Sequence[ClassModel],
     test: TimeSeries,
@@ -339,22 +352,29 @@ def score_blocks(
     keeps: Sequence[Optional[Callable[[FeatureSpec], bool]]],
 ) -> Tuple[List[tuple], Iterator[Tuple[int, List[np.ndarray]]]]:
     """The one scoring pass over the test series: the class ids of each
-    `keep` predicate's table, and an iterator of (lo, [block table per keep])
-    per `profile_blocks` block. `test` is a series or a `data.SeriesStream`,
-    read once by the iterator; a series shorter than m is a ModelError
-    when its one slice comes.
+    `keep` predicate's table, and an iterator of (lo, [run table per keep])
+    per run of at most `LOOKUP` columns. `test` is a series or a
+    `data.SeriesStream`, read once by the iterator; a series shorter than
+    m is a ModelError when its one slice comes.
 
-    A block table holds columns lo, lo + 1, ... of a [class, position]
-    table: each class's Naive Bayes combination of its locals whose spec
-    passes `keep` (all when None), times its threshold weight; a class with
-    no kept local drops out. Each block's profiles become local
-    probabilities in one block buffer, `LOOKUP` positions at a time, from
-    which every table takes its rows. The tables are buffers one block
-    long, which the next block overwrites.
+    The pass holds only the columns a sweep at `cfg.stride` can visit,
+    those at positions that are multiples of g = `_visit_step`. A run table
+    holds the columns at positions lo, lo + g, lo + 2g, ... of a [class,
+    position] table: each class's Naive Bayes combination of its locals
+    whose spec passes `keep` (all when None), times its threshold weight;
+    a class with no kept local drops out. When g > 1 the pass ends with an
+    empty run at the series' end, n, which its columns need not reach.
+
+    Each `profile_blocks` block's profiles fill one block buffer (the
+    block sets the FFT size, and so the output bits). A run turns its
+    columns into local probabilities, in place at g = 1 and in a run buffer
+    read at step g otherwise, from which every table takes its rows. The
+    tables are buffers one run long, which the next run overwrites.
     """
     m = _check_models(models)
+    step = _visit_step(models, cfg)
     locals_ = [feature for mo in models for feature in mo.features]
-    plans = []  # per keep: [(model, block rows of its kept locals)]
+    plans = []  # per keep: [(model, run rows of its kept locals)]
     for keep in keeps:
         groups, first = [], 0
         for mo in models:
@@ -372,18 +392,27 @@ def score_blocks(
                 raise ModelError(f"test series of length {xs.size} is shorter than m={m}")
             if probs is None:  # the first block is the longest
                 probs = np.empty((len(locals_), hi - lo))
-                tables = [np.empty((len(groups), hi - lo)) for groups in plans]
+                cols = min(LOOKUP, -(-(hi - lo) // step))  # of the longest run
+                gathered = np.empty((len(locals_), cols)) if step > 1 else None
+                tables = [np.empty((len(groups), cols)) for groups in plans]
             block = feature_profiles(xs, [f for f, _, _ in locals_], m, probs[:, : hi - lo])
-            for a in range(0, hi - lo, LOOKUP):
-                for (_, pos_h, neg_h), row in zip(locals_, block[:, a : a + LOOKUP]):
+            for a in range(-lo % step, hi - lo, LOOKUP * step):
+                run = block[:, a : a + LOOKUP * step : step]
+                width = run.shape[1]
+                if step > 1:  # the lookups read contiguous rows
+                    gathered[:, :width] = run
+                    run = gathered[:, :width]
+                for (_, pos_h, neg_h), row in zip(locals_, run):
                     compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
-            out = [table[:, : hi - lo] for table in tables]
-            for groups, table in zip(plans, out):
-                for row, (mo, rows) in zip(table, groups):
-                    combine_naive_bayes([block[i] for i in rows], mo.prior,
-                                        cfg.nb_denominator, out=row)
-                    row *= cfg.threshold_for(mo.class_id)
-            yield lo, out
+                out = [table[:, :width] for table in tables]
+                for groups, table in zip(plans, out):
+                    for row, (mo, rows) in zip(table, groups):
+                        combine_naive_bayes([run[i] for i in rows], mo.prior,
+                                            cfg.nb_denominator, out=row)
+                        row *= cfg.threshold_for(mo.class_id)
+                yield lo + a, out
+        if step > 1:
+            yield hi, [table[:, :0] for table in tables]
 
     return [tuple(mo.class_id for mo, _ in groups) for groups in plans], blocks()
 
@@ -395,9 +424,9 @@ def class_probabilities(
     keep: Optional[Callable[[FeatureSpec], bool]] = None,
 ) -> Tuple[tuple, np.ndarray]:
     """(class_ids, [class, position] table) of the locals that pass `keep`
-    (all when None) over a loaded series: the blocks of `score_blocks`,
-    assembled."""
-    [ids], blocks = score_blocks(models, test, cfg, [keep])
+    (all when None) over a loaded series: the runs of `score_blocks` at
+    stride 1, which hold every column, assembled."""
+    [ids], blocks = score_blocks(models, test, replace(cfg, stride=1), [keep])
     # No column for a series shorter than m, whose pass raises ModelError.
     table = np.empty((len(ids), max(len(test) - models[0].m + 1, 0)))
     for lo, (block,) in blocks:
@@ -422,31 +451,44 @@ class Sweep:
     floor emits its argmax class and jumps max(stride, e + 1) instead, e
     that class's exclusion zone. Between detections the visits stay in one
     stride phase, so one binary search finds the next one in a block.
-    `pos`, the next position to visit, carries across block edges. A
-    detection scores its class's weighted probability. The series length
-    is the end of the last block fed; `test` gives the sample rate.
+    `pos`, the next column to visit, carries across block edges. A
+    detection scores its class's weighted probability. `test` gives the
+    sample rate.
+
+    The blocks of a `whole` sweep hold every column of the table, a step
+    of 1. Otherwise they are the runs of `score_blocks` for the same models
+    and stride, whose columns are the positions at multiples of its step g
+    (`_visit_step`), the only ones a sweep can visit; the sweep then counts
+    in columns, the stride and the jumps divided by g. Positions and the
+    series length stay in series coordinates. The series length is the end
+    of the last block fed, lo + width * g, which the pass's closing empty
+    run sets to n.
     """
 
     def __init__(self, models: Sequence[ClassModel], test, class_ids: tuple,
-                 cfg: ClassifierConfig):
+                 cfg: ClassifierConfig, whole: bool = True):
         self.models, self.test, self.class_ids, self.cfg = models, test, class_ids, cfg
+        self.step = 1 if whole else _visit_step(models, cfg)
         zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
-        self.jumps = [max(cfg.stride, zone_of[c] + 1) for c in class_ids]
+        self.stride = cfg.stride // self.step
+        self.jumps = [max(cfg.stride, zone_of[c] + 1) // self.step for c in class_ids]
         self.pos = self.end = 0
         self.positions, self.codes, self.scores = array("q"), array("i"), array("d")
 
     def feed(self, lo: int, block: np.ndarray, above: Optional[np.ndarray] = None) -> None:
-        """Sweep columns lo, lo + 1, ... of the table, held in `block`
-        [class, column]; `above` is the block's at-or-above-floor mask of
-        columns (`above_floor`), when the caller has it."""
+        """Sweep the block's columns, at positions lo, lo + g, ... of the
+        table, held in `block` [class, column]; `above` is the block's
+        at-or-above-floor mask of columns (`above_floor`), when the caller
+        has it."""
         width = block.shape[1]
-        hi, pos, stride = lo + width, self.pos, self.cfg.stride
-        self.end = hi
+        self.end = lo + width * self.step
+        lo = -(-lo // self.step)  # in columns from here on
+        hi, pos, stride = lo + width, self.pos, self.stride
         if above is None:
             above = above_floor(block, width, self.cfg.decision_floor)
-        # Above-floor columns c ordered by (phase, c), the key of position
+        # Above-floor columns c ordered by (phase, c), the key of column
         # lo + c being its phase (lo + c) % period times width, plus c. Two
-        # positions below hi share a phase of `stride` exactly when they
+        # columns below hi share a phase of `stride` exactly when they
         # share one of `period`, which keeps the keys in int64.
         period = min(stride, hi)
         keys = np.flatnonzero(above)
@@ -459,13 +501,13 @@ class Sweep:
             k = int(keys.searchsorted(base + pos))
             if k == keys.size or keys[k] >= base + hi:
                 # No later visit of this phase in the block: go to its first
-                # position at or past the block's end.
+                # column at or past the block's end.
                 pos += -(-(hi - pos) // stride) * stride
                 break
             hit = int(keys[k]) - base
             col = block[:, hit - lo]
             w = int(col.argmax())
-            self.positions.append(hit)
+            self.positions.append(hit * self.step)
             self.codes.append(w)
             self.scores.append(col[w])
             pos = hit + self.jumps[w]
@@ -496,10 +538,10 @@ def classify(
     index) is emitted when its weighted probability reaches the decision
     floor; a detection suppresses the next exclusion_zone positions of every
     class. All other positions carry OTHER_CLASS. The sweep takes each
-    block of the scoring pass as it comes.
+    run of the scoring pass as it comes.
     """
     [ids], blocks = score_blocks(models, test, cfg, [None])
-    run = Sweep(models, test, ids, cfg)
+    run = Sweep(models, test, ids, cfg, whole=False)
     for lo, (block,) in blocks:
         run.feed(lo, block)
     return run.track()

@@ -362,6 +362,25 @@ class TestBlockReader:
         else:
             assert got == numbered(raw.decode("utf-8").splitlines())
 
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    def test_every_break_kind_at_every_small_block(self, tmp_path, sep):
+        # Lines that end in one break kind alone, with characters of one to
+        # four bytes (Å is C3 85, whose 85 alone would be a C1 control),
+        # blank lines and a last line without a break, in blocks of 1 to
+        # 64 bytes: every line, blank or not, and its number are the whole
+        # file's.
+        lines = ["1.5", "", "Å2", "-3e\u20ac4", "\U0001f600", "Åx Å", "", "7"]
+        raw = (sep.join(lines)).encode("utf-8")
+        path = tmp_path / "breaks.txt"
+        path.write_bytes(raw)
+        whole = list(enumerate(raw.decode("utf-8").splitlines(), 1))
+        for block in range(1, 65):
+            got = []
+            with mock.patch.object(data, "_BLOCK_BYTES", block):
+                for first, part in data._read_lines(str(path)):
+                    got.extend(enumerate(part, first))
+            assert got == whole, block
+
     def test_offset_in_a_late_block(self, tmp_path):
         path = tmp_path / "late.txt"
         path.write_bytes(b"1.5\n" * 300_000 + b"2\xff\n")
@@ -372,7 +391,8 @@ class TestBlockReader:
         # The reader drops each block's text and lines before it reads the
         # next. When it kept them, a 10**6-line file peaked at about twice
         # the one-block file; a file of lines that end in "\r" alone, cut
-        # only after "\n", was one block.
+        # only after "\n", was one block, and so was one of lines that end
+        # in "\x0b", cut only after "\n" or "\r".
         def peak(path):
             tracemalloc.start()
             try:
@@ -384,8 +404,9 @@ class TestBlockReader:
 
         long, one = tmp_path / "long.txt", tmp_path / "one.txt"
         save_series(TimeSeries(values=normals(7, 10**6)), str(long))
-        for newline in (b"\n", b"\r"):
-            long.write_bytes(long.read_bytes().replace(b"\n", newline))
+        text = long.read_bytes()
+        for newline in (b"\n", b"\r", b"\x0b"):
+            long.write_bytes(text.replace(b"\n", newline))
             with open(long, "rb") as fh:
                 one.write_bytes(fh.read(data._BLOCK_BYTES))
             assert peak(long) < 1.25 * peak(one), newline

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,60 @@ class TestComputeProbability:
         picks = (np.arange(BLOCK + 1 + 7 * shift) + shift) % values.size
         out = compute_probability(pos, neg, values[picks], small_value_mode=mode)
         assert out.tobytes() == np.asarray(expected)[picks].tobytes()
+
+    @pytest.fixture(scope="class")
+    def real_locals(self):
+        """(spec, pos, neg, profile) of each local of a trained two-class
+        model over a generated test series. The flat class's shape values
+        are 0 or sqrt(m), the last edge of its non-class histogram."""
+        from shapefeat.data import TwoModalityParams, gen_two_modality_dataset
+
+        params = TwoModalityParams(n_sine=4, n_flat=4, n_surge=2, n_hum=2)
+        bundle = gen_two_modality_dataset(params, 8)
+        m = 64
+        models = train(bundle.series, bundle.labels, [
+            ClassSpec(c, m, m, (FeatureSpec(kind=SHAPE), FeatureSpec(kind=SLIDING_STD)), prior=0.5)
+            for c in ("sine", "flat")
+        ])
+        locals_ = [feature for mo in models for feature in mo.features]
+        test = gen_two_modality_dataset(params, 9).series
+        table = profile_table(test, [spec for spec, _, _ in locals_], m)
+        return [(*feature, row) for feature, row in zip(locals_, table)]
+
+    @pytest.mark.parametrize("mode", [FLOOR_UNION, FLOOR_OWN])
+    def test_matches_per_value_reference_on_real_profiles(self, real_locals, mode):
+        for _, pos, neg, row in real_locals:
+            edges = np.concatenate((pos.edges, neg.edges))
+            values = np.concatenate((
+                row[:: max(1, row.size // 400)], edges, np.nextafter(edges, np.inf),
+                np.nextafter(edges, -np.inf), [np.nan, np.inf, -np.inf],
+            ))
+            out = compute_probability(pos, neg, values, small_value_mode=mode)
+            assert out.tolist() == [reference_probability(pos, neg, v, mode) for v in values]
+
+    def test_last_edge_values_skip_the_search(self, real_locals, monkeypatch):
+        # The slot estimate is scaled to the raised last bound, so a value
+        # equal to a histogram's last edge lands in the last bin and passes
+        # the bounds check. Scaled to the last edge itself, it landed one
+        # slot past and was searched: 3,078 of the flat class's 3,415 shape
+        # values, all those equal to sqrt(m).
+        searched = []
+        search = np.searchsorted
+
+        def counted(a, v, **kwargs):
+            searched.append(np.size(v))
+            return search(a, v, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        spec, pos, neg, row = real_locals[2]
+        assert spec.kind == SHAPE and set(np.unique(row)) == {0.0, neg.edges[-1]}
+        expected = [reference_probability(pos, neg, v, FLOOR_UNION) for v in row]
+        assert compute_probability(pos, neg, row).tolist() == expected
+        for _, pos, neg, _ in real_locals:
+            for hist in (pos, neg):
+                if hist.counts.size > 1:
+                    compute_probability(hist, hist, np.full(100, hist.edges[-1]))
+        assert sum(searched) == 0
 
     def test_values_always_in_unit_interval(self):
         pos = histogram_build(normals(1, 40))
@@ -1136,6 +1191,102 @@ class TestClassTables:
         points = roc_sweep(models, test.series, test.labels, cfg, "flat", weights)
         assert [tuple(vars(p).values()) for p in points] == expected
         assert len({p.tp for p in points}) > 1
+
+
+@st.composite
+def visit_cases(draw):
+    """(series, stride, zones, floor): one of `TestVisitStep`'s series, a
+    stride of 1 to 24 and one exclusion zone of 0 to 200 per class, mostly
+    with every e + 1 a multiple of one of the stride's divisors (or at most
+    the stride), so the visit step g is often above 1."""
+    series = draw(st.integers(0, len(TestVisitStep.LENGTHS) - 1))
+    stride = draw(st.integers(1, 24))
+    d = draw(st.sampled_from([k for k in range(1, stride + 1) if stride % k == 0]))
+    zone = st.one_of(st.integers(1, 201 // d).map(lambda k: k * d - 1), st.integers(0, stride - 1),
+                     st.integers(0, 200))
+    zones = draw(st.lists(zone, min_size=4, max_size=4))
+    floor = draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]) | st.floats(0.0, 1.0))
+    return series, stride, zones, floor
+
+
+class TestVisitStep:
+    """classify, compare_variants and roc_sweep, which score only the
+    columns at multiples of the visit step g, against sweeps of whole
+    stride-1 tables (`class_probabilities`)."""
+
+    CLASSES = {"sine": (SHAPE, COMPLEXITY, SLIDING_STD), "flat": (SHAPE, SLIDING_MEAN, SLIDING_STD),
+               "surge": (SHAPE, SLIDING_STD), "hum": (COMPLEXITY, SLIDING_STD)}
+    # "flat" keeps weight 1, so the combined table is also roc's.
+    THRESHOLDS = {"sine": 1.3, "hum": 0.8}
+    # Prefixes of the test series (m = 48, so a profile block holds
+    # BLOCK - 47 windows): two blocks, three with one window in the last,
+    # and the whole series, three blocks.
+    LENGTHS = (BLOCK + 4_321, 2 * (BLOCK - 47) + 48, None)
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        """Four classes over every feature kind, and per test series its
+        bags and whole tables: shape, feature, combined."""
+        from shapefeat.data import TwoModalityParams, gen_two_modality_dataset
+
+        train_b = gen_two_modality_dataset(TwoModalityParams(m=48, n_sine=6, n_flat=6, n_surge=4,
+                                                             n_hum=4), 5)
+        specs = [ClassSpec(name, 48, 47, tuple(FeatureSpec(kind=k) for k in ks), prior=0.5)
+                 for name, ks in self.CLASSES.items()]
+        models = train(train_b.series, train_b.labels, specs)
+        test = gen_two_modality_dataset(
+            TwoModalityParams(m=48, n_sine=220, n_flat=220, n_surge=110, n_hum=110), 10_005)
+        cfg = ClassifierConfig(thresholds=self.THRESHOLDS)
+        cases = []
+        for n in self.LENGTHS:
+            n = n or len(test.series)
+            series = TimeSeries(values=test.series.values[:n])
+            bags = LabelTrack(n, [Region(r.start, min(r.end, n), r.class_id)
+                                  for r in test.labels.regions if r.start < n])
+            cases.append((series, bags, [class_probabilities(models, series, cfg, keep)
+                                         for keep in KEEPS]))
+        assert [-(-(len(s) - 47) // (BLOCK - 47)) for s, _, _ in cases] == [2, 3, 3]
+        return models, cases
+
+    @staticmethod
+    def whole_sweep(models, series, ids, table, cfg):
+        run = Sweep(models, series, ids, cfg)
+        run.feed(0, table)
+        return run.track()
+
+    @settings(max_examples=20)
+    @given(case=visit_cases())
+    @example(case=(2, 4, [99, 99, 99, 99], 0.5))  # g = 4
+    @example(case=(0, 24, [5, 11, 23, 0], 0.1))  # every jump is the stride: g = 24
+    @example(case=(1, 12, [47, 23, 199, 11], 0.3))  # g = 12, some jumps longer
+    def test_sweeps_of_the_whole_table(self, scored, case):
+        k, stride, zones, floor = case
+        models, cases = scored
+        series, bags, tables = cases[k]
+        models = [replace(mo, exclusion_zone=z) for mo, z in zip(models, zones)]
+        cfg = ClassifierConfig(thresholds=self.THRESHOLDS, stride=stride, decision_floor=floor)
+        expected, tracks = [], []
+        for name, (ids, table) in zip(["shape", "feature", "combined"], tables):
+            tracks.append(self.whole_sweep(models, series, ids, table, cfg))
+            for mo in models:
+                cm = mil_confusion(tracks[-1], bags, mo.class_id)
+                expected.append((name, mo.class_id, cm, *metrics(cm)))
+        assert compare_variants(models, series, bags, cfg) == expected
+        got = classify(models, series, cfg)
+        assert got == tracks[-1]
+        for field in ("positions", "label_codes", "scores"):
+            assert getattr(got, field).tobytes() == getattr(tracks[-1], field).tobytes()
+        ids, table = tables[2]
+        base = table[ids.index("flat")].copy()
+        weights = [0.25, 1.0, 4.0]
+        points = []
+        for w in weights:
+            weighted = table.copy()
+            weighted[ids.index("flat")] = base * w
+            cm = mil_confusion(self.whole_sweep(models, series, ids, weighted, cfg), bags, "flat")
+            points.append((w, *metrics(cm)[:2], cm.tp, cm.fp, cm.fn, cm.tn))
+        got = roc_sweep(models, series, bags, cfg, "flat", weights)
+        assert [tuple(vars(p).values()) for p in got] == points
 
 
 class TestFloorModes:

@@ -732,6 +732,39 @@ class TestScoringMemory:
         assert peaks_at_2m["classify"] < 0.75 * nbytes
         assert peaks_at_2m["compare"] < 0.75 * nbytes
 
+    def test_compare_below_half_a_series(self, peaks_at_2m):
+        # compare's three tables are one lookup run wide, not one block,
+        # and hold only the columns at multiples of the visit step,
+        # gcd(4, 100) = 4: 0.46 series traced, against 0.57 with tables of
+        # every column of a block.
+        assert peaks_at_2m["compare"] < 0.5 * 2_000_000 * 8
+
+    def test_classify_no_larger_than_with_block_wide_tables(self, peaks_at_2m):
+        # 0.385 series traced; block-wide tables of every column gave 0.402.
+        assert peaks_at_2m["classify"] <= 0.402 * 2_000_000 * 8
+
+    @pytest.mark.parametrize("stride, step", [(1, 1), (4, 4), (7, 1), (8, 4), (150, 150)])
+    def test_no_table_wider_than_a_lookup_run(self, stride, step):
+        # Zones of 99: the visit step is gcd(stride, max(stride, 100)). The
+        # runs hold each column at a multiple of it once, in order; past a
+        # step of 1 an empty run closes the pass at the series' end.
+        n = 2 * BLOCK + 500
+        models = self.two_class_models(100)
+        _, blocks = model.score_blocks(models, TimeSeries(values=normals(9, n)),
+                                       ClassifierConfig(stride=stride),
+                                       [None, lambda spec: spec.kind == SHAPE])
+        los, widths = [], []
+        for lo, tables in blocks:
+            assert [t.shape for t in tables] == [(2, tables[0].shape[1])] * 2
+            los.append(lo)
+            widths.append(tables[0].shape[1])
+        assert max(widths) <= model.LOOKUP
+        positions = n - 100 + 1
+        if step > 1:
+            assert (los.pop(), widths.pop()) == (positions, 0)
+        assert los == list(np.cumsum([0, *widths[:-1]]) * step)
+        assert sum(widths) == -(-positions // step)
+
     def test_classify_peak_does_not_grow_with_the_series(self, peaks_at_2m):
         # Only the detections, 20 bytes each, grow with n: 0.19 MB more at
         # 4n measured, against 37 MB more with a full-length table.

@@ -66,9 +66,7 @@ from .profiles import (
     complexity_profile,
     distance_profile_mass,
     distance_profile_naive,
-    generate_profile,
     profile_table,
-    sliding_feature_profile,
     sliding_stats,
     znormalize,
 )

@@ -280,10 +280,17 @@ NOISE_CLASS = "RandomNoise"
 WALK_CLASS = "RandomWalk"
 
 
+def _check_counts(n_per_class: int, length: int) -> None:
+    for name, value in (("n_per_class", n_per_class), ("length", length)):
+        if value < 1:
+            raise DataError(f"{name} must be at least 1, got {value}")
+
+
 def noise_walk_instances(
     n_per_class: int = 20, length: int = 150, seed: int = 0
 ) -> List[Tuple[np.ndarray, str]]:
     """Noise instances plus walks whose steps reuse the same noise rows."""
+    _check_counts(n_per_class, length)
     noise = normals(derive_seed(seed, 12), n_per_class * length).reshape(n_per_class, length)
     out: List[Tuple[np.ndarray, str]] = [(row.copy(), NOISE_CLASS) for row in noise]
     out.extend((row.copy(), WALK_CLASS) for row in np.cumsum(noise, axis=1))
@@ -298,6 +305,8 @@ def build_gun_experiment(
     seed: int = 0,
 ) -> List[Tuple[np.ndarray, str]]:
     """The 4-class instance set: subsampled Gun/NoGun plus noise and walks."""
+    # Before the pool checks: `a[:length]` with a negative length cuts from the end.
+    _check_counts(n_per_class, length)
     out: List[Tuple[np.ndarray, str]] = []
     for name, pool in ((GUN_CLASS, gun_instances), (NOGUN_CLASS, nogun_instances)):
         if len(pool) < n_per_class:

@@ -4,11 +4,12 @@ experiments.
 
 The comparison grid and the ROC sweep score the test series once
 (`score_blocks`), which holds only the columns that a sweep at the
-configured stride can visit, and feed each run of that pass to one
-`Sweep` each: the grid to one per variant, the ROC sweep to one per
-weight, after re-weighting the swept class's row of the run. Their `bags` is the LabelTrack, or a
-function that makes it from the series length, called when the pass
-ends: a streamed series' length is known only then.
+configured stride can visit, those at multiples of the visit step g, and
+feed each run of that pass to one `Sweep` each, as `classify` does: the
+grid to one per variant, the ROC sweep to one per weight, after
+re-weighting the swept class's row of the run. Their `bags` is the
+LabelTrack, or a function that makes it from the series length, called
+when the pass ends: a streamed series' length is known only then.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ def compare_variants(
         ("combined", None),
     ]
     ids, blocks = score_blocks(models, test, cfg, [keep for _, keep in variants])
-    runs = [Sweep(models, test, class_ids, cfg, whole=False) for class_ids in ids]
+    runs = [Sweep(models, test, class_ids, cfg) for class_ids in ids]
     for lo, tables in blocks:
         for run, block in zip(runs, tables):
             run.feed(lo, block)
@@ -156,7 +157,7 @@ def roc_sweep(
         raise ModelError(f"no model for class {class_id!r}")
     # At weight 1 the swept row is the class's unweighted combined probability.
     [ids], blocks = score_blocks(models, test, cfg.replace_threshold(class_id, 1.0), [None])
-    runs = [Sweep(models, test, ids, cfg, whole=False) for _ in weights]
+    runs = [Sweep(models, test, ids, cfg) for _ in weights]
     swept = ids.index(class_id)
     floor = cfg.decision_floor
     for lo, (block,) in blocks:

@@ -10,9 +10,9 @@ class's locals with a Naive Bayes product, weights it by the class's
 threshold, and yields the run's columns of a [class, position] table per
 feature predicate, so the variant grid scores the series once. At stride
 k it scores only the columns a sweep can visit, those at multiples of
-gcd(k, every class's jump). A `Sweep` takes those runs in order and goes
-left to right with exclusion-zone suppression, so no full-length table is
-ever built.
+gcd(k, every class's jump). A `Sweep` reads only those runs, in order,
+and goes left to right with exclusion-zone suppression, so no
+full-length table is ever built.
 """
 from __future__ import annotations
 
@@ -425,7 +425,7 @@ def class_probabilities(
 ) -> Tuple[tuple, np.ndarray]:
     """(class_ids, [class, position] table) of the locals that pass `keep`
     (all when None) over a loaded series: the runs of `score_blocks` at
-    stride 1, which hold every column, assembled."""
+    stride 1, every column, assembled; a `Sweep` reads `table[:, ::g]`."""
     [ids], blocks = score_blocks(models, test, replace(cfg, stride=1), [keep])
     # No column for a series shorter than m, whose pass raises ModelError.
     table = np.empty((len(ids), max(len(test) - models[0].m + 1, 0)))
@@ -445,7 +445,7 @@ def above_floor(rows, width: int, floor: float) -> np.ndarray:
 
 class Sweep:
     """Suppression sweep of one [class, position] table of `models` over
-    `test`, fed its column blocks in order.
+    `test`, fed its runs in order.
 
     Visit positions 0, stride, 2 * stride, ...; a visit at or above the
     floor emits its argmax class and jumps max(stride, e + 1) instead, e
@@ -455,20 +455,19 @@ class Sweep:
     detection scores its class's weighted probability. `test` gives the
     sample rate.
 
-    The blocks of a `whole` sweep hold every column of the table, a step
-    of 1. Otherwise they are the runs of `score_blocks` for the same models
-    and stride, whose columns are the positions at multiples of its step g
-    (`_visit_step`), the only ones a sweep can visit; the sweep then counts
-    in columns, the stride and the jumps divided by g. Positions and the
-    series length stay in series coordinates. The series length is the end
-    of the last block fed, lo + width * g, which the pass's closing empty
-    run sets to n.
+    The runs are those of `score_blocks` for the same models and stride,
+    the one path of classify, compare and roc. Their columns are the
+    positions at multiples of its step g (`_visit_step`), the only ones a
+    sweep can visit, so the sweep counts in columns, the stride and the
+    jumps divided by g. Positions and the series length stay in series
+    coordinates. The series length is the end of the last block fed,
+    lo + width * g, which the pass's closing empty run sets to n.
     """
 
     def __init__(self, models: Sequence[ClassModel], test, class_ids: tuple,
-                 cfg: ClassifierConfig, whole: bool = True):
+                 cfg: ClassifierConfig):
         self.models, self.test, self.class_ids, self.cfg = models, test, class_ids, cfg
-        self.step = 1 if whole else _visit_step(models, cfg)
+        self.step = _visit_step(models, cfg)
         zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
         self.stride = cfg.stride // self.step
         self.jumps = [max(cfg.stride, zone_of[c] + 1) // self.step for c in class_ids]
@@ -541,7 +540,7 @@ def classify(
     run of the scoring pass as it comes.
     """
     [ids], blocks = score_blocks(models, test, cfg, [None])
-    run = Sweep(models, test, ids, cfg, whole=False)
+    run = Sweep(models, test, ids, cfg)
     for lo, (block,) in blocks:
         run.feed(lo, block)
     return run.track()

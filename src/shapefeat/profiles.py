@@ -311,8 +311,8 @@ def profile_blocks(source, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
             pending = [x[step:]]
             yield lo, lo + step, x[:size]
             lo, held = lo + step, held - step
-    if held >= m or lo == 0:
-        yield lo, lo + held - m + 1, _joined(pending)
+    if held >= m or lo == 0:  # an empty iterator gives a zero-length series' one slice
+        yield lo, lo + held - m + 1, _joined(pending or [np.empty(0)])
 
 
 def _joined(parts) -> np.ndarray:

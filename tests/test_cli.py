@@ -675,6 +675,7 @@ BAD_INPUT_FILES = {
     "inf-label.csv": "1,0.5,0.25\ninf,1,2\n",
     "negative-rate.txt": "# name: x\n# sample_rate_hz: -5\n1.0\n2.0\n",
     "nan-label.csv": "1,0.5,0.25\nnan,1,2\n",
+    "gun.csv": "1,0.5,0.25\n2,0.5,0.25\n",
     "stride-inf.yaml": CONFIG.replace("stride: 1", "stride: .inf", 1),
     "m-inf.yaml": CONFIG.replace("m: 64", "m: .inf", 1),
     "m-fraction.yaml": CONFIG.replace("m: 64", "m: 64.9", 1),
@@ -795,6 +796,9 @@ BAD_INPUT_CASES = {
     ),
     "ucr-inf-label": ([*_GUN, "@inf-label.csv"], 2, "line 2: non-finite label 'inf'"),
     "ucr-nan-label": ([*_GUN, "@nan-label.csv"], 2, "line 2: non-finite label 'nan'"),
+    **{f"gun-{flag}{value}": ([*_GUN, "@gun.csv", f"--{flag}", str(value)], 2,
+                              f"{flag.replace('-', '_')} must be at least 1, got {value}")
+       for flag in ("length", "n-per-class") for value in (0, -1)},
     "config-stride-inf": (
         [*_CLASSIFY, "--config", "@stride-inf.yaml"], 2, "stride must be an integer, got inf"
     ),

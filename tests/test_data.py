@@ -1004,24 +1004,24 @@ class TestModelIo:
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         _, models = small_models()
-        path = str(tmp_path / "model.sfcm")
-        save_model(models, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        path = tmp_path / "model.sfcm"
+        save_model(models, str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataError, match="is corrupt"):
-            load_model(path)
+            load_model(str(path))
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = str(tmp_path / "model.sfcm")
-        open(path, "wb").write(MODEL_MAGIC + bytes([99]) + b"{}")
+        path = tmp_path / "model.sfcm"
+        path.write_bytes(MODEL_MAGIC + bytes([99]) + b"{}")
         with pytest.raises(DataError, match="unsupported version 99"):
-            load_model(path)
+            load_model(str(path))
 
     def test_wrong_magic_rejected(self, tmp_path):
-        path = str(tmp_path / "model.sfcm")
-        open(path, "wb").write(b"NOPE" + bytes([1]) + b"{}")
+        path = tmp_path / "model.sfcm"
+        path.write_bytes(b"NOPE" + bytes([1]) + b"{}")
         with pytest.raises(DataError, match="is not a model file"):
-            load_model(path)
+            load_model(str(path))
 
 
 class TestPredictionIo:

@@ -50,12 +50,12 @@ from shapefeat.evaluate import (
 from shapefeat.model import (
     ClassSpec,
     PredictionTrack,
-    Sweep,
     class_probabilities,
     classify,
     train,
 )
 from shapefeat.profiles import znormalize
+from test_model import sweep_table
 
 
 def track_from(labels_by_position, class_ids, m=4):
@@ -279,9 +279,7 @@ class TestCompareVariants:
         for variant, keep in [("shape", lambda f: f.kind == SHAPE),
                               ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
             ids, table = class_probabilities(models, test.series, cfg, keep)
-            run = Sweep(models, test.series, ids, cfg)
-            run.feed(0, table)
-            track = run.track()
+            track = sweep_table(models, test.series, ids, table, cfg)
             expected = [mil_confusion(track, test.labels, mo.class_id) for mo in models]
             assert [cm for name, _, cm, *_ in rows if name == variant] == expected
 
@@ -419,8 +417,8 @@ class TestScoreOnce:
         ClassifierConfig(thresholds={"sine": 1.3, "hum": 0.8}, stride=7),
     ])
     def test_blocks_sweep_as_one_whole_table(self, files, cfg):
-        # Each sweep of compare and roc, fed the blocks of one pass, finds
-        # what one whole-table block gives.
+        # Each sweep of compare and roc, fed the runs of one pass, finds
+        # what the visit columns of one whole table give.
         models = load_model(str(files / "model.sfcm"))
         series = load_series(str(files / "long.txt"))
         bags = load_labels(str(files / "long.csv"), len(series))
@@ -428,9 +426,7 @@ class TestScoreOnce:
         for name, keep in [("shape", lambda f: f.kind == SHAPE),
                            ("feature", lambda f: f.kind != SHAPE), ("combined", None)]:
             ids, table = class_probabilities(models, series, cfg, keep)
-            run = Sweep(models, series, ids, cfg)
-            run.feed(0, table)
-            track = run.track()
+            track = sweep_table(models, series, ids, table, cfg)
             for mo in models:
                 cm = mil_confusion(track, bags, mo.class_id)
                 expected.append((name, mo.class_id, cm, *metrics(cm)))
@@ -442,9 +438,7 @@ class TestScoreOnce:
         expected = []
         for w in weights:
             table[ids.index("hum")] = base * w
-            run = Sweep(models, series, ids, cfg)
-            run.feed(0, table)
-            cm = mil_confusion(run.track(), bags, "hum")
+            cm = mil_confusion(sweep_table(models, series, ids, table, cfg), bags, "hum")
             expected.append(RocPoint(w, *metrics(cm)[:2], cm.tp, cm.fp, cm.fn, cm.tn))
         assert roc_sweep(models, series, bags, cfg, "hum", weights) == expected
         assert len({p.tp for p in expected}) > 1

@@ -890,6 +890,16 @@ def reference_sweep(table, zones, floor, stride):
     return labels, scores
 
 
+def sweep_table(models, test, ids, table, cfg):
+    """Sweep a whole stride-1 `table` as `score_blocks` feeds it: the
+    columns at multiples of the visit step g from 0, then the empty run at
+    the table's end."""
+    run = Sweep(models, test, ids, cfg)
+    run.feed(0, table[:, :: run.step])
+    run.feed(table.shape[1], table[:, :0])
+    return run.track()
+
+
 def assert_detections_match(track, labels, scores):
     """(position, code, score) of every detection equals the reference's."""
     positions = np.flatnonzero(labels >= 0)
@@ -914,9 +924,8 @@ class TestSuppressionSweep:
         """Sweep `table` as the class table of `zone_models`."""
         models, test = zone_models(zones, table.shape[1])
         ids = tuple(mo.class_id for mo in models[: table.shape[0]])
-        run = Sweep(models, test, ids, ClassifierConfig(decision_floor=floor, stride=stride))
-        run.feed(0, table)
-        return run.track()
+        cfg = ClassifierConfig(decision_floor=floor, stride=stride)
+        return sweep_table(models, test, ids, table, cfg)
 
     def test_matches_per_position_reference(self):
         rng = np.random.default_rng(2024)
@@ -969,24 +978,30 @@ def cut_tables(draw):
 
 
 class TestIncrementalSweep:
-    """A `Sweep` fed any cut of a table into consecutive blocks finds the
-    detections of `reference_sweep` over the whole table."""
+    """A `Sweep` fed any cut of a table's visit columns (those at multiples
+    of its step g) into consecutive blocks, then the empty run at the
+    table's end, finds the detections of `reference_sweep` over the whole
+    table."""
 
     @settings(max_examples=400)
     @given(case=cut_tables())
-    # The second block's phase-0 visits find nothing, and the first key of
-    # phase 1 sits right at the bound of phase 0's keys.
-    @example(case=(np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0]]), [0], 0.5, 2, [1], [False, False]))
+    # g = 1 (jump 3, stride 2). The second block's phase-0 visits find
+    # nothing, and the first key of phase 1 sits right at the bound of
+    # phase 0's keys.
+    @example(case=(np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0]]), [2], 0.5, 2, [1], [False, False]))
     def test_any_cut_matches_the_reference(self, case):
         table, zones, floor, stride, cuts, masks = case
         models, test = zone_models(zones, table.shape[1])
         ids = tuple(mo.class_id for mo in models[: table.shape[0]])
         run = Sweep(models, test, ids, ClassifierConfig(decision_floor=floor, stride=stride))
-        edges = [0, *cuts, table.shape[1]]
+        columns = table[:, :: run.step]
+        # Each cut moves to the column edge at or past it.
+        edges = sorted({-(-c // run.step) for c in [0, *cuts, table.shape[1]]})
         for lo, hi, mask in zip(edges, edges[1:], masks):
-            block = table[:, lo:hi]
+            block = columns[:, lo:hi]
             above = (block >= floor).any(axis=0) if mask else None
-            run.feed(lo, block, above)
+            run.feed(lo * run.step, block, above)
+        run.feed(table.shape[1], table[:, :0])
         assert_detections_match(run.track(), *reference_sweep(table, zones, floor, stride))
 
 
@@ -1163,9 +1178,7 @@ class TestClassTables:
         expected = []
         for name, keep in zip(["shape", "feature", "combined"], KEEPS):
             ids, table = oracle_class_table(models, test.series, cfg, keep)
-            run = Sweep(models, test.series, ids, cfg)
-            run.feed(0, table)
-            track = run.track()
+            track = sweep_table(models, test.series, ids, table, cfg)
             for mo in models:
                 cm = mil_confusion(track, test.labels, mo.class_id)
                 expected.append((name, mo.class_id, cm, *metrics(cm)))
@@ -1183,9 +1196,7 @@ class TestClassTables:
         expected = []
         for w in weights:
             table[ids.index("flat")] = base * w
-            run = Sweep(models, test.series, ids, cfg)
-            run.feed(0, table)
-            cm = mil_confusion(run.track(), test.labels, "flat")
+            cm = mil_confusion(sweep_table(models, test.series, ids, table, cfg), test.labels, "flat")
             precision, recall, _ = metrics(cm)
             expected.append((w, precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
         points = roc_sweep(models, test.series, test.labels, cfg, "flat", weights)
@@ -1248,12 +1259,6 @@ class TestVisitStep:
         assert [-(-(len(s) - 47) // (BLOCK - 47)) for s, _, _ in cases] == [2, 3, 3]
         return models, cases
 
-    @staticmethod
-    def whole_sweep(models, series, ids, table, cfg):
-        run = Sweep(models, series, ids, cfg)
-        run.feed(0, table)
-        return run.track()
-
     @settings(max_examples=20)
     @given(case=visit_cases())
     @example(case=(2, 4, [99, 99, 99, 99], 0.5))  # g = 4
@@ -1267,7 +1272,7 @@ class TestVisitStep:
         cfg = ClassifierConfig(thresholds=self.THRESHOLDS, stride=stride, decision_floor=floor)
         expected, tracks = [], []
         for name, (ids, table) in zip(["shape", "feature", "combined"], tables):
-            tracks.append(self.whole_sweep(models, series, ids, table, cfg))
+            tracks.append(sweep_table(models, series, ids, table, cfg))
             for mo in models:
                 cm = mil_confusion(tracks[-1], bags, mo.class_id)
                 expected.append((name, mo.class_id, cm, *metrics(cm)))
@@ -1283,7 +1288,7 @@ class TestVisitStep:
         for w in weights:
             weighted = table.copy()
             weighted[ids.index("flat")] = base * w
-            cm = mil_confusion(self.whole_sweep(models, series, ids, weighted, cfg), bags, "flat")
+            cm = mil_confusion(sweep_table(models, series, ids, weighted, cfg), bags, "flat")
             points.append((w, *metrics(cm)[:2], cm.tp, cm.fp, cm.fn, cm.tn))
         got = roc_sweep(models, series, bags, cfg, "flat", weights)
         assert [tuple(vars(p).values()) for p in got] == points

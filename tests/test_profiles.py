@@ -19,6 +19,7 @@ from shapefeat.core import (
     FeatureSpec,
     Histogram,
     LabelTrack,
+    ModelError,
     Region,
     TimeSeries,
 )
@@ -586,6 +587,16 @@ class TestProfileBlocks:
         parts = iter([x[a:b] for a, b in zip(edges, edges[1:])])
         assert [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(parts, m)] == \
             [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(x, m)]
+
+    def test_an_empty_iterator_is_a_zero_length_series(self):
+        # One empty slice without a window, which scoring refuses.
+        slices = [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(iter([]), 4)]
+        assert slices == [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(np.empty(0), 4)]
+        assert slices == [(0, -3, 0)]
+        hist = Histogram(edges=[0.0, 1.0], counts=[1])
+        models = [ClassModel("c", 4, 0, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)]
+        with pytest.raises(ModelError, match="test series of length 0 is shorter than m=4"):
+            classify(models, iter([]), ClassifierConfig())
 
 
 def mixed_features(m):

@@ -65,8 +65,6 @@ from .profiles import (
     SlidingStats,
     complexity_profile,
     distance_profile_mass,
-    distance_profile_naive,
-    profile_table,
     sliding_stats,
     znormalize,
 )

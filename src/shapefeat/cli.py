@@ -238,7 +238,7 @@ def cmd_synth_gun_experiment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    series = dataio.load_series(args.series)
+    series = dataio.SeriesFile(args.series)
     labels = dataio.load_labels(args.labels, len(series))
     _, specs, _ = load_run_config(args.config, series.sample_rate_hz)
     if not specs:

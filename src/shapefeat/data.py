@@ -31,11 +31,11 @@ import os
 import stat
 import struct
 import tempfile
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from importlib.util import source_hash
 from itertools import chain, islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -508,7 +508,7 @@ class SeriesStream:
 
     def __init__(self, path: str):
         meta: dict = {}
-        self._blocks = _series_values(path, meta, max(1, _BLOCK_BYTES // 8))
+        self._blocks = _series_values(path, meta, _read_step())
         self._next = next(self._blocks)
         self.sample_rate_hz = meta.get("sample_rate_hz")
 
@@ -532,22 +532,81 @@ class SeriesStream:
         self.close()
 
 
+class SeriesFile:
+    """The series file at `path` as a source that can be read more than
+    once: its `len` and `sample_rate_hz`, and per `iter` a fresh read of
+    its values one block at a time, under `load_series`' rule.
+
+    Opening it reads the file once, which settles the length: a sidecar
+    hit reads only the sidecar's footer, and a parse reads the text to its
+    end and leaves the sidecar, so the reads after it are hits. A later
+    read of a text that no longer holds the first read's bytes raises
+    DataError, before it yields a value past the first read's length and
+    at its end at the latest, so no reader that reads to the end trains on
+    a mix of old and new values. A pipe or a device, which cannot be read
+    twice, is loaded once (`load_series`) and its values held."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._loaded: Optional[np.ndarray] = None
+        meta: dict = {}
+        if _sidecar_path(path) is None:
+            series = load_series(path)
+            self._loaded = series.values
+            meta.update(count=len(series), key=None, sample_rate_hz=series.sample_rate_hz)
+        else:
+            with closing(_series_values(path, meta, _read_step())) as reads:
+                for _ in reads:
+                    if "count" in meta:  # a sidecar hit, whose footer counts the values
+                        break
+        self._count, self._key = meta["count"], meta["key"]
+        self.sample_rate_hz = meta.get("sample_rate_hz")
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """The values, read afresh one block at a time; DataError when the
+        text no longer holds the bytes of the first read."""
+        if self._loaded is not None:
+            yield self._loaded
+            return
+        changed = DataError(f"{self.path} changed between two reads of it")
+        meta: dict = {}
+        count = 0
+        with closing(_series_values(self.path, meta, _read_step())) as reads:
+            for values in reads:
+                count += values.size
+                if meta.get("key", self._key) != self._key or count > self._count:
+                    raise changed
+                yield values
+        if (meta["key"], count) != (self._key, self._count):
+            raise changed
+
+
+def _read_step() -> int:
+    """Values per read of a sidecar in a stream: one text block's worth of bytes."""
+    return max(1, _BLOCK_BYTES // 8)
+
+
 def _series_values(path: str, meta: dict, step: Optional[int]):
     """The values of the series file at `path`; its name and rate go to
-    `meta`. When the sidecar holds them, they come `step` at a time (all
-    at once for None). Otherwise they come per read block of a parse, which
-    leaves the sidecar once it reaches the end of the text with values and
-    no fault."""
+    `meta`, and so do the value count and the text's sidecar key, at once
+    on a sidecar hit and at the end of a parse. When the sidecar holds the
+    values, they come `step` at a time (all at once for None). Otherwise
+    they come per read block of a parse, which leaves the sidecar once it
+    reaches the end of the text with values and no fault."""
     found = _open_sidecar(path)
     if found is not None:
-        fh, count, meta["name"], meta["sample_rate_hz"] = found
+        fh, meta["count"], meta["key"], meta["name"], meta["sample_rate_hz"] = found
         with fh:
-            yield from _sidecar_values(fh, count, step or count)
+            yield from _sidecar_values(fh, meta["count"], step or meta["count"])
         return
     with _SidecarWriter(path) as sidecar:
         yield from _series_blocks(path, meta, sidecar)
         if not sidecar.count:
             raise DataError(f"{path} holds no values")
+        meta["count"], meta["key"] = sidecar.count, (sidecar.key.hash, sidecar.key.size)
         sidecar.commit(meta)
 
 
@@ -623,9 +682,10 @@ def _sidecar_path(path: str) -> Optional[str]:
 
 
 def _open_sidecar(path: str):
-    """(sidecar open for reading, value count, name, sample rate) of the
-    series file at `path`, when the sidecar's layout, key and name match
-    that text and every value it holds is finite; else None, whatever fails."""
+    """(sidecar open for reading, value count, key, name, sample rate) of
+    the series file at `path`, when the sidecar's layout, key and name
+    match that text and every value it holds is finite; else None,
+    whatever fails."""
     target = _sidecar_path(path)
     if target is None:
         return None
@@ -651,10 +711,10 @@ def _open_sidecar(path: str):
         key = _text_key(path)
         if (key.hash, key.size) != (digest, text_size):
             return None
-        reads = _sidecar_values(fh, count, max(1, _BLOCK_BYTES // 8))
+        reads = _sidecar_values(fh, count, _read_step())
         if not all(np.isfinite(values).all() for values in reads):
             return None
-        found = fh, count, name, rate or None
+        found = fh, count, (digest, text_size), name, rate or None
         return found
     except (DataError, OSError, ValueError, struct.error):
         return None

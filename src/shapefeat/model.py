@@ -1,23 +1,26 @@
 """Per-class local models: training, probability profiles, and classification.
 
-Training and scoring build their profiles in one pass over the slices of
-`profiles.profile_blocks`. Training writes them into one [feature, window]
-table (`profile_table`) and turns each row into a pair of value histograms
-(class / non-class). Scoring (`score_blocks`) keeps one block of profiles
-at a time (`feature_profiles`) and scores it in runs of `LOOKUP` columns:
-it turns a run into (class, feature) local probabilities, combines each
-class's locals with a Naive Bayes product, weights it by the class's
-threshold, and yields the run's columns of a [class, position] table per
-feature predicate, so the variant grid scores the series once. At stride
-k it scores only the columns a sweep can visit, those at multiples of
-gcd(k, every class's jump). A `Sweep` reads only those runs, in order,
-and goes left to right with exclusion-zone suppression, so no
-full-length table is ever built.
+Training and scoring build their profiles in passes over the slices of
+`profiles.profile_blocks`, so neither holds a full-length array. Training
+(`compute_distributions`) takes each slice's profiles one feature at a
+time, in two passes: the first settles each region's claim and the range
+of the values no region touches, the second counts those values into the
+non-class histogram's bins. Scoring (`score_blocks`) keeps one block of
+profiles at a time (`feature_profiles`) and scores it in runs of `LOOKUP`
+columns: it turns a run into (class, feature) local probabilities,
+combines each class's locals with a Naive Bayes product, weights it by
+the class's threshold, and yields the run's columns of a [class,
+position] table per feature predicate, so the variant grid scores the
+series once. At stride k it scores only the columns a sweep can visit,
+those at multiples of gcd(k, every class's jump). A `Sweep` reads only
+those runs, in order, and goes left to right with exclusion-zone
+suppression, so no full-length table is ever built.
 """
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,7 +43,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import feature_profiles, profile_blocks, profile_table, znormalize
+from .profiles import feature_profiles, profile_blocks, slice_profiles, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -65,17 +68,32 @@ def histogram_build(values) -> Histogram:
     if v.size == 0:
         raise DataError("cannot build a histogram from no values")
     if not np.all(np.isfinite(v)):
-        raise DataError("histogram values must be finite")
+        raise DataError(_NOT_FINITE)
     lo = float(v.min())
     hi = float(v.max())
-    bins = int(min(max(np.ceil(np.sqrt(v.size)), 10), 256))
-    edges = np.linspace(lo, hi, bins + 1)  # np.histogram's, which must rise
-    if np.any(edges[:-1] >= edges[1:]):
-        eps = 1e-8 * max(1.0, abs(lo))
-        edges = np.array([lo - eps / 2.0, lo + eps / 2.0])
-        return Histogram(edges=edges, counts=[v.size])
+    bins = _bin_count(v.size, lo, hi)
+    if bins is None:
+        return _narrow_bin(v.size, lo)
     counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
     return Histogram(edges=edges, counts=counts.astype(np.int64))
+
+
+_NOT_FINITE = "histogram values must be finite"
+
+
+def _bin_count(count: int, lo: float, hi: float) -> Optional[int]:
+    """The bins of `histogram_build` for `count` values from lo to hi:
+    clamp(ceil(sqrt(count)), 10, 256), or None when that many equal-width
+    edges do not rise (np.histogram's edges, which must)."""
+    bins = int(min(max(np.ceil(np.sqrt(count)), 10), 256))
+    edges = np.linspace(lo, hi, bins + 1)
+    return None if np.any(edges[:-1] >= edges[1:]) else bins
+
+
+def _narrow_bin(count: int, lo: float) -> Histogram:
+    """One bin of nominal width 1e-8 * max(1, |lo|) centered on lo, holding `count` values."""
+    eps = 1e-8 * max(1.0, abs(lo))
+    return Histogram(edges=np.array([lo - eps / 2.0, lo + eps / 2.0]), counts=[count])
 
 
 def _floor_density(hist: Histogram, joint_width: float, mode: str) -> float:
@@ -188,15 +206,16 @@ def combine_naive_bayes(
     return np.clip(prod, 0.0, 1.0, out=prod)
 
 
-def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: int) -> np.ndarray:
+def select_prototype(train, labels: LabelTrack, class_id: str, m: int) -> np.ndarray:
     """Medoid subsequence among the class's labeled regions.
 
     Candidates are length-m windows fully inside a region of the class,
     sampled every max(1, m // 2) positions; the winner minimizes the summed
     z-normalized Euclidean distance to the other candidates, ties going to
-    the earliest start.
+    the earliest start. `train` is a series or a source that
+    `profile_blocks` reads afresh (`data.SeriesFile`): one pass copies out
+    the candidates, which lie inside the labeled regions.
     """
-    x = train.values
     step = max(1, m // 2)
     starts: List[int] = []
     for r in labels.class_regions(class_id):
@@ -206,7 +225,16 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
         raise ModelError(
             f"no labeled region of class {class_id!r} holds a length-{m} subsequence"
         )
-    z = np.stack([znormalize(x[s : s + m]) for s in starts])
+    windows = np.empty((len(starts), m))
+    filled = 0
+    for lo, hi, xs in profile_blocks(train, m):
+        end = bisect_left(starts, hi)
+        for k in range(filled, end):
+            windows[k] = xs[starts[k] - lo : starts[k] - lo + m]
+        filled = end
+    if filled < len(starts):
+        raise DataError(f"a region of class {class_id!r} reaches past the series' end")
+    z = znormalize(windows)
     # Not the Gram identity: it rounds differently and can move the medoid.
     # One buffer for every row's squared differences: a pair of fresh
     # [candidate, m] temporaries per row can cost a page fault per page.
@@ -216,23 +244,73 @@ def select_prototype(train: TimeSeries, labels: LabelTrack, class_id: str, m: in
         np.subtract(row, z, out=diff)
         np.multiply(diff, diff, out=diff)
         totals.append(np.sqrt(diff.sum(axis=1)).sum())
-    best = int(np.argmin(totals))
-    s = starts[best]
-    return x[s : s + m].copy()
+    return windows[int(np.argmin(totals))].copy()
 
 
-def _positions(train: TimeSeries, m: int) -> int:
+def _positions(train, m: int) -> int:
     """n - m + 1, the number of length-m windows of `train` (none: DataError)."""
     if m > len(train):
         raise DataError(f"subsequence length {m} exceeds series length {len(train)}")
     return len(train) - m + 1
 
 
-def compute_distributions(
-    train: TimeSeries, labels: LabelTrack, specs: Sequence[ClassSpec]
-) -> List[Tuple[Histogram, Histogram]]:
+class _Spans:
+    """Where the regions of one class claim positions, of `length`: region
+    j's span [max(0, start - e + 1), min(length, end)), the positions i
+    whose [i, i + e) meets it, e the class's exclusion zone (none when
+    e == 0); empty spans, past the last window, are dropped.
+
+    A region claims the lowest position of its span that no earlier region
+    of the class took. Only the earlier spans that meet its own take
+    positions from it, one each, so the `needs[j]` = (their count + 1)
+    lowest positions of span j hold its claim."""
+
+    def __init__(self, labels: LabelTrack, spec, length: int):
+        regions = labels.class_regions(spec.class_id)
+        if not regions:
+            raise ModelError(f"no labeled regions of class {spec.class_id!r}")
+        self.class_id, self.e = spec.class_id, spec.exclusion_zone
+        spans = [(max(0, r.start - self.e + 1), min(length, r.end)) for r in regions]
+        # Regions ascend, so both ends of the spans ascend.
+        spans = [(a, b) for a, b in spans if a < b] if self.e > 0 else []
+        self.starts = [a for a, _ in spans]
+        self.ends = [b for _, b in spans]
+        self.needs = [j - bisect_right(self.ends, a, 0, j) + 1 for j, a in enumerate(self.starts)]
+
+    def cut(self, lo: int, hi: int) -> Tuple[list, np.ndarray]:
+        """The spans that meet windows lo..hi-1, as (j, s, t) with [s, t)
+        relative to lo, and the mask of the windows that no span touches."""
+        untouched = np.ones(hi - lo, dtype=bool)
+        cuts = []
+        for j in range(bisect_right(self.ends, lo), bisect_left(self.starts, hi)):
+            s, t = max(self.starts[j], lo) - lo, min(self.ends[j], hi) - lo
+            untouched[s:t] = False
+            cuts.append((j, s, t))
+        return cuts, untouched
+
+
+def _lowest(v: np.ndarray, count: int, first: int) -> List[Tuple[float, int]]:
+    """(value, position) of the `count` lowest values of v, position
+    `first` being v's first, in the order of a stable ascending sort: ties
+    to the earliest, NaN last."""
+    if count == 1:
+        i = int(v.argmin())  # the first NaN, when there is one
+        if not math.isnan(v[i]):
+            return [(float(v[i]), first + i)]
+    at = np.argsort(v, kind="stable")[:count]
+    return list(zip(v[at].tolist(), (at + first).tolist()))
+
+
+def _order(claim: Tuple[float, int]) -> tuple:
+    """`_lowest`'s order of (value, position) pairs."""
+    value, position = claim
+    return (True, 0.0, position) if math.isnan(value) else (False, value, position)
+
+
+def compute_distributions(train, labels: LabelTrack, specs: Sequence[ClassSpec]
+                          ) -> List[Tuple[Histogram, Histogram]]:
     """Class / non-class value histograms of every (class, feature) local,
-    in model order, then feature order, from one `profile_table`.
+    in model order, then feature order.
 
     The specs share one m and name distinct classes (`train` checks both),
     and every shape feature holds its query. Position i touches a region
@@ -242,38 +320,96 @@ def compute_distributions(
     touching position no earlier region has claimed (ties, and NaN last, as
     a stable sort orders them). Claimed values feed the class list and
     untouched positions the non-class list.
+
+    `train` is a series or a source that `profile_blocks` reads afresh
+    (`data.SeriesFile`), read in two passes that take each slice's
+    profiles one feature at a time, so no profile is longer than a block.
+    The first keeps, per region, the lowest positions of its span that can
+    hold its claim (`_Spans`), and the count, min and max of the untouched
+    values; the second sums each block's np.histogram counts of the
+    untouched values, which np.histogram bins one by one, so the sums are
+    the whole-array counts. The max, the last edge, is taken block by
+    block: when it is a zero and zeros of both signs occur, its sign may
+    be the other one than a whole-array np.max gives.
     """
     m = specs[0].m
     length = _positions(train, m)
-    owners = []  # (class_id, exclusion_zone, spans) of each local
-    for spec in specs:
-        regions = labels.class_regions(spec.class_id)
-        if not regions:
-            raise ModelError(f"no labeled regions of class {spec.class_id!r}")
-        e = spec.exclusion_zone
-        spans = [(max(0, r.start - e + 1), min(length, r.end)) for r in regions] if e > 0 else []
-        owners += [(spec.class_id, e, spans)] * len(spec.features)
-    out: List[Tuple[Histogram, Histogram]] = []
-    table = profile_table(train, [f for spec in specs for f in spec.features], m)
-    for v, (class_id, e, spans) in zip(table, owners):
-        touch = np.zeros(length, dtype=bool)
-        claimed = np.zeros(length, dtype=bool)
-        for lo, hi in spans:
-            touch[lo:hi] = True
-            free = lo + np.flatnonzero(~claimed[lo:hi])
-            if free.size:
-                claimed[free[np.argsort(v[free], kind="stable")[0]]] = True
-        if not claimed.any():
+    classes = [_Spans(labels, spec, length) for spec in specs]
+    features = [f for spec in specs for f in spec.features]
+    owners = [owner for owner, spec in zip(classes, specs) for _ in spec.features]
+    # Per local and region: the lowest (value, position) pairs of its span.
+    lowest: List[list] = [[[] for _ in owner.needs] for owner in owners]
+    # Per local: [count, min, max] of its untouched values; NaN or inf
+    # makes the min or the max non-finite.
+    untouched = [[0, math.inf, -math.inf] for _ in owners]
+    for lo, hi, xs in profile_blocks(train, m):
+        cuts = {}
+        profiles = slice_profiles(xs, features, m)
+        for v, owner, found, seen in zip(profiles, owners, lowest, untouched):
+            if owner not in cuts:
+                cuts[owner] = owner.cut(lo, hi)
+            spans, keep = cuts[owner]
+            for j, s, t in spans:
+                pairs = _lowest(v[s:t], owner.needs[j], lo + s)
+                if found[j]:  # a span across blocks: the lowest of both
+                    pairs = sorted(found[j] + pairs, key=_order)[: owner.needs[j]]
+                found[j] = pairs
+            u = v[keep]
+            if u.size:
+                seen[0] += u.size
+                # NaN, which u.min() and u.max() give when u holds one, stays.
+                seen[1] = float(np.minimum(seen[1], u.min()))
+                seen[2] = float(np.maximum(seen[2], u.max()))
+    out: List[Tuple[Histogram, Optional[Histogram]]] = []
+    rest = []  # (local, bins, min, max) of the non-class histograms still to count
+    for k, (owner, found, (count, lo, hi)) in enumerate(zip(owners, lowest, untouched)):
+        claims = _claims(found)
+        if not claims:
             raise ModelError(
-                f"no snippet claims a region of class {class_id!r} (exclusion_zone={e})"
+                f"no snippet claims a region of class {owner.class_id!r} "
+                f"(exclusion_zone={owner.e})"
             )
-        n_values = v[~touch]
-        if n_values.size == 0:
-            raise ModelError(f"class {class_id!r} labels leave no non-class snippets")
+        if not count:
+            raise ModelError(f"class {owner.class_id!r} labels leave no non-class snippets")
         # Ascending, the order claims are made in: np.max keeps a zero's sign.
-        p_values = np.sort(v[claimed], kind="stable")
-        out.append((histogram_build(p_values), histogram_build(n_values)))
+        p_values = np.sort([value for _, value in sorted(claims)], kind="stable")
+        pos_h = histogram_build(p_values)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DataError(_NOT_FINITE)
+        bins = _bin_count(count, lo, hi)
+        if bins is None:
+            out.append((pos_h, _narrow_bin(count, lo)))
+        else:
+            out.append((pos_h, None))
+            rest.append((k, bins, lo, hi))
+    if rest:
+        counts = [0] * len(rest)
+        edges = [None] * len(rest)
+        for lo, hi, xs in profile_blocks(train, m):
+            cuts = {}
+            profiles = slice_profiles(xs, [features[k] for k, *_ in rest], m)
+            for i, (v, (k, bins, first, last)) in enumerate(zip(profiles, rest)):
+                if owners[k] not in cuts:
+                    cuts[owners[k]] = owners[k].cut(lo, hi)
+                block_counts, edges[i] = np.histogram(v[cuts[owners[k]][1]], bins=bins,
+                                                      range=(first, last))
+                counts[i] += block_counts
+        for (k, *_), total, bin_edges in zip(rest, counts, edges):
+            out[k] = (out[k][0], Histogram(edges=bin_edges, counts=total.astype(np.int64)))
     return out
+
+
+def _claims(lowest: List[list]) -> List[Tuple[int, float]]:
+    """(position, value) of each region's claim: in region order, the
+    first of its span's lowest pairs whose position no earlier region took."""
+    taken, claims = set(), []
+    for pairs in lowest:
+        for value, position in pairs:
+            if position not in taken:
+                taken.add(position)
+                claims.append((position, value))
+                break
+    return claims
 
 
 @dataclass(frozen=True)
@@ -292,16 +428,18 @@ class ClassSpec:
 
 
 def train(
-    train_series: TimeSeries,
+    train_series,
     labels: LabelTrack,
     class_specs: Sequence[ClassSpec],
 ) -> List[ClassModel]:
-    """Fit one ClassModel per spec from one `compute_distributions` pass.
+    """Fit one ClassModel per spec from one `compute_distributions` call.
 
     The specs must share one m and name distinct classes, as models must.
     Shape features without an explicit query get the medoid prototype of
     their class. The prior defaults to the empirical fraction of snippet
     positions that claimed a region; pass ClassSpec.prior to override.
+    `train_series` is a loaded series or a `data.SeriesFile`, read once
+    per medoid and twice to profile, one block at a time.
     """
     m = _check_models(class_specs)
     length = _positions(train_series, m)

@@ -1,24 +1,23 @@
 """Distance and feature profiles over sliding windows.
 
 The distance kernel is the Euclidean distance between z-normalized
-subsequences. Two implementations are provided: a brute-force reference
-(`distance_profile_naive`) and an FFT-accelerated one
-(`distance_profile_mass`) built on one sliding dot product, in the style of
-the MASS similarity-search algorithm. The kernels take optional state that
-the profiles of one series (or of one block of it) share: `stats`, its
-`sliding_stats(ts, m)`, and `spectrum`, its `series_spectrum(ts)`. Absent
-state is computed from the series. `profile_blocks` is the one cut that
-training and scoring share: it yields overlapping slices of the series and
-computes nothing. `feature_profiles` writes a slice's profiles into the
-caller's rows from one `sliding_stats` and one `series_spectrum`, freed on
-return. So the stats and FFT buffers are one block long, as in the blocked
-MASS of Mueen et al. and the blocked running sums of Chan, Golub and
-LeVeque. Training writes every slice into one [feature, window] table
-(`profile_table`); scoring writes each into one block buffer.
+subsequences, computed by `distance_profile_mass` from one FFT sliding dot
+product, in the style of the MASS similarity-search algorithm (the tests
+hold the brute-force reference it is checked against). The kernels take
+optional state that the profiles of one series (or of one block of it)
+share: `stats`, its `sliding_stats(ts, m)`, and `spectrum`, its
+`series_spectrum(ts)`. Absent state is computed from the series.
+`profile_blocks` is the one cut that training and scoring share: it yields
+overlapping slices of the series and computes nothing. `slice_profiles`
+yields a slice's profiles one feature at a time from one `sliding_stats`
+and one `series_spectrum`, and `feature_profiles` writes them into the
+caller's rows. So the stats and FFT buffers are one block long, as in the
+blocked MASS of Mueen et al. and the blocked running sums of Chan, Golub
+and LeVeque. Training takes each profile as it comes; scoring writes a
+block's into one block buffer.
 """
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -70,10 +69,13 @@ def _znormalize_rows(w: np.ndarray) -> np.ndarray:
 
 
 def znormalize(x) -> np.ndarray:
-    """Shift to mean 0 and scale to population std 1 (flat input: zeros)."""
+    """Shift to mean 0 and scale to population std 1 (flat input: zeros),
+    along the last axis: each row of a 2-D array gets the bits it gets
+    alone."""
     x = _as_values(x)
-    if x.size < 2:
-        raise DataError(f"need at least 2 samples to z-normalize, got {x.size}")
+    width = x.shape[-1] if x.ndim else x.size
+    if width < 2:
+        raise DataError(f"need at least 2 samples to z-normalize, got {width}")
     return _znormalize_rows(x)
 
 
@@ -132,19 +134,6 @@ def _check_query(x: np.ndarray, query) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise DataError("query contains non-finite values")
     return q
-
-
-def distance_profile_naive(ts, query) -> np.ndarray:
-    """Reference O(n*m) distance profile; the oracle for the FFT version.
-
-    Each window and the query are z-normalized independently (flat rule
-    included) before taking the Euclidean distance.
-    """
-    x = _as_values(ts)
-    q = _check_query(x, query)
-    m = q.size
-    zw = _znormalize_rows(np.lib.stride_tricks.sliding_window_view(x, m))
-    return np.sqrt(((zw - znormalize(q)) ** 2).sum(axis=1))
 
 
 def series_spectrum(ts) -> np.ndarray:
@@ -269,15 +258,22 @@ def generate_profile(ts, feature: FeatureSpec, m: int, stats=None, spectrum=None
     raise DataError(f"unknown feature kind {feature.kind!r}")
 
 
-def feature_profiles(ts, features: Sequence[FeatureSpec], m: int, out: np.ndarray) -> np.ndarray:
-    """Write each feature's profile into its row of `out` [feature, window],
-    in the order given, and return `out`. The profiles share one
-    `sliding_stats` and, when any feature is a shape feature, one
-    `series_spectrum`; both are gone when it returns."""
+def slice_profiles(ts, features: Sequence[FeatureSpec], m: int) -> Iterator[np.ndarray]:
+    """Each feature's profile of the slice in turn, in the order given. The
+    profiles share one `sliding_stats` and, when any feature is a shape
+    feature, one `series_spectrum`; both are gone when the last one has
+    been taken. A sliding mean or std profile is the stats' own array."""
     stats = sliding_stats(ts, m)
     spectrum = series_spectrum(ts) if any(f.kind == SHAPE for f in features) else None
-    for feature, row in zip(features, out):
-        row[:] = generate_profile(ts, feature, m, stats, spectrum)
+    for feature in features:
+        yield generate_profile(ts, feature, m, stats, spectrum)
+
+
+def feature_profiles(ts, features: Sequence[FeatureSpec], m: int, out: np.ndarray) -> np.ndarray:
+    """Write each feature's profile (`slice_profiles`) into its row of
+    `out` [feature, window], in the order given, and return `out`."""
+    for row, profile in zip(out, slice_profiles(ts, features, m)):
+        row[:] = profile
     return out
 
 
@@ -296,33 +292,34 @@ def profile_blocks(source, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     bit for bit. Only a series shorter than m has no window: its one slice
     has hi <= lo.
 
-    `source` is the series, or an iterator of its consecutive sample
-    arrays (`data.SeriesStream`), which is read as far as the next slice
-    needs. Either gives the same slices; slices of a series are views."""
+    `source` is the series (a `TimeSeries` or an array), whose slices are
+    views of it, or an iterable of its consecutive sample arrays
+    (`data.SeriesStream`, or `data.SeriesFile`, which each `iter` reads
+    afresh). That is read as far as the next slice needs into one buffer
+    of S samples: each slice after the first begins with the last m - 1
+    samples of the one before, moved to the buffer's front. So a streamed
+    slice is valid until the next one is asked for. Either source gives
+    the same slices."""
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
     step = size - m + 1
-    parts = source if isinstance(source, abc.Iterator) else iter([_as_values(source)])
-    lo, held, pending = 0, 0, []
-    for part in parts:
-        pending.append(part)
-        held += part.size
-        while held >= size:
-            x = _joined(pending)
-            pending = [x[step:]]
-            yield lo, lo + step, x[:size]
-            lo, held = lo + step, held - step
-    if held >= m or lo == 0:  # an empty iterator gives a zero-length series' one slice
-        yield lo, lo + held - m + 1, _joined(pending or [np.empty(0)])
-
-
-def _joined(parts) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
-    """[feature, window] profiles of the series, slice by slice of `profile_blocks`."""
-    x = _as_values(ts)
-    table = np.empty((len(features), max(x.size - m + 1, 0)))
-    for lo, hi, xs in profile_blocks(x, m):
-        feature_profiles(xs, features, m, table[:, lo:hi])
-    return table
+    lo = 0
+    if isinstance(source, (TimeSeries, np.ndarray)):
+        x = _as_values(source)
+        while x.size - lo >= size:
+            yield lo, lo + step, x[lo : lo + size]
+            lo += step
+        if x.size - lo >= m or lo == 0:
+            yield lo, x.size - m + 1, x[lo:]
+        return
+    buf, held = np.empty(size), 0
+    for part in source:
+        while part.size:
+            take = min(size - held, part.size)
+            buf[held : held + take] = part[:take]
+            held, part = held + take, part[take:]
+            if held == size:
+                yield lo, lo + step, buf
+                buf[: m - 1] = buf[step:]
+                lo, held = lo + step, m - 1
+    if held >= m or lo == 0:  # an empty source gives a zero-length series' one slice
+        yield lo, lo + held - m + 1, buf[:held]

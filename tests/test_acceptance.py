@@ -52,7 +52,9 @@ from shapefeat.model import (
     combine_naive_bayes,
     train,
 )
-from shapefeat.profiles import distance_profile_mass, distance_profile_naive
+from shapefeat.profiles import distance_profile_mass
+
+from oracles import distance_profile_naive
 
 REPO = Path(__file__).resolve().parent.parent
 GUN_FILE = os.environ.get("SHAPEFEAT_GUN_FILE", str(REPO / "tests" / "data" / "GunPoint.tsv"))

@@ -1,12 +1,15 @@
+import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shapefeat import model
 from shapefeat.cli import main
 from shapefeat.data import load_predictions, load_series
 
@@ -227,6 +230,52 @@ class TestTrain:
         assert code == 0, err
         line = next(text for text in out.splitlines() if text.startswith("class sine:"))
         assert re.findall(r"\((\w+) prototype\)", line) == ["medoid", "explicit"]
+
+    def test_a_pipe_trains_the_model_of_its_file(self, workspace, tmp_path):
+        # A pipe cannot be read twice, so `train` loads it once.
+        fifo = tmp_path / "train.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=((workspace / "train.txt").read_bytes(),), daemon=True)
+        writer.start()
+        out = tmp_path / "model.sfcm"
+        code, _, err = run_cli(
+            "train", "--config", str(workspace / "config.yaml"), "--series", str(fifo),
+            "--labels", str(workspace / "train-labels.csv"), "--out", str(out),
+        )
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert code == 0, err
+        assert out.read_bytes() == (workspace / "model.sfcm").read_bytes()
+
+    @pytest.mark.parametrize("before", ["select_prototype", "compute_distributions"])
+    @pytest.mark.parametrize("change", ["one value more", "one digit"])
+    @pytest.mark.parametrize("reread", [False, True], ids=["parsed", "sidecar"])
+    def test_a_text_rewritten_between_passes(self, workspace, tmp_path, monkeypatch, capsys,
+                                             before, change, reread):
+        # `train` reads the text once to open it, then once per medoid and
+        # twice to profile it; a read that finds other bytes fails, whether
+        # it parses them or finds a sidecar that another read of them left.
+        series = tmp_path / "train.txt"
+        text = (workspace / "train.txt").read_text()
+        series.write_text(text)
+        rewritten = text + "0.5\n" if change == "one value more" else \
+            text[:-2] + ("1" if text[-2] != "1" else "2") + "\n"
+        original = getattr(model, before)
+
+        def rewrite_then(*args):
+            series.write_text(rewritten)
+            if reread:
+                load_series(str(series))
+            return original(*args)
+
+        monkeypatch.setattr(model, before, rewrite_then)
+        out = tmp_path / "model.sfcm"
+        code = main(["train", "--config", str(workspace / "config.yaml"), "--series", str(series),
+                     "--labels", str(workspace / "train-labels.csv"), "--out", str(out)])
+        assert code == 2
+        assert f"{series} changed between two reads of it" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClassify:

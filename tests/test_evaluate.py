@@ -287,20 +287,21 @@ class TestCompareVariants:
 COUNTED = (
     "model.score_blocks",
     "profiles.profile_blocks",
-    "profiles.profile_table",
     "profiles.feature_profiles",
+    "profiles.slice_profiles",
     "profiles.sliding_stats",
     "profiles.series_spectrum",
     "profiles.distance_profile_mass",
     "model.compute_probability",
     "model.compute_distributions",
+    "model.select_prototype",
     "model._check_models",
 )
 
 
 class TestScoreOnce:
     """classify, compare and roc score the series once, however many variants
-    or weights; train builds one profile pass over every class."""
+    or weights; train makes two profile passes over every class."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -316,7 +317,7 @@ class TestScoreOnce:
         save_series(train_b.series, str(root / "train.txt"))
         save_labels(train_b.labels, str(root / "train.csv"))
         save_series(test_b.series, str(root / "test.txt"))
-        # The test series repeated past two profile_table blocks.
+        # The test series repeated past two profile blocks.
         reps = -(-(2 * profiles.BLOCK + 1) // len(test_b.series))
         save_series(TimeSeries(values=np.tile(test_b.series.values, reps)), str(root / "long.txt"))
         length = len(test_b.series)
@@ -386,19 +387,22 @@ class TestScoreOnce:
         one_pass = {
             "model._check_models": 1,
             "profiles.profile_blocks": 1,
-            "profiles.feature_profiles": blocks,
+            "profiles.slice_profiles": blocks,
             "profiles.sliding_stats": blocks,
             "profiles.series_spectrum": blocks,
             "profiles.distance_profile_mass": 3 * blocks,
         }
         if command[0] == "train":
-            # One table of all 10 locals of the 4 classes, not one per class.
-            assert counts == {**one_pass, "profiles.profile_table": 1,
-                              "model.compute_distributions": 1}
+            # A medoid pass per class with a shape feature (3), which builds
+            # no profile, then two profile passes of all 10 locals of the 4
+            # classes, not two per class: claims, then non-class counts.
+            assert counts == {**{name: 2 * count for name, count in one_pass.items()},
+                              "model._check_models": 1, "profiles.profile_blocks": 3 + 2,
+                              "model.select_prototype": 3, "model.compute_distributions": 1}
         else:
             # One lookup per local and run of a block.
-            assert counts == {**one_pass, "model.score_blocks": 1,
-                              "model.compute_probability": 10 * runs}
+            assert counts == {**one_pass, "profiles.feature_profiles": blocks,
+                              "model.score_blocks": 1, "model.compute_probability": 10 * runs}
 
     @pytest.mark.parametrize("series", ["test.txt", "long.txt"])
     def test_no_spectrum_without_shape_features(self, files, monkeypatch, tmp_path, series):
@@ -409,7 +413,8 @@ class TestScoreOnce:
         blocks, runs = self.pass_cuts(str(files / series))
         # The 7 non-shape locals of the 4 classes share each block's stats.
         assert counts == {"model._check_models": 1, "profiles.profile_blocks": 1,
-                          "profiles.feature_profiles": blocks, "profiles.sliding_stats": blocks,
+                          "profiles.feature_profiles": blocks, "profiles.slice_profiles": blocks,
+                          "profiles.sliding_stats": blocks,
                           "model.score_blocks": 1, "model.compute_probability": 7 * runs}
 
     @pytest.mark.parametrize("cfg", [

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from shapefeat import data
 from shapefeat.core import (
     COMPLEXITY,
     FLOOR_OWN,
@@ -27,7 +29,7 @@ from shapefeat.core import (
     ShapefeatError,
     TimeSeries,
 )
-from shapefeat.data import normals, uniforms
+from shapefeat.data import SeriesFile, normals, save_series, uniforms
 from shapefeat.evaluate import compare_variants, metrics, mil_confusion, roc_sweep
 from shapefeat.model import (
     ClassSpec,
@@ -46,9 +48,10 @@ from shapefeat.profiles import (
     BLOCK,
     distance_profile_mass,
     generate_profile,
-    profile_table,
     znormalize,
 )
+
+from oracles import profile_table, table_distributions
 
 
 def plant_bursts(n, m, starts, template, noise_seed, noise_scale=1.0):
@@ -645,6 +648,132 @@ class TestComputeDistributions:
         res = stats.mannwhitneyu(pos_samples, neg_samples, alternative="less")
         assert res.pvalue < 0.01
         assert pos_h.edges[-1] < np.median(neg_samples)
+
+
+@st.composite
+def block_layouts(draw):
+    """(values, labels, specs) over 1-3 profile blocks: m from 2 to 300;
+    1-8 bags, some placed at a block edge (a multiple of BLOCK - m + 1 in
+    window positions) or just before one, so that a bag or its touch span
+    crosses it, and adjacent ones whose spans overlap; each class with
+    its own exclusion zone; values on a coarse grid, so ties and zeros of
+    both signs occur, and two times in three rectified to one sign, so
+    that zeros can be the least or the greatest values."""
+    m = draw(st.integers(2, 300))
+    step = BLOCK - m + 1
+    blocks = draw(st.integers(1, 3))
+    n = draw(st.integers((blocks - 1) * step + m, blocks * step + m - 1))
+    places = st.integers(0, n - 1)
+    if blocks > 1:
+        places |= st.builds(lambda edge, shift: min(max(edge + shift, 0), n - 1),
+                            st.sampled_from([k * step for k in range(1, blocks)]),
+                            st.integers(-3 * m, m))
+    classes = "abc"[: draw(st.integers(1, 3))]
+    regions, pos = [], 0
+    for place, gap, size, cls in sorted(draw(st.lists(
+        st.tuples(places, st.integers(0, 2), st.integers(1, 3 * m),
+                  st.sampled_from(classes + classes + "x")),
+        min_size=1, max_size=8,
+    ))):
+        start = max(place, pos + gap)
+        if start >= n:
+            break
+        regions.append(Region(start, min(start + size, n), cls))
+        pos = regions[-1].end
+    grid = draw(st.sampled_from([1.0, 4.0]))
+    x = np.round(normals(draw(st.integers(0, 2**32 - 1)), n) * grid) / grid
+    rectify = draw(st.sampled_from([None, -1.0, 1.0]))
+    if rectify is not None:  # values of one sign: the rest become zeros of their sign
+        x = np.where(x * rectify < 0, 0.0 * -rectify, x)
+    specs = []
+    for class_id in classes:
+        kinds = draw(st.lists(
+            st.sampled_from([SHAPE, COMPLEXITY, SLIDING_MEAN, SLIDING_STD]), min_size=1, max_size=3
+        ))
+        at = draw(st.integers(0, n - m))
+        features = [
+            FeatureSpec(kind=k, query=x[at : at + m] if k == SHAPE else None) for k in kinds
+        ]
+        e = draw(st.sampled_from([0, 1, m - 1, m, 3 * m]))
+        specs.append(ClassSpec(class_id, m, e, features))
+    return x, LabelTrack(series_length=n, regions=tuple(regions)), specs
+
+
+def _trained_or_error(source, labels, specs):
+    """The histograms `train` fits from `source`, as `_distributions_or_error`
+    gives them, but that the last edge may be a zero of either sign: a
+    streamed max is taken block by block, and numpy's whole-array max of
+    zeros of both signs returns either one."""
+    return _unsigned_last_zero(_distributions_or_error(
+        lambda: [(pos_h, neg_h) for mo in train(source, labels, specs)
+                 for _, pos_h, neg_h in mo.features]))
+
+
+def _unsigned_last_zero(outcome):
+    """An outcome of `_distributions_or_error`, each last edge of -0.0 made 0.0."""
+    if isinstance(outcome, tuple):
+        return outcome
+    # -0.0 + 0.0 is 0.0, and every other value is itself.
+    return [(edges[:-8] + (np.frombuffer(edges)[-1:] + 0.0).tobytes(), counts)
+            for edges, counts in outcome]
+
+
+def _at_most_zero(seed, n):
+    """Rounded normals, the positive ones made 0.0; the small negative
+    ones round to -0.0."""
+    x = np.round(normals(seed, n))
+    return np.where(x > 0, 0.0, x)
+
+
+def _prototype_or_error(source, labels, spec):
+    try:
+        return select_prototype(source, labels, spec.class_id, spec.m).tobytes()
+    except ShapefeatError as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamedTraining:
+    """`train` reads a series file in blocks, in two profile passes, and
+    fits the histograms of the whole-table claim pass that it replaced,
+    bit for bit, or fails with its error."""
+
+    @settings(max_examples=30)
+    @given(layout=block_layouts())
+    # Two blocks of values at most 0 with zeros of both signs: the streamed
+    # non-class max is 0.0, where numpy's whole-array max gives -0.0.
+    @example(layout=(_at_most_zero(0, 69_297), LabelTrack(69_297, (Region(0, 1, "a"),)),
+                     [ClassSpec("a", 2, 1, (FeatureSpec(kind=SLIDING_MEAN),))]))
+    def test_matches_the_table_oracle(self, tmp_path_factory, layout):
+        x, labels, specs = layout
+        ts = TimeSeries(values=x)
+        expected = _unsigned_last_zero(
+            _distributions_or_error(table_distributions, ts, labels, specs))
+        path = str(tmp_path_factory.mktemp("streamed") / "series.txt")
+        save_series(ts, path)
+        # No sidecar is committed, so every read parses the text.
+        with mock.patch.object(data._SidecarWriter, "commit"):
+            assert _trained_or_error(SeriesFile(path), labels, specs) == expected
+        data.load_series(path)  # commits the sidecar: every read below is a hit
+        with mock.patch.object(data, "_series_blocks") as parse:
+            assert _trained_or_error(SeriesFile(path), labels, specs) == expected
+            for spec in specs:  # the medoid's windows, copied out of the blocks
+                assert _prototype_or_error(SeriesFile(path), labels, spec) == \
+                    _prototype_or_error(ts, labels, spec)
+        assert parse.call_count == 0
+        assert _trained_or_error(ts, labels, specs) == expected
+
+
+    @pytest.mark.parametrize("at", [5_000, BLOCK + 5_000])
+    def test_an_untouched_nan_fails_as_in_the_table(self, at):
+        # A sliding mean over NaN is NaN, in the first block or a later one.
+        x = normals(5, 2 * BLOCK)
+        x[at] = np.nan
+        labels = LabelTrack(len(x), (Region(100, 300, "a"),))
+        specs = [ClassSpec("a", 16, 15, (FeatureSpec(kind=SLIDING_MEAN),))]
+        ts = TimeSeries(values=x)
+        assert _trained_or_error(ts, labels, specs) == \
+            _distributions_or_error(table_distributions, ts, labels, specs) == \
+            (DataError, "histogram values must be finite")
 
 
 class TestTrain:

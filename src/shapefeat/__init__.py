@@ -25,7 +25,7 @@ from .core import (
 )
 from .data import (
     DatasetBundle,
-    SeriesStream,
+    SeriesFile,
     TwoModalityParams,
     build_gun_experiment,
     gen_random_noise,

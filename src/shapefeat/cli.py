@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from functools import partial
 from itertools import chain
 from typing import List, Optional, Sequence
 
@@ -238,12 +237,12 @@ def cmd_synth_gun_experiment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    series = dataio.SeriesFile(args.series)
-    labels = dataio.load_labels(args.labels, len(series))
-    _, specs, _ = load_run_config(args.config, series.sample_rate_hz)
-    if not specs:
-        raise DataError(f"config {args.config} defines no classes")
-    models = train(series, labels, specs)
+    with dataio.SeriesFile(args.series) as series:
+        labels = dataio.load_labels(args.labels, len(series))
+        _, specs, _ = load_run_config(args.config, series.sample_rate_hz)
+        if not specs:
+            raise DataError(f"config {args.config} defines no classes")
+        models = train(series, labels, specs)
     dataio.save_model(models, args.out)
     for spec, model in zip(specs, models):
         parts = []
@@ -263,7 +262,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     models = dataio.load_model(args.model)
-    with dataio.SeriesStream(args.series) as series:
+    with dataio.SeriesFile(args.series) as series:
         cfg = _classifier_config(args, series.sample_rate_hz)
         track = classify(models, series, cfg)
     dataio.save_predictions(track, args.out)
@@ -303,10 +302,10 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     models = dataio.load_model(args.model)
-    with dataio.SeriesStream(args.series) as series:
+    with dataio.SeriesFile(args.series) as series:
         cfg = _classifier_config(args, series.sample_rate_hz)
-        # The labels' bounds need the series length, known when the pass ends.
-        rows = compare_variants(models, series, partial(dataio.load_labels, args.labels), cfg)
+        bags = dataio.load_labels(args.labels, len(series))
+        rows = compare_variants(models, series, bags, cfg)
     lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
     for name, class_id, cm, precision, recall, accuracy in rows:
         lines.append(f"{name},{class_id},{_confusion_csv(cm, precision, recall, accuracy)}")
@@ -321,15 +320,15 @@ def cmd_compare(args) -> int:
 
 def cmd_roc(args) -> int:
     models = dataio.load_model(args.model)
-    with dataio.SeriesStream(args.series) as series:
+    with dataio.SeriesFile(args.series) as series:
         cfg = _classifier_config(args, series.sample_rate_hz)
         weights = [
             _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
         ]
         if len(weights) < 2:
             raise DataError("need at least two weights")
-        points = roc_sweep(models, series, partial(dataio.load_labels, args.labels), cfg,
-                           args.class_id, weights)
+        bags = dataio.load_labels(args.labels, len(series))
+        points = roc_sweep(models, series, bags, cfg, args.class_id, weights)
     rows = [
         f"{_fmt(pt.threshold_weight)},{_fmt(pt.precision)},{_fmt(pt.recall)},"
         f"{pt.tp},{pt.fp},{pt.fn},{pt.tn}"

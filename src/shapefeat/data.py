@@ -17,7 +17,9 @@ File formats:
 * series sidecar: ``.<basename>.sfsc`` beside a series text, the values of
   its last clean parse: 4-byte magic ``SFSC`` + 1 version byte, the values
   as little-endian float64, then a trailer (see `_FOOTER`). It is used only
-  while its key, a hash of the text's bytes, matches the text;
+  while its key, a hash of the text's bytes, matches the text. A
+  `SeriesFile` holds it open as its snapshot of the series; a pipe's
+  snapshot is an anonymous temp file of the same layout;
 * labels: CSV lines ``start,end,class`` with end exclusive, 0-based;
 * models: 4-byte magic ``SFCM`` + 1 version byte + JSON payload;
 * predictions: header comments + CSV rows ``position,class,score`` for
@@ -31,7 +33,7 @@ import os
 import stat
 import struct
 import tempfile
-from contextlib import closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib.util import source_hash
 from itertools import chain, islice
@@ -486,133 +488,70 @@ def save_series(ts: TimeSeries, path: str) -> None:
 
 def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers.
-    The values come from the file's sidecar in one read when it holds them;
-    otherwise a parse that ends with values writes that sidecar."""
-    meta: dict = {}
-    parts = list(_series_values(path, meta, None))
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    del parts  # so the loader holds the series twice at most, not three times
-    return TimeSeries(values, meta.get("sample_rate_hz"), meta.get("name", ""), owned=True)
+    One whole read of the file's `SeriesFile` snapshot."""
+    with SeriesFile(path) as series:
+        [values] = _sidecar_values(series._fh, len(series), len(series))
+    return TimeSeries(values, series.sample_rate_hz, series.name, owned=True)
 
 
-class SeriesStream:
-    """A series file read one block at a time: an iterator of each block's
-    values, from `_series_values` under `load_series`' rule, its errors and
-    its sidecar.
+class SeriesFile:
+    """The series file at `path` as a source that can be read more than
+    once: its `len`, `name` and `sample_rate_hz`, and per `iter` a read of
+    its values one block at a time.
 
-    Opening it reads up to the first block of values: the sidecar's when it
-    holds the text's values, else the text's up to the first value. A
-    sample_rate_hz header after that value may not change the rate, so
-    `sample_rate_hz` holds for the whole series from the start. `close`
-    stops the read; a parse it stops leaves no sidecar."""
+    Opening it takes a snapshot of the values and holds it open until
+    `close` (or the end of a `with` block): the text's sidecar when it
+    holds the text's values, else the file a parse of the text writes,
+    which becomes the sidecar. Where there can be no sidecar (a pipe, a
+    device, a directory that refuses it) that file is an anonymous temp
+    file. A sidecar is only ever replaced by a rename, so every pass reads
+    the values of the one open, whatever happens to the text meanwhile."""
 
     def __init__(self, path: str):
+        self.path = path
         meta: dict = {}
-        self._blocks = _series_values(path, meta, _read_step())
-        self._next = next(self._blocks)
-        self.sample_rate_hz = meta.get("sample_rate_hz")
+        found = _open_sidecar(path)
+        if found is None:
+            with _SidecarWriter(path) as sidecar:
+                _series_blocks(path, meta, sidecar)
+                if not sidecar.count:
+                    raise DataError(f"{path} holds no values")
+                self._fh, self._count = sidecar.commit(meta), sidecar.count
+        else:
+            self._fh, self._count, meta["name"], meta["sample_rate_hz"] = found
+        self.name, self.sample_rate_hz = meta.get("name", ""), meta.get("sample_rate_hz")
 
-    def __iter__(self):
-        return self
+    def __len__(self) -> int:
+        return self._count
 
-    def __next__(self) -> np.ndarray:
-        if self._next is not None:
-            values, self._next = self._next, None
-            return values
-        return next(self._blocks)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """The values of the snapshot, one text block's worth of bytes at a
+        time. A pass after `close` takes a snapshot of its own, of the file
+        as it is then, and lets it go at the pass's end: `bench/spans.py`
+        replays a recorded `select_prototype` call after `train` has closed
+        its source."""
+        if self._fh.closed:
+            return self._reopened()
+        return _sidecar_values(self._fh, self._count, _read_step())
+
+    def _reopened(self) -> Iterator[np.ndarray]:
+        with SeriesFile(self.path) as series:
+            yield from series
 
     def close(self) -> None:
-        """Stop reading."""
-        self._blocks.close()
+        """Let the snapshot go."""
+        self._fh.close()
 
-    def __enter__(self) -> "SeriesStream":
+    def __enter__(self) -> "SeriesFile":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class SeriesFile:
-    """The series file at `path` as a source that can be read more than
-    once: its `len` and `sample_rate_hz`, and per `iter` a fresh read of
-    its values one block at a time, under `load_series`' rule.
-
-    Opening it reads the file once, which settles the length: a sidecar
-    hit reads only the sidecar's footer, and a parse reads the text to its
-    end and leaves the sidecar, so the reads after it are hits. A later
-    read of a text that no longer holds the first read's bytes raises
-    DataError, before it yields a value past the first read's length and
-    at its end at the latest, so no reader that reads to the end trains on
-    a mix of old and new values. A pipe or a device, which cannot be read
-    twice, is loaded once (`load_series`) and its values held."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._loaded: Optional[np.ndarray] = None
-        meta: dict = {}
-        if _sidecar_path(path) is None:
-            series = load_series(path)
-            self._loaded = series.values
-            meta.update(count=len(series), key=None, sample_rate_hz=series.sample_rate_hz)
-        else:
-            with closing(_series_values(path, meta, _read_step())) as reads:
-                for _ in reads:
-                    if "count" in meta:  # a sidecar hit, whose footer counts the values
-                        break
-        self._count, self._key = meta["count"], meta["key"]
-        self.sample_rate_hz = meta.get("sample_rate_hz")
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """The values, read afresh one block at a time; DataError when the
-        text no longer holds the bytes of the first read."""
-        if self._loaded is not None:
-            yield self._loaded
-            return
-        changed = DataError(f"{self.path} changed between two reads of it")
-        meta: dict = {}
-        count = 0
-        with closing(_series_values(self.path, meta, _read_step())) as reads:
-            for values in reads:
-                count += values.size
-                if meta.get("key", self._key) != self._key or count > self._count:
-                    raise changed
-                yield values
-        if (meta["key"], count) != (self._key, self._count):
-            raise changed
-
-
-def _read_step() -> int:
-    """Values per read of a sidecar in a stream: one text block's worth of bytes."""
-    return max(1, _BLOCK_BYTES // 8)
-
-
-def _series_values(path: str, meta: dict, step: Optional[int]):
-    """The values of the series file at `path`; its name and rate go to
-    `meta`, and so do the value count and the text's sidecar key, at once
-    on a sidecar hit and at the end of a parse. When the sidecar holds the
-    values, they come `step` at a time (all at once for None). Otherwise
-    they come per read block of a parse, which leaves the sidecar once it
-    reaches the end of the text with values and no fault."""
-    found = _open_sidecar(path)
-    if found is not None:
-        fh, meta["count"], meta["key"], meta["name"], meta["sample_rate_hz"] = found
-        with fh:
-            yield from _sidecar_values(fh, meta["count"], step or meta["count"])
-        return
-    with _SidecarWriter(path) as sidecar:
-        yield from _series_blocks(path, meta, sidecar)
-        if not sidecar.count:
-            raise DataError(f"{path} holds no values")
-        meta["count"], meta["key"] = sidecar.count, (sidecar.key.hash, sidecar.key.size)
-        sidecar.commit(meta)
-
-
-def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter):
-    """The values of each block of the series file at `path` that holds
-    any, each also written to `sidecar`; its headers go to `meta`."""
+def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter) -> None:
+    """Parse the series file at `path` block by block into `sidecar`; its
+    headers go to `meta`."""
     index = 0
     for first, lines in _read_lines(path, sidecar.key):
         # Leading headers and blank lines (every file that save_series
@@ -629,10 +568,8 @@ def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter):
             # Headers, blank lines or a fault: read the block line by line.
             values = _walk_block(path, lines, first, index, meta)
         del lines  # before the reader takes the next block
-        if values.size:
-            index += values.size
-            sidecar.write(values)
-            yield values
+        index += values.size
+        sidecar.write(values)
 
 
 # The sidecar of a series text: its magic and version (bump the version
@@ -682,10 +619,10 @@ def _sidecar_path(path: str) -> Optional[str]:
 
 
 def _open_sidecar(path: str):
-    """(sidecar open for reading, value count, key, name, sample rate) of
-    the series file at `path`, when the sidecar's layout, key and name
-    match that text and every value it holds is finite; else None,
-    whatever fails."""
+    """(sidecar open for reading, value count, name, sample rate) of the
+    series file at `path`, when the sidecar's layout, key and name match
+    that text and every value it holds is finite; else None, whatever
+    fails."""
     target = _sidecar_path(path)
     if target is None:
         return None
@@ -714,7 +651,7 @@ def _open_sidecar(path: str):
         reads = _sidecar_values(fh, count, _read_step())
         if not all(np.isfinite(values).all() for values in reads):
             return None
-        found = fh, count, (digest, text_size), name, rate or None
+        found = fh, count, name, rate or None
         return found
     except (DataError, OSError, ValueError, struct.error):
         return None
@@ -723,13 +660,19 @@ def _open_sidecar(path: str):
             fh.close()
 
 
+def _read_step() -> int:
+    """Values per read of a pass over a snapshot: one text block's worth of bytes."""
+    return max(1, _BLOCK_BYTES // 8)
+
+
 def _sidecar_values(fh, count: int, step: int):
-    """The `count` values of the open sidecar `fh`, `step` per read; a
-    DataError when a read fails or comes short."""
+    """The `count` values of the open sidecar `fh`, `step` per read. Each
+    read seeks to its own values first, so passes over one file may take
+    turns. A read that fails or comes short is a DataError."""
     try:
-        fh.seek(len(_SIDECAR_HEAD))
         for lo in range(0, count, step):
             values = np.empty(min(step, count - lo), dtype="<f8")
+            fh.seek(len(_SIDECAR_HEAD) + 8 * lo)
             if fh.readinto(values) != values.nbytes:
                 raise DataError(f"{fh.name} holds fewer values than its trailer counts")
             yield values.astype(np.float64, copy=False)
@@ -738,64 +681,68 @@ def _sidecar_values(fh, count: int, step: int):
 
 
 class _SidecarWriter:
-    """The sidecar of a series text as a parse reads it: the values go to a
-    temp file beside the text as they come, and `commit` adds the trailer
-    and renames the file into place. An OSError drops the file, as does the
-    end of a `with` block that did not commit; neither raises."""
+    """The snapshot of a series text as a parse reads it. The values go to
+    a temp file beside the text as they come, or to an anonymous temp file
+    where there is no sidecar path (a pipe, a device) or the directory
+    refuses the file. `commit` adds the trailer, renames a file beside the
+    text into place as its sidecar, and hands over the open file. The end
+    of a `with` block that did not commit drops the file. A write that
+    fails is a DataError."""
 
     def __init__(self, path: str):
-        self.key, self.count = _Key(), 0
-        self._target, self._fh = _sidecar_path(path), None
-        if self._target is None:
-            return
+        self.path, self.key, self.count = path, _Key(), 0
+        self._target, self._tmp = _sidecar_path(path), None
+        if self._target is not None:
+            with suppress(OSError):
+                fd, self._tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(self._target) or ".", prefix=".tmp-", suffix="~")
         try:
-            fd, self._tmp = tempfile.mkstemp(
-                dir=os.path.dirname(self._target) or ".", prefix=".tmp-", suffix="~")
-        except OSError:
-            return
-        self._fh = os.fdopen(fd, "wb")
+            self._fh = tempfile.TemporaryFile() if self._tmp is None else os.fdopen(fd, "w+b")
+        except OSError as exc:
+            raise DataError(f"cannot write the snapshot of {path}: {exc}") from exc
         self._write(_SIDECAR_HEAD)
 
-    def _write(self, data) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.write(data)
-            except OSError:
-                self._discard()
+    def _write(self, data, flush: bool = False) -> None:
+        try:
+            self._fh.write(data)
+            if flush:
+                self._fh.flush()
+        except OSError as exc:
+            raise DataError(f"cannot write the snapshot of {self.path}: {exc}") from exc
 
     def write(self, values: np.ndarray) -> None:
         self.count += values.size
         self._write(values.astype("<f8", copy=False))
 
-    def commit(self, meta: dict) -> None:
-        """Finish the sidecar with the series' `meta` (name, sample_rate_hz) and move it into place."""
+    def commit(self, meta: dict):
+        """Finish the file with the series' `meta` (name, sample_rate_hz),
+        move a file beside the text into place, and return the open file.
+        Where the rename fails, the file's name goes and the open file
+        stays, anonymous."""
         name = meta.get("name", "").encode("utf-8")
         rate = meta.get("sample_rate_hz") or 0.0
-        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self.count, rate, len(name)))
-        if self._fh is None:
-            return
-        try:
-            self._fh.close()
-            os.replace(self._tmp, self._target)
-        except OSError:
-            self._discard()
-        else:
-            self._fh = None
-
-    def _discard(self) -> None:
-        """Close and remove an unfinished sidecar."""
-        if self._fh is not None:
-            fh, self._fh = self._fh, None
-            with suppress(OSError):
-                fh.close()
-            with suppress(OSError):
-                os.unlink(self._tmp)
+        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self.count, rate, len(name)),
+                    flush=True)
+        fh, tmp, self._fh, self._tmp = self._fh, self._tmp, None, None
+        if tmp is not None:
+            try:
+                os.replace(tmp, self._target)
+            except OSError:
+                with suppress(OSError):
+                    os.unlink(tmp)
+        return fh
 
     def __enter__(self) -> "_SidecarWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._discard()
+        """Drop a file that was not committed."""
+        if self._fh is not None:
+            with suppress(OSError):
+                self._fh.close()
+        if self._tmp is not None:
+            with suppress(OSError):
+                os.unlink(self._tmp)
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:

@@ -7,14 +7,12 @@ The comparison grid and the ROC sweep score the test series once
 configured stride can visit, those at multiples of the visit step g, and
 feed each run of that pass to one `Sweep` each, as `classify` does: the
 grid to one per variant, the ROC sweep to one per weight, after
-re-weighting the swept class's row of the run. Their `bags` is the
-LabelTrack, or a function that makes it from the series length, called
-when the pass ends: a streamed series' length is known only then.
+re-weighting the swept class's row of the run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,18 +87,10 @@ def metrics(cm: ConfusionMatrix) -> Tuple[float, float, float]:
     return precision, recall, accuracy
 
 
-Bags = Union[LabelTrack, Callable[[int], LabelTrack]]
-
-
-def _bags_of(bags: Bags, track: PredictionTrack) -> LabelTrack:
-    """`bags`, or what it makes of the series length `track` covers."""
-    return bags(track.series_length) if callable(bags) else bags
-
-
 def compare_variants(
     models: Sequence[ClassModel],
     test: TimeSeries,
-    bags: Bags,
+    bags: LabelTrack,
     cfg: ClassifierConfig,
 ) -> List[Tuple[str, str, ConfusionMatrix, float, float, float]]:
     """(variant, class, confusion, precision, recall, accuracy) rows.
@@ -109,7 +99,8 @@ def compare_variants(
     class with no feature of the kind drops out of that run (and scores
     recall 0 on its own bags). A run left with no classes at all predicts
     nothing, so a single-modality model degenerates to that modality's run.
-    All three runs take their tables from one scoring pass.
+    All three runs take their tables from one scoring pass over `test`, a
+    series or an open `data.SeriesFile`.
     """
     variants = [
         ("shape", lambda spec: spec.kind == SHAPE),
@@ -121,10 +112,9 @@ def compare_variants(
     for lo, tables in blocks:
         for run, block in zip(runs, tables):
             run.feed(lo, block)
-    tracks = [run.track() for run in runs]
-    bags = _bags_of(bags, tracks[0])
     rows = []
-    for (name, _), track in zip(variants, tracks):
+    for (name, _), run in zip(variants, runs):
+        track = run.track()
         for mo in models:
             cm = mil_confusion(track, bags, mo.class_id)
             rows.append((name, mo.class_id, cm, *metrics(cm)))
@@ -134,17 +124,17 @@ def compare_variants(
 def roc_sweep(
     models: Sequence[ClassModel],
     test: TimeSeries,
-    bags: Bags,
+    bags: LabelTrack,
     cfg: ClassifierConfig,
     class_id: str,
     weights: Sequence[float],
 ) -> List[RocPoint]:
     """One operating point per threshold weight of `class_id`, scored with MIL.
 
-    The series is scored once. Each weight re-weights that class's row of
-    each run and feeds the run to its own sweep; the above-floor mask of
-    the other rows is built once per run. A `class_id` that no model
-    has is a ModelError.
+    The series (a series or an open `data.SeriesFile`) is scored once.
+    Each weight re-weights that class's row of each run and feeds the run
+    to its own sweep; the above-floor mask of the other rows is built once
+    per run. A `class_id` that no model has is a ModelError.
     """
     if not weights:
         raise DataError("need at least one weight")
@@ -169,11 +159,9 @@ def roc_sweep(
             above = row >= floor
             above |= rest
             run.feed(lo, block, above)
-    tracks = [run.track() for run in runs]
-    bags = _bags_of(bags, tracks[0])
     points = []
-    for w, track in zip(weights, tracks):
-        cm = mil_confusion(track, bags, class_id)
+    for w, run in zip(weights, runs):
+        cm = mil_confusion(run.track(), bags, class_id)
         precision, recall, _ = metrics(cm)
         points.append(RocPoint(float(w), precision, recall, cm.tp, cm.fp, cm.fn, cm.tn))
     return points

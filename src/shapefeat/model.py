@@ -69,8 +69,9 @@ def histogram_build(values) -> Histogram:
         raise DataError("cannot build a histogram from no values")
     if not np.all(np.isfinite(v)):
         raise DataError(_NOT_FINITE)
-    lo = float(v.min())
-    hi = float(v.max())
+    # + 0.0 makes a zero edge 0.0 whichever zero numpy's min or max picks.
+    lo = float(v.min()) + 0.0
+    hi = float(v.max()) + 0.0
     bins = _bin_count(v.size, lo, hi)
     if bins is None:
         return _narrow_bin(v.size, lo)
@@ -212,8 +213,8 @@ def select_prototype(train, labels: LabelTrack, class_id: str, m: int) -> np.nda
     Candidates are length-m windows fully inside a region of the class,
     sampled every max(1, m // 2) positions; the winner minimizes the summed
     z-normalized Euclidean distance to the other candidates, ties going to
-    the earliest start. `train` is a series or a source that
-    `profile_blocks` reads afresh (`data.SeriesFile`): one pass copies out
+    the earliest start. `train` is a series or a source that each `iter`
+    reads from its start (an open `data.SeriesFile`): one pass copies out
     the candidates, which lie inside the labeled regions.
     """
     step = max(1, m // 2)
@@ -321,16 +322,16 @@ def compute_distributions(train, labels: LabelTrack, specs: Sequence[ClassSpec]
     a stable sort orders them). Claimed values feed the class list and
     untouched positions the non-class list.
 
-    `train` is a series or a source that `profile_blocks` reads afresh
-    (`data.SeriesFile`), read in two passes that take each slice's
+    `train` is a series or a source that each `iter` reads from its start
+    (an open `data.SeriesFile`), read in two passes that take each slice's
     profiles one feature at a time, so no profile is longer than a block.
     The first keeps, per region, the lowest positions of its span that can
     hold its claim (`_Spans`), and the count, min and max of the untouched
     values; the second sums each block's np.histogram counts of the
     untouched values, which np.histogram bins one by one, so the sums are
-    the whole-array counts. The max, the last edge, is taken block by
-    block: when it is a zero and zeros of both signs occur, its sign may
-    be the other one than a whole-array np.max gives.
+    the whole-array counts. The min and the max, the edges, are taken
+    block by block and then made signless, as `histogram_build` makes its
+    own, so a zero edge is 0.0 whatever the blocks and the zeros' order.
     """
     m = specs[0].m
     length = _positions(train, m)
@@ -371,11 +372,10 @@ def compute_distributions(train, labels: LabelTrack, specs: Sequence[ClassSpec]
             )
         if not count:
             raise ModelError(f"class {owner.class_id!r} labels leave no non-class snippets")
-        # Ascending, the order claims are made in: np.max keeps a zero's sign.
-        p_values = np.sort([value for _, value in sorted(claims)], kind="stable")
-        pos_h = histogram_build(p_values)
+        pos_h = histogram_build([value for _, value in claims])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError(_NOT_FINITE)
+        lo, hi = lo + 0.0, hi + 0.0  # a signless zero, as in histogram_build
         bins = _bin_count(count, lo, hi)
         if bins is None:
             out.append((pos_h, _narrow_bin(count, lo)))
@@ -438,8 +438,9 @@ def train(
     Shape features without an explicit query get the medoid prototype of
     their class. The prior defaults to the empirical fraction of snippet
     positions that claimed a region; pass ClassSpec.prior to override.
-    `train_series` is a loaded series or a `data.SeriesFile`, read once
-    per medoid and twice to profile, one block at a time.
+    `train_series` is a loaded series or an open `data.SeriesFile`, whose
+    snapshot is read once per medoid and twice to profile, one block at a
+    time.
     """
     m = _check_models(class_specs)
     length = _positions(train_series, m)
@@ -492,16 +493,15 @@ def score_blocks(
     """The one scoring pass over the test series: the class ids of each
     `keep` predicate's table, and an iterator of (lo, [run table per keep])
     per run of at most `LOOKUP` columns. `test` is a series or a
-    `data.SeriesStream`, read once by the iterator; a series shorter than
-    m is a ModelError when its one slice comes.
+    `data.SeriesFile`, read once by the iterator; a series shorter than m
+    is a ModelError at once, from `len(test)`.
 
     The pass holds only the columns a sweep at `cfg.stride` can visit,
     those at positions that are multiples of g = `_visit_step`. A run table
     holds the columns at positions lo, lo + g, lo + 2g, ... of a [class,
     position] table: each class's Naive Bayes combination of its locals
     whose spec passes `keep` (all when None), times its threshold weight;
-    a class with no kept local drops out. When g > 1 the pass ends with an
-    empty run at the series' end, n, which its columns need not reach.
+    a class with no kept local drops out.
 
     Each `profile_blocks` block's profiles fill one block buffer (the
     block sets the FFT size, and so the output bits). A run turns its
@@ -510,6 +510,8 @@ def score_blocks(
     tables are buffers one run long, which the next run overwrites.
     """
     m = _check_models(models)
+    if len(test) < m:
+        raise ModelError(f"test series of length {len(test)} is shorter than m={m}")
     step = _visit_step(models, cfg)
     locals_ = [feature for mo in models for feature in mo.features]
     plans = []  # per keep: [(model, run rows of its kept locals)]
@@ -526,8 +528,6 @@ def score_blocks(
     def blocks():
         probs = tables = None
         for lo, hi, xs in profile_blocks(test, m):
-            if hi <= lo:
-                raise ModelError(f"test series of length {xs.size} is shorter than m={m}")
             if probs is None:  # the first block is the longest
                 probs = np.empty((len(locals_), hi - lo))
                 cols = min(LOOKUP, -(-(hi - lo) // step))  # of the longest run
@@ -549,8 +549,6 @@ def score_blocks(
                                             cfg.nb_denominator, out=row)
                         row *= cfg.threshold_for(mo.class_id)
                 yield lo + a, out
-        if step > 1:
-            yield hi, [table[:, :0] for table in tables]
 
     return [tuple(mo.class_id for mo, _ in groups) for groups in plans], blocks()
 
@@ -565,8 +563,7 @@ def class_probabilities(
     (all when None) over a loaded series: the runs of `score_blocks` at
     stride 1, every column, assembled; a `Sweep` reads `table[:, ::g]`."""
     [ids], blocks = score_blocks(models, test, replace(cfg, stride=1), [keep])
-    # No column for a series shorter than m, whose pass raises ModelError.
-    table = np.empty((len(ids), max(len(test) - models[0].m + 1, 0)))
+    table = np.empty((len(ids), len(test) - models[0].m + 1))
     for lo, (block,) in blocks:
         table[:, lo : lo + block.shape[1]] = block
     return ids, table
@@ -590,16 +587,15 @@ class Sweep:
     that class's exclusion zone. Between detections the visits stay in one
     stride phase, so one binary search finds the next one in a block.
     `pos`, the next column to visit, carries across block edges. A
-    detection scores its class's weighted probability. `test` gives the
-    sample rate.
+    detection scores its class's weighted probability. `test` (a series
+    or a `data.SeriesFile`) gives the series length and sample rate.
 
     The runs are those of `score_blocks` for the same models and stride,
     the one path of classify, compare and roc. Their columns are the
     positions at multiples of its step g (`_visit_step`), the only ones a
     sweep can visit, so the sweep counts in columns, the stride and the
-    jumps divided by g. Positions and the series length stay in series
-    coordinates. The series length is the end of the last block fed,
-    lo + width * g, which the pass's closing empty run sets to n.
+    jumps divided by g. Positions stay in series coordinates, and the
+    series length is `len(test)`.
     """
 
     def __init__(self, models: Sequence[ClassModel], test, class_ids: tuple,
@@ -609,7 +605,7 @@ class Sweep:
         zone_of = {mo.class_id: mo.exclusion_zone for mo in models}
         self.stride = cfg.stride // self.step
         self.jumps = [max(cfg.stride, zone_of[c] + 1) // self.step for c in class_ids]
-        self.pos = self.end = 0
+        self.pos = 0
         self.positions, self.codes, self.scores = array("q"), array("i"), array("d")
 
     def feed(self, lo: int, block: np.ndarray, above: Optional[np.ndarray] = None) -> None:
@@ -618,7 +614,6 @@ class Sweep:
         at-or-above-floor mask of columns (`above_floor`), when the caller
         has it."""
         width = block.shape[1]
-        self.end = lo + width * self.step
         lo = -(-lo // self.step)  # in columns from here on
         hi, pos, stride = lo + width, self.pos, self.stride
         if above is None:
@@ -658,7 +653,7 @@ class Sweep:
             label_codes=np.array(self.codes, dtype=np.int32),
             scores=np.array(self.scores, dtype=np.float64),
             m=self.models[0].m,
-            series_length=self.end + self.models[0].m - 1,
+            series_length=len(self.test),
             stride=self.cfg.stride,
             sample_rate_hz=self.test.sample_rate_hz,
         )

@@ -293,13 +293,12 @@ def profile_blocks(source, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     has hi <= lo.
 
     `source` is the series (a `TimeSeries` or an array), whose slices are
-    views of it, or an iterable of its consecutive sample arrays
-    (`data.SeriesStream`, or `data.SeriesFile`, which each `iter` reads
-    afresh). That is read as far as the next slice needs into one buffer
-    of S samples: each slice after the first begins with the last m - 1
-    samples of the one before, moved to the buffer's front. So a streamed
-    slice is valid until the next one is asked for. Either source gives
-    the same slices."""
+    views of it, or an iterable of its consecutive sample arrays (an open
+    `data.SeriesFile`, which each `iter` reads from its start). That is
+    read as far as the next slice needs into one buffer of S samples: each
+    slice after the first begins with the last m - 1 samples of the one
+    before, moved to the buffer's front. So a streamed slice is valid until
+    the next one is asked for. Either source gives the same slices."""
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
     step = size - m + 1
     lo = 0

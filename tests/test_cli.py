@@ -5,11 +5,12 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from shapefeat import model
+from shapefeat import data, model
 from shapefeat.cli import main
 from shapefeat.data import load_predictions, load_series
 
@@ -232,7 +233,8 @@ class TestTrain:
         assert re.findall(r"\((\w+) prototype\)", line) == ["medoid", "explicit"]
 
     def test_a_pipe_trains_the_model_of_its_file(self, workspace, tmp_path):
-        # A pipe cannot be read twice, so `train` loads it once.
+        # A pipe cannot be read twice: `train` parses it once into an
+        # anonymous snapshot, which every pass reads.
         fifo = tmp_path / "train.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes,
@@ -248,14 +250,29 @@ class TestTrain:
         assert code == 0, err
         assert out.read_bytes() == (workspace / "model.sfcm").read_bytes()
 
+    def test_one_text_key_per_train(self, workspace, tmp_path, capsys):
+        # The first `train` parses the text and leaves its sidecar; the
+        # second hashes the text once, to check that sidecar at the open,
+        # and every pass reads the sidecar it holds.
+        series = tmp_path / "train.txt"
+        series.write_bytes((workspace / "train.txt").read_bytes())
+        argv = ["train", "--config", str(workspace / "config.yaml"), "--series", str(series),
+                "--labels", str(workspace / "train-labels.csv"), "--out", str(tmp_path / "m.sfcm")]
+        assert main(argv) == 0
+        with mock.patch.object(data, "_text_key", wraps=data._text_key) as key:
+            assert main(argv) == 0, capsys.readouterr().err
+        assert key.call_args_list == [mock.call(str(series))]
+        assert (tmp_path / "m.sfcm").read_bytes() == (workspace / "model.sfcm").read_bytes()
+
     @pytest.mark.parametrize("before", ["select_prototype", "compute_distributions"])
     @pytest.mark.parametrize("change", ["one value more", "one digit"])
     @pytest.mark.parametrize("reread", [False, True], ids=["parsed", "sidecar"])
     def test_a_text_rewritten_between_passes(self, workspace, tmp_path, monkeypatch, capsys,
                                              before, change, reread):
-        # `train` reads the text once to open it, then once per medoid and
-        # twice to profile it; a read that finds other bytes fails, whether
-        # it parses them or finds a sidecar that another read of them left.
+        # `train` reads the text once, to open its snapshot; each medoid
+        # pass and both profile passes read that snapshot. So a text
+        # rewritten between passes, or a sidecar that another read of the
+        # new text leaves, trains the model of the text as it was opened.
         series = tmp_path / "train.txt"
         text = (workspace / "train.txt").read_text()
         series.write_text(text)
@@ -273,9 +290,8 @@ class TestTrain:
         out = tmp_path / "model.sfcm"
         code = main(["train", "--config", str(workspace / "config.yaml"), "--series", str(series),
                      "--labels", str(workspace / "train-labels.csv"), "--out", str(out)])
-        assert code == 2
-        assert f"{series} changed between two reads of it" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0, capsys.readouterr().err
+        assert out.read_bytes() == (workspace / "model.sfcm").read_bytes()
 
 
 class TestClassify:
@@ -333,16 +349,17 @@ class TestClassify:
             "classify", "--model", str(workspace / "model.sfcm"),
             "--series", str(short), "--out", str(tmp_path / "pred.csv"),
         )
-        # The series was read to its end before the length check, so its
-        # sidecar stays; no temp file and no output file.
+        # Opening the series reads it to its end, before the length check,
+        # so its sidecar stays; no temp file and no output file.
         assert code == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == [".short.txt.sfsc", "short.txt"]
 
 
 class TestStreamedSeries:
-    """classify, compare and roc read the series one block at a time. A
-    fault in its last block, or labels that leave it, still exit 2 with
-    the fault's line, and leave no output file."""
+    """classify, compare and roc read the series one block at a time, from
+    the snapshot that opening it takes. A fault in its last block, or
+    labels that leave it, exit 2 with the fault's line, and leave no
+    output file."""
 
     COMMANDS = {
         "classify": ["classify"],
@@ -388,6 +405,38 @@ class TestStreamedSeries:
         code, err = self.run(workspace, tmp_path, command, workspace / "test.txt", labels)
         assert code == 2, err
         assert f"line 2: region [{n - 5},{n + 1}) outside [0,{n})" in err
+
+    @pytest.mark.parametrize("command", ["compare", "roc"])
+    def test_labels_before_a_series_shorter_than_m(self, workspace, tmp_path, command):
+        # The series' length is known once it is open, so the labels are
+        # checked before scoring, which refuses a series shorter than m.
+        series = tmp_path / "series.txt"
+        series.write_text("1.0\n" * 40)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,50,sine\n")
+        code, err = self.run(workspace, tmp_path, command, series, labels)
+        assert code == 2, err
+        assert "line 1: region [0,50) outside [0,40)" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_snapshot_that_cannot_be_written(self, workspace, tmp_path, monkeypatch, capsys,
+                                               command):
+        # Neither the series' directory nor the temp directory takes the
+        # snapshot of a text without a sidecar: a data error, where the
+        # values were once held in memory.
+        series = tmp_path / "in" / "test.txt"
+        series.parent.mkdir()
+        series.write_bytes((workspace / "test.txt").read_bytes())
+        monkeypatch.setattr(data.tempfile, "mkstemp", mock.Mock(side_effect=PermissionError(13, "no")))
+        monkeypatch.setattr(data.tempfile, "TemporaryFile", mock.Mock(side_effect=OSError(28, "full")))
+        argv = [str(workspace / "test-labels.csv") if a == "@labels" else a
+                for a in self.COMMANDS[command]]
+        code = main([*argv, "--model", str(workspace / "model.sfcm"),
+                     "--series", str(series),
+                     "--config", str(workspace / "config.yaml"), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"cannot write the snapshot of {series}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["in", "test.txt"]
 
     def test_a_late_rate_that_changes(self, workspace, tmp_path):
         series = tmp_path / "series.txt"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import threading
@@ -13,7 +15,7 @@ from shapefeat import data
 from shapefeat.core import ClassModel, DataError, Histogram, ModelError, Region, TimeSeries
 from shapefeat.data import (
     MODEL_MAGIC,
-    SeriesStream,
+    SeriesFile,
     TwoModalityParams,
     build_gun_experiment,
     derive_seed,
@@ -166,30 +168,26 @@ class TestSeriesIo:
         assert load_series(path) == ts
 
     def test_loaded_values_are_not_copied_again(self, tmp_path):
-        # The one array the loader yields or joins becomes the series,
-        # frozen: on a parse of several blocks or of one, and on a hit.
+        # The one array of the whole read of the snapshot becomes the
+        # series, frozen: after a parse of several blocks or of one, and
+        # on a hit.
         path = str(tmp_path / "series.txt")
         save_series(TimeSeries(values=normals(3, 500)), path)
-        made, series_values, concatenate = [], data._series_values, np.concatenate
+        made, sidecar_values = [], data._sidecar_values
 
         def yielded(*args):
-            for values in series_values(*args):
+            for values in sidecar_values(*args):
                 made.append(values)
                 yield values
-
-        def joined(parts):
-            made.append(concatenate(parts))
-            return made[-1]
 
         for block in (64, 1 << 18):
             sidecar(tmp_path / "series.txt").unlink(missing_ok=True)
             with mock.patch.object(data, "_BLOCK_BYTES", block), \
-                    mock.patch.object(data, "_series_values", yielded), \
-                    mock.patch.object(data.np, "concatenate", joined):
+                    mock.patch.object(data, "_sidecar_values", yielded):
                 for _ in range(2):  # a parse, then a hit
                     made.clear()
                     ts = load_series(path)
-                    assert any(a is ts.values for a in made)
+                    assert made[-1] is ts.values
                     assert not ts.values.flags.writeable
 
     def test_save_series_formats_each_value_by_repr(self, tmp_path):
@@ -522,14 +520,14 @@ def slices(source, m):
 
 
 def read_stream(path):
-    """The values and rate of the series at `path`, read through a
-    `SeriesStream` in a `with` block, so a parse writes the sidecar."""
-    with SeriesStream(str(path)) as stream:
-        return np.concatenate(list(stream)), stream.sample_rate_hz
+    """The values and rate of the series at `path`, read in one pass over
+    its `SeriesFile`."""
+    with SeriesFile(str(path)) as series:
+        return np.concatenate(list(series)), series.sample_rate_hz
 
 
 def stream_outcome(path):
-    """`outcome` of reading the file at `path` through a `SeriesStream`."""
+    """`outcome` of reading the file at `path` in a pass over its `SeriesFile`."""
     try:
         values, rate = read_stream(path)
     except DataError as exc:
@@ -563,8 +561,9 @@ def stream_files(draw):
 
 
 class TestSeriesStream:
-    """A `SeriesStream` gives `profile_blocks` the slices of the loaded
-    series, byte for byte, and fails as `load_series` fails."""
+    """A pass over a `SeriesFile` gives `profile_blocks` the slices of the
+    loaded series, byte for byte, and opening one fails as `load_series`
+    fails."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=stream_files())
@@ -574,9 +573,9 @@ class TestSeriesStream:
         path.write_bytes(raw)
         with mock.patch.object(data, "_BLOCK_BYTES", read), \
                 mock.patch.object(profiles, "BLOCK", block):
-            stream = SeriesStream(str(path))
-            assert stream.sample_rate_hz == load_series(str(path)).sample_rate_hz
-            assert slices(stream, m) == slices(load_series(str(path)), m)
+            with SeriesFile(str(path)) as series:
+                assert series.sample_rate_hz == load_series(str(path)).sample_rate_hz
+                assert slices(series, m) == slices(load_series(str(path)), m)
 
     @pytest.mark.parametrize("header", ["# name: " + "x" * 15, "# sample_rate_hz: 2.500"])
     @pytest.mark.parametrize("line", range(2, 6))
@@ -591,16 +590,16 @@ class TestSeriesStream:
         assert path.read_bytes()[24 + 8 * line :].startswith(header.encode())
         with mock.patch.object(data, "_BLOCK_BYTES", 64), \
                 mock.patch.object(profiles, "BLOCK", 64):
-            assert slices(SeriesStream(str(path)), 5) == slices(load_series(str(path)), 5)
+            with SeriesFile(str(path)) as series:
+                assert slices(series, 5) == slices(load_series(str(path)), 5)
 
     def test_headers_longer_than_a_read_block(self, tmp_path):
-        # Opening reads on past blocks that hold headers alone.
+        # The parse reads on past blocks that hold headers alone.
         path = tmp_path / "headers.txt"
         path.write_text(f"{NAME_HEADER}\n" * 40 + f"{RATE_HEADER}\n" + "1.0\n2.0\n3.0\n")
-        with mock.patch.object(data, "_BLOCK_BYTES", 64):
-            stream = SeriesStream(str(path))
-            assert stream.sample_rate_hz == 2.5
-            assert slices(stream, 2) == slices(load_series(str(path)), 2)
+        with mock.patch.object(data, "_BLOCK_BYTES", 64), SeriesFile(str(path)) as series:
+            assert (series.name, series.sample_rate_hz) == ("a header line", 2.5)
+            assert slices(series, 2) == slices(load_series(str(path)), 2)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @given(raw=series_files())
@@ -660,13 +659,13 @@ class TestSidecar:
                 mock.patch.object(profiles, "BLOCK", block):
             expected = slices(reference_load_series(str(path)), m)
             assert slices(load_series(str(path)), m) == expected
-            for _ in range(2):  # a hit, then a hit after a streamed miss
+            for _ in range(2):  # a hit, then a hit after a miss
                 assert not parses(read_stream, path)
-                with SeriesStream(str(path)) as stream:
-                    assert slices(stream, m) == expected
+                with SeriesFile(str(path)) as series:
+                    assert slices(series, m) == expected
                 sidecar(path).unlink()
-                with SeriesStream(str(path)) as stream:
-                    assert slices(stream, m) == expected
+                with SeriesFile(str(path)) as series:
+                    assert slices(series, m) == expected
             assert slices(load_series(str(path)), m) == expected
 
     @pytest.mark.parametrize("raw, message", [
@@ -678,7 +677,7 @@ class TestSidecar:
         (b"# name: a\n\n", "holds no values"),
     ], ids=["bad-value", "nan", "in-the-last-block", "not-utf8-in-the-last-block",
             "late-rate", "no-values"])
-    @pytest.mark.parametrize("read", [load_series, read_stream, lambda path: list(SeriesStream(path))],
+    @pytest.mark.parametrize("read", [load_series, read_stream, lambda path: SeriesFile(path).close()],
                              ids=["load", "stream", "stream-outside-with"])
     def test_a_fault_leaves_nothing_and_raises_again(self, tmp_path, raw, message, read):
         path = tmp_path / "series.txt"
@@ -693,42 +692,34 @@ class TestSidecar:
         assert faults[0] == faults[1]
 
     def test_a_stream_that_does_not_end_leaves_nothing(self, tmp_path):
-        # A parse read to its end leaves the sidecar, however the stream is
-        # then closed, dropped or left by an exception; one stopped early
-        # leaves nothing.
+        # A parse stopped before the end of the text, by a fault or any
+        # other exception, leaves nothing. One that reaches the end leaves
+        # the sidecar, however its SeriesFile is then closed or left.
         path = tmp_path / "series.txt"
         save_series(TimeSeries(values=normals(1, 100)), str(path))
+        read_lines = data._read_lines
 
-        def closed_early(path):
-            with SeriesStream(str(path)) as stream:
-                next(stream)
-
-        def dropped_early(path):
-            stream = SeriesStream(str(path))
-            next(stream)
-            del stream  # collected
+        def stopped(*args):
+            blocks = read_lines(*args)
+            yield next(blocks)
+            raise KeyError("stopped after one block")
 
         def closed(path):
-            stream = SeriesStream(str(path))
-            list(stream)
-            stream.close()  # outside a `with` block
-
-        def dropped(path):
-            stream = SeriesStream(str(path))
-            list(stream)
-            del stream  # collected
+            series = SeriesFile(str(path))
+            list(series)
+            series.close()  # outside a `with` block
 
         def failed(path):
             with pytest.raises(KeyError):
-                with SeriesStream(str(path)) as stream:
-                    list(stream)
+                with SeriesFile(str(path)) as series:
+                    list(series)
                     raise KeyError("the consumer failed")
 
         with mock.patch.object(data, "_BLOCK_BYTES", 64):
-            for read in (closed_early, dropped_early):
-                read(path)
-                assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
-            for read in (closed, dropped, failed):
+            with mock.patch.object(data, "_read_lines", stopped), pytest.raises(KeyError):
+                SeriesFile(str(path))
+            assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+            for read in (closed, failed):
                 assert parses(read, path)
                 assert sorted(p.name for p in tmp_path.iterdir()) == [".series.txt.sfsc",
                                                                        "series.txt"]
@@ -736,15 +727,15 @@ class TestSidecar:
                 sidecar(path).unlink()
 
     def test_a_series_shorter_than_m_under_classify_leaves_nothing(self, tmp_path):
-        # Nothing but the sidecar: the stream was read to its end before
-        # the length check. No temp file is left.
+        # Nothing but the sidecar: opening the series read it to its end
+        # before the length check. No temp file is left.
         path = tmp_path / "series.txt"
         save_series(TimeSeries(values=normals(1, 10)), str(path))
         hist = Histogram(edges=np.linspace(-1.0, 1.0, 5), counts=np.ones(4))
         models = [ClassModel("a", 16, 15, ((FeatureSpec(kind="sliding_std"), hist, hist),), 0.5)]
-        with pytest.raises(ModelError, match="shorter than m=16"):
-            with SeriesStream(str(path)) as stream:
-                classify(models, stream, ClassifierConfig())
+        with pytest.raises(ModelError, match="test series of length 10 is shorter than m=16"):
+            with SeriesFile(str(path)) as series:
+                classify(models, series, ClassifierConfig())
         assert sorted(p.name for p in tmp_path.iterdir()) == [".series.txt.sfsc", "series.txt"]
         assert not parses(read_stream, path)
 
@@ -872,6 +863,99 @@ class TestSidecar:
         assert peak < 1.5 * ts.values.nbytes
 
 
+class TestSnapshot:
+    """A `SeriesFile` holds one snapshot of the values open from its open
+    to its close: the checked sidecar on a hit, else the file its parse
+    wrote. Every pass reads that file, and nothing else."""
+
+    @staticmethod
+    def refused():
+        """A patch under which the directory refuses the sidecar's temp file
+        (tests run as root, where a read-only mode bit refuses nothing)."""
+        return mock.patch.object(data.tempfile, "mkstemp",
+                                 side_effect=PermissionError(13, "Permission denied"))
+
+    @pytest.mark.parametrize("how", ["hit", "parse", "refused"])
+    def test_passes_over_one_snapshot_may_take_turns(self, tmp_path, how):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(4, 1_000)), str(path))
+        expected = load_series(str(path)).values
+        if how != "hit":
+            sidecar(path).unlink()
+        with mock.patch.object(data, "_BLOCK_BYTES", 64), \
+                self.refused() if how == "refused" else contextlib.nullcontext():
+            with SeriesFile(str(path)) as series:
+                a, b = iter(series), iter(series)
+                got_a, got_b = [next(a)], []
+                for part_a, part_b in zip(a, b):  # b trails a by one read
+                    got_a.append(part_a)
+                    got_b.append(part_b)
+                got_b.extend(b)
+        assert np.concatenate(got_a).tobytes() == expected.tobytes()
+        assert np.concatenate(got_b).tobytes() == expected.tobytes()
+
+    def test_a_pass_after_close_takes_its_own_snapshot(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(4, 1_000), sample_rate_hz=8.0), str(path))
+        with SeriesFile(str(path)) as series:
+            pass
+        sidecar(path).unlink()
+        with mock.patch.object(data, "_BLOCK_BYTES", 64):
+            assert not parses(lambda path: iter(series), path)  # a pass reads when asked
+            for _ in range(2):  # a pass that parses and leaves the sidecar, then a hit
+                assert np.concatenate(list(series)).tobytes() == normals(4, 1_000).tobytes()
+            half = iter(series)
+            next(half)
+            half.close()  # a pass left early lets its snapshot go
+        assert sidecar(path).exists()
+
+    def test_one_text_key_per_open(self, tmp_path):
+        # The text is hashed when the sidecar is checked, at the open; the
+        # passes read the held sidecar.
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(4, 1_000)), str(path))
+        load_series(str(path))  # writes the sidecar
+        with mock.patch.object(data, "_text_key", wraps=data._text_key) as key, \
+                mock.patch.object(data, "_BLOCK_BYTES", 64):
+            for opens in (1, 2):
+                with SeriesFile(str(path)) as series:
+                    for _ in range(3):
+                        assert np.concatenate(list(series)).size == 1_000
+                assert key.call_count == opens
+
+    def test_a_refused_directory_parses_once_per_open(self, tmp_path):
+        path = tmp_path / "series.txt"
+        ts = TimeSeries(values=normals(4, 1_000), sample_rate_hz=8.0, name="n")
+        save_series(ts, str(path))
+        with self.refused(), \
+                mock.patch.object(data, "_series_blocks", wraps=data._series_blocks) as parse:
+            for opens in (1, 2):
+                with SeriesFile(str(path)) as series:
+                    for _ in range(3):
+                        assert np.concatenate(list(series)).tobytes() == ts.values.tobytes()
+                    assert (series.name, series.sample_rate_hz) == ("n", 8.0)
+                assert parse.call_count == opens
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+    def test_a_snapshot_that_cannot_be_written_is_a_data_error(self, tmp_path):
+        # Where neither the directory nor the temp directory takes the
+        # snapshot, or a write to it fails, the read fails: it never holds
+        # the values in memory instead.
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                if self.tell():  # after the 5-byte head
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(4, 100)), str(path))
+        for temp in (mock.patch.object(data.tempfile, "TemporaryFile", side_effect=OSError(28, "full")),
+                     mock.patch.object(data.tempfile, "TemporaryFile", FullDisk)):
+            with self.refused(), temp, pytest.raises(DataError, match="cannot write the snapshot of"):
+                load_series(str(path))
+            assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
+
 class TestSampleRateHeader:
     """One rule for a `# sample_rate_hz:` header, in every text file: a
     finite number > 0, or a DataError that names the header's line. In a
@@ -911,7 +995,7 @@ class TestSampleRateHeader:
         path.write_text(text)
         message = f"after the first value changes the rate in effect, {before!r}"
         with mock.patch.object(data, "_BLOCK_BYTES", block):
-            for read in (load_series, lambda path: list(SeriesStream(path))):
+            for read in (load_series, lambda path: SeriesFile(path).close()):
                 with pytest.raises(DataError, match=re.escape(message)) as err:
                     read(str(path))
                 assert err.value.line == line
@@ -924,7 +1008,8 @@ class TestSampleRateHeader:
         path = tmp_path / "f.txt"
         path.write_text(text)
         assert load_series(str(path)).sample_rate_hz == rate
-        assert SeriesStream(str(path)).sample_rate_hz == rate
+        with SeriesFile(str(path)) as series:
+            assert series.sample_rate_hz == rate
 
 
 class TestLabelIo:

@@ -701,21 +701,10 @@ def block_layouts(draw):
 
 def _trained_or_error(source, labels, specs):
     """The histograms `train` fits from `source`, as `_distributions_or_error`
-    gives them, but that the last edge may be a zero of either sign: a
-    streamed max is taken block by block, and numpy's whole-array max of
-    zeros of both signs returns either one."""
-    return _unsigned_last_zero(_distributions_or_error(
+    gives them."""
+    return _distributions_or_error(
         lambda: [(pos_h, neg_h) for mo in train(source, labels, specs)
-                 for _, pos_h, neg_h in mo.features]))
-
-
-def _unsigned_last_zero(outcome):
-    """An outcome of `_distributions_or_error`, each last edge of -0.0 made 0.0."""
-    if isinstance(outcome, tuple):
-        return outcome
-    # -0.0 + 0.0 is 0.0, and every other value is itself.
-    return [(edges[:-8] + (np.frombuffer(edges)[-1:] + 0.0).tobytes(), counts)
-            for edges, counts in outcome]
+                 for _, pos_h, neg_h in mo.features])
 
 
 def _at_most_zero(seed, n):
@@ -740,24 +729,27 @@ class TestStreamedTraining:
     @settings(max_examples=30)
     @given(layout=block_layouts())
     # Two blocks of values at most 0 with zeros of both signs: the streamed
-    # non-class max is 0.0, where numpy's whole-array max gives -0.0.
+    # non-class max and numpy's whole-array max are zeros of either sign,
+    # and both edges read 0.0.
     @example(layout=(_at_most_zero(0, 69_297), LabelTrack(69_297, (Region(0, 1, "a"),)),
                      [ClassSpec("a", 2, 1, (FeatureSpec(kind=SLIDING_MEAN),))]))
     def test_matches_the_table_oracle(self, tmp_path_factory, layout):
         x, labels, specs = layout
         ts = TimeSeries(values=x)
-        expected = _unsigned_last_zero(
-            _distributions_or_error(table_distributions, ts, labels, specs))
+        expected = _distributions_or_error(table_distributions, ts, labels, specs)
         path = str(tmp_path_factory.mktemp("streamed") / "series.txt")
         save_series(ts, path)
-        # No sidecar is committed, so every read parses the text.
-        with mock.patch.object(data._SidecarWriter, "commit"):
-            assert _trained_or_error(SeriesFile(path), labels, specs) == expected
+        # The directory refuses the sidecar: the parse writes an anonymous
+        # snapshot, which every pass reads.
+        refused = PermissionError(13, "Permission denied")
+        with mock.patch.object(data.tempfile, "mkstemp", side_effect=refused), \
+                SeriesFile(path) as series:
+            assert _trained_or_error(series, labels, specs) == expected
         data.load_series(path)  # commits the sidecar: every read below is a hit
-        with mock.patch.object(data, "_series_blocks") as parse:
-            assert _trained_or_error(SeriesFile(path), labels, specs) == expected
+        with mock.patch.object(data, "_series_blocks") as parse, SeriesFile(path) as series:
+            assert _trained_or_error(series, labels, specs) == expected
             for spec in specs:  # the medoid's windows, copied out of the blocks
-                assert _prototype_or_error(SeriesFile(path), labels, spec) == \
+                assert _prototype_or_error(series, labels, spec) == \
                     _prototype_or_error(ts, labels, spec)
         assert parse.call_count == 0
         assert _trained_or_error(ts, labels, specs) == expected
@@ -774,6 +766,55 @@ class TestStreamedTraining:
         assert _trained_or_error(ts, labels, specs) == \
             _distributions_or_error(table_distributions, ts, labels, specs) == \
             (DataError, "histogram values must be finite")
+
+
+class TestZeroEdge:
+    """A histogram edge that is a zero reads 0.0, whichever zeros occur, in
+    whichever order, and wherever the blocks cut them, so the model bytes
+    depend on the values alone."""
+
+    @staticmethod
+    def series(first, second):
+        """Values at most 0 over two profile blocks at m = 2, every zero of
+        the first block `first` and of the second `second`; three regions,
+        the last two each on a stretch of zeros."""
+        n = BLOCK + 10_000
+        x = -np.abs(np.round(normals(3, n)))
+        for lo, hi, zero in ((0, BLOCK - 1, first), (BLOCK - 1, n, second)):
+            part = x[lo:hi]
+            part[part == 0.0] = zero
+        regions = (Region(500, 510, "a"), Region(2_000, 2_010, "a"),
+                   Region(BLOCK + 2_000, BLOCK + 2_010, "a"))
+        for r in regions[1:]:
+            x[r.start : r.end + 1] = first if r.start < BLOCK else second
+        return x, LabelTrack(n, regions)
+
+    def test_zeros_of_both_signs_give_one_set_of_bytes(self, tmp_path):
+        specs = [ClassSpec("a", 2, 1, (FeatureSpec(kind=SLIDING_MEAN),))]
+        outcomes = set()
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            x, labels = self.series(first, second)
+            assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+            path = str(tmp_path / "series.txt")
+            save_series(TimeSeries(values=x), path)
+            with SeriesFile(path) as series:
+                for source in (TimeSeries(values=x), series):
+                    [mo] = train(source, labels, specs)
+                    outcomes.add(b"".join(h.edges.tobytes() + h.counts.tobytes()
+                                          for _, *pair in mo.features for h in pair))
+                    pos_h, neg_h = mo.features[0][1:]
+                    # The claims' greatest value and the untouched values' are zeros.
+                    assert (pos_h.edges[-1], neg_h.edges[-1]) == (0.0, 0.0)
+                    assert not np.signbit([pos_h.edges[-1], neg_h.edges[-1]]).any()
+        assert len(outcomes) == 1
+
+    @pytest.mark.parametrize("values", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-1.0, 0.0, -0.0],
+                                        [0.0, 1.0, -0.0], [-0.0, 1.0, 0.0]])
+    def test_histogram_build_edges_are_signless(self, values):
+        edges = histogram_build(values).edges
+        unsigned = np.where(np.equal(values, 0.0), 0.0, values)
+        assert edges.tobytes() == histogram_build(unsigned).edges.tobytes()
+        assert not np.signbit(edges[edges == 0.0]).any()
 
 
 class TestTrain:
@@ -1021,11 +1062,9 @@ def reference_sweep(table, zones, floor, stride):
 
 def sweep_table(models, test, ids, table, cfg):
     """Sweep a whole stride-1 `table` as `score_blocks` feeds it: the
-    columns at multiples of the visit step g from 0, then the empty run at
-    the table's end."""
+    columns at multiples of the visit step g from 0."""
     run = Sweep(models, test, ids, cfg)
     run.feed(0, table[:, :: run.step])
-    run.feed(table.shape[1], table[:, :0])
     return run.track()
 
 
@@ -1108,9 +1147,8 @@ def cut_tables(draw):
 
 class TestIncrementalSweep:
     """A `Sweep` fed any cut of a table's visit columns (those at multiples
-    of its step g) into consecutive blocks, then the empty run at the
-    table's end, finds the detections of `reference_sweep` over the whole
-    table."""
+    of its step g) into consecutive blocks finds the detections of
+    `reference_sweep` over the whole table."""
 
     @settings(max_examples=400)
     @given(case=cut_tables())
@@ -1130,7 +1168,6 @@ class TestIncrementalSweep:
             block = columns[:, lo:hi]
             above = (block >= floor).any(axis=0) if mask else None
             run.feed(lo * run.step, block, above)
-        run.feed(table.shape[1], table[:, :0])
         assert_detections_match(run.track(), *reference_sweep(table, zones, floor, stride))
 
 

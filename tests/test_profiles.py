@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import weakref
 from unittest import mock
@@ -25,7 +27,6 @@ from shapefeat.core import (
 )
 from shapefeat.data import (
     SeriesFile,
-    SeriesStream,
     gen_random_noise,
     gen_random_walk,
     load_series,
@@ -599,14 +600,17 @@ class TestProfileBlocks:
             [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(x, m)]
 
     def test_an_empty_iterator_is_a_zero_length_series(self):
-        # One empty slice without a window, which scoring refuses.
+        # One empty slice without a window, which scoring refuses from the
+        # series' length before it asks for a slice.
         slices = [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(iter([]), 4)]
         assert slices == [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(np.empty(0), 4)]
         assert slices == [(0, -3, 0)]
         hist = Histogram(edges=[0.0, 1.0], counts=[1])
         models = [ClassModel("c", 4, 0, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)]
-        with pytest.raises(ModelError, match="test series of length 0 is shorter than m=4"):
-            classify(models, iter([]), ClassifierConfig())
+        with pytest.raises(ModelError, match="test series of length 0 is shorter than m=4"), \
+                mock.patch.object(model, "profile_blocks") as cut:
+            classify(models, np.empty(0), ClassifierConfig())
+        assert cut.call_count == 0
 
 
 def mixed_features(m):
@@ -767,8 +771,7 @@ class TestScoringMemory:
     @pytest.mark.parametrize("stride, step", [(1, 1), (4, 4), (7, 1), (8, 4), (150, 150)])
     def test_no_table_wider_than_a_lookup_run(self, stride, step):
         # Zones of 99: the visit step is gcd(stride, max(stride, 100)). The
-        # runs hold each column at a multiple of it once, in order; past a
-        # step of 1 an empty run closes the pass at the series' end.
+        # runs hold each column at a multiple of it once, in order.
         n = 2 * BLOCK + 500
         models = self.two_class_models(100)
         _, blocks = model.score_blocks(models, TimeSeries(values=normals(9, n)),
@@ -781,8 +784,6 @@ class TestScoringMemory:
             widths.append(tables[0].shape[1])
         assert max(widths) <= model.LOOKUP
         positions = n - 100 + 1
-        if step > 1:
-            assert (los.pop(), widths.pop()) == (positions, 0)
         assert los == list(np.cumsum([0, *widths[:-1]]) * step)
         assert sum(widths) == -(-positions // step)
 
@@ -803,7 +804,12 @@ class TestScoringMemory:
         for n in (250_000, 1_000_000):
             path = str(tmp_path / f"series-{n}.txt")
             save_series(TimeSeries(values=normals(9, n)), path)
-            peaks.append(self.peak(lambda: classify(models, SeriesStream(path), cfg)))
+
+            def parse_and_classify():
+                with SeriesFile(path) as series:
+                    classify(models, series, cfg)
+
+            peaks.append(self.peak(parse_and_classify))
         assert peaks[1] - peaks[0] < 2e6
 
     def test_classify_on_a_sidecar_does_not_grow_with_the_series(self, tmp_path):
@@ -819,7 +825,7 @@ class TestScoringMemory:
             load_series(path)  # writes the sidecar
 
             def hit():
-                with SeriesStream(path) as series:
+                with SeriesFile(path) as series:
                     classify(models, series, cfg)
 
             with mock.patch.object(data, "_series_blocks") as parse:
@@ -832,22 +838,52 @@ class TestTrainingMemory:
     """`train` reads its series file one block at a time in each pass, so
     at a fixed labeled extent its memory does not grow with the series."""
 
+    # The same 40 bags of two classes in the first 100,000 samples of a
+    # noise series of n and of 4n.
+    BAGS = [Region(k, k + 250, "ab"[i % 2]) for i, k in enumerate(range(2_000, 100_000, 2_500))]
+    SPECS = [ClassSpec(c, 100, 99, (FeatureSpec(kind=SHAPE), FeatureSpec(kind=SLIDING_STD)))
+             for c in "ab"]
+
+    @staticmethod
+    def trained(path, n, out):
+        """Train on the series file at `path` of `n` values, and save the
+        models to `out`."""
+        with SeriesFile(str(path)) as series:
+            data.save_model(train(series, LabelTrack(n, TestTrainingMemory.BAGS),
+                                  TestTrainingMemory.SPECS), str(out))
+
     def test_train_on_a_file_does_not_grow_with_the_series(self, tmp_path):
-        # The same 40 bags of two classes in the first 100,000 samples of a
-        # noise series of n and of 4n. Opening the file parses its text and
-        # writes the sidecar that every later pass reads; all of it is
-        # traced: 6.33 MB at n = 125,000 and 6.26 MB at 4n measured, against
-        # 8.59 and 29.41 MB when the text was loaded whole and profiled
-        # into one [feature, window] table.
-        m = 100
-        bags = [Region(k, k + 250, "ab"[i % 2])
-                for i, k in enumerate(range(2_000, 100_000, 2_500))]
-        specs = [ClassSpec(c, m, m - 1, (FeatureSpec(kind=SHAPE), FeatureSpec(kind=SLIDING_STD)))
-                 for c in "ab"]
+        # Opening the file parses its text and writes the sidecar that
+        # every later pass reads; all of it is traced: 6.33 MB at
+        # n = 125,000 and 6.26 MB at 4n measured, against 8.59 and
+        # 29.41 MB when the text was loaded whole and profiled into one
+        # [feature, window] table.
         peaks = []
         for n in (125_000, 500_000):
-            path = str(tmp_path / f"series-{n}.txt")
-            save_series(TimeSeries(values=normals(9, n)), path)
-            labels = LabelTrack(n, bags)
-            peaks.append(TestScoringMemory.peak(lambda: train(SeriesFile(path), labels, specs)))
+            path = tmp_path / f"series-{n}.txt"
+            save_series(TimeSeries(values=normals(9, n)), str(path))
+            peaks.append(TestScoringMemory.peak(
+                lambda: self.trained(path, n, tmp_path / "model.sfcm")))
+        assert peaks[1] - peaks[0] < 2e6
+
+    def test_train_on_a_pipe_does_not_grow_with_the_series(self, tmp_path):
+        # A pipe is parsed once into an anonymous temp file, which every
+        # pass reads, and gives its file's model bytes.
+        peaks = []
+        for n in (125_000, 500_000):
+            path = tmp_path / f"series-{n}.txt"
+            save_series(TimeSeries(values=normals(9, n)), str(path))
+            self.trained(path, n, tmp_path / "file.sfcm")
+            fifo = tmp_path / f"series-{n}.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                      daemon=True)
+            writer.start()
+            try:
+                peaks.append(TestScoringMemory.peak(
+                    lambda: self.trained(fifo, n, tmp_path / "pipe.sfcm")))
+            finally:
+                writer.join(timeout=60)
+            assert not writer.is_alive()
+            assert (tmp_path / "pipe.sfcm").read_bytes() == (tmp_path / "file.sfcm").read_bytes()
         assert peaks[1] - peaks[0] < 2e6

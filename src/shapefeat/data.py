@@ -18,8 +18,9 @@ File formats:
   its last clean parse: 4-byte magic ``SFSC`` + 1 version byte, the values
   as little-endian float64, then a trailer (see `_FOOTER`). It is used only
   while its key, a hash of the text's bytes, matches the text. A
-  `SeriesFile` holds it open as its snapshot of the series; a pipe's
-  snapshot is an anonymous temp file of the same layout;
+  `SeriesFile` holds it open as its snapshot of the series, and each
+  `read` seeks straight to the values it asks for; a pipe's snapshot is an
+  anonymous temp file of the same layout;
 * labels: CSV lines ``start,end,class`` with end exclusive, 0-based;
 * models: 4-byte magic ``SFCM`` + 1 version byte + JSON payload;
 * predictions: header comments + CSV rows ``position,class,score`` for
@@ -32,12 +33,13 @@ import math
 import os
 import stat
 import struct
+import sys
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from importlib.util import source_hash
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -490,21 +492,21 @@ def load_series(path: str) -> TimeSeries:
     """Parse the one-value-per-line series format; errors carry line numbers.
     One whole read of the file's `SeriesFile` snapshot."""
     with SeriesFile(path) as series:
-        [values] = _sidecar_values(series._fh, len(series), len(series))
+        values = series.read(0, np.empty(len(series)))
     return TimeSeries(values, series.sample_rate_hz, series.name, owned=True)
 
 
 class SeriesFile:
     """The series file at `path` as a source that can be read more than
-    once: its `len`, `name` and `sample_rate_hz`, and per `iter` a read of
-    its values one block at a time.
+    once: its `len`, `name` and `sample_rate_hz`, and `read(lo, out)`, any
+    run of its values.
 
     Opening it takes a snapshot of the values and holds it open until
     `close` (or the end of a `with` block): the text's sidecar when it
     holds the text's values, else the file a parse of the text writes,
     which becomes the sidecar. Where there can be no sidecar (a pipe, a
     device, a directory that refuses it) that file is an anonymous temp
-    file. A sidecar is only ever replaced by a rename, so every pass reads
+    file. A sidecar is only ever replaced by a rename, so every read gets
     the values of the one open, whatever happens to the text meanwhile."""
 
     def __init__(self, path: str):
@@ -524,19 +526,21 @@ class SeriesFile:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """The values of the snapshot, one text block's worth of bytes at a
-        time. A pass after `close` takes a snapshot of its own, of the file
-        as it is then, and lets it go at the pass's end: `bench/spans.py`
+    def read(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, a contiguous float64 array, with the values lo ..
+        lo + out.size - 1 of the snapshot, and return it; a range outside
+        [0, len] is a DataError. Each read seeks to its own values, so reads
+        may come in any order. A read after `close` takes a snapshot of its
+        own, of the file as it is then, for that one read: `bench/spans.py`
         replays a recorded `select_prototype` call after `train` has closed
         its source."""
+        if not 0 <= lo <= lo + out.size <= self._count:
+            raise DataError(f"cannot read {out.size} values from {lo}: "
+                            f"{self.path} holds {self._count}")
         if self._fh.closed:
-            return self._reopened()
-        return _sidecar_values(self._fh, self._count, _read_step())
-
-    def _reopened(self) -> Iterator[np.ndarray]:
-        with SeriesFile(self.path) as series:
-            yield from series
+            with SeriesFile(self.path) as again:
+                return again.read(lo, out)
+        return _read_values(self._fh, lo, out)
 
     def close(self) -> None:
         """Let the snapshot go."""
@@ -648,9 +652,10 @@ def _open_sidecar(path: str):
         key = _text_key(path)
         if (key.hash, key.size) != (digest, text_size):
             return None
-        reads = _sidecar_values(fh, count, _read_step())
-        if not all(np.isfinite(values).all() for values in reads):
-            return None
+        chunk = np.empty(min(count, max(1, _BLOCK_BYTES // 8)))
+        for lo in range(0, count, chunk.size):
+            if not np.isfinite(_read_values(fh, lo, chunk[: count - lo])).all():
+                return None
         found = fh, count, name, rate or None
         return found
     except (DataError, OSError, ValueError, struct.error):
@@ -660,24 +665,19 @@ def _open_sidecar(path: str):
             fh.close()
 
 
-def _read_step() -> int:
-    """Values per read of a pass over a snapshot: one text block's worth of bytes."""
-    return max(1, _BLOCK_BYTES // 8)
-
-
-def _sidecar_values(fh, count: int, step: int):
-    """The `count` values of the open sidecar `fh`, `step` per read. Each
-    read seeks to its own values first, so passes over one file may take
-    turns. A read that fails or comes short is a DataError."""
+def _read_values(fh, lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the values lo .. lo + out.size - 1 of the open
+    snapshot `fh`, little-endian float64 on disk: one seek and one
+    `readinto`. A read that fails or comes short is a DataError."""
     try:
-        for lo in range(0, count, step):
-            values = np.empty(min(step, count - lo), dtype="<f8")
-            fh.seek(len(_SIDECAR_HEAD) + 8 * lo)
-            if fh.readinto(values) != values.nbytes:
-                raise DataError(f"{fh.name} holds fewer values than its trailer counts")
-            yield values.astype(np.float64, copy=False)
+        fh.seek(len(_SIDECAR_HEAD) + 8 * lo)
+        if fh.readinto(out) != out.nbytes:
+            raise DataError(f"{fh.name} holds fewer values than its trailer counts")
     except OSError as exc:
         raise DataError(f"cannot read {fh.name}: {exc}") from exc
+    if sys.byteorder != "little":
+        out.byteswap(inplace=True)
+    return out
 
 
 class _SidecarWriter:
@@ -868,7 +868,12 @@ def save_predictions(track: PredictionTrack, path: str) -> None:
         classes=",".join(track.class_ids), sample_rate_hz=track.sample_rate_hz,
     )
     lines.append("position,class,score")
-    rows = (f"{pos},{cls},{score!r}" for pos, cls, score in track.detections())
+    step = 1 << 16  # detections whose Python objects exist at a time
+    chunks = (zip(track.positions[i : i + step].tolist(),
+                  map(track.class_ids.__getitem__, track.label_codes[i : i + step].tolist()),
+                  track.scores[i : i + step].tolist())
+              for i in range(0, track.positions.size, step))
+    rows = (f"{pos},{cls},{score!r}" for pos, cls, score in chain.from_iterable(chunks))
     write_lines(path, chain(lines, rows))
 
 

@@ -213,9 +213,9 @@ def select_prototype(train, labels: LabelTrack, class_id: str, m: int) -> np.nda
     Candidates are length-m windows fully inside a region of the class,
     sampled every max(1, m // 2) positions; the winner minimizes the summed
     z-normalized Euclidean distance to the other candidates, ties going to
-    the earliest start. `train` is a series or a source that each `iter`
-    reads from its start (an open `data.SeriesFile`): one pass copies out
-    the candidates, which lie inside the labeled regions.
+    the earliest start. `train` is a series or an open `data.SeriesFile`,
+    whose `read` fills each slice: one pass copies out the candidates,
+    which lie inside the labeled regions.
     """
     step = max(1, m // 2)
     starts: List[int] = []
@@ -322,9 +322,9 @@ def compute_distributions(train, labels: LabelTrack, specs: Sequence[ClassSpec]
     a stable sort orders them). Claimed values feed the class list and
     untouched positions the non-class list.
 
-    `train` is a series or a source that each `iter` reads from its start
-    (an open `data.SeriesFile`), read in two passes that take each slice's
-    profiles one feature at a time, so no profile is longer than a block.
+    `train` is a series or an open `data.SeriesFile`, whose `read` fills
+    each slice. It is read in two passes that take each slice's profiles
+    one feature at a time, so no profile is longer than a block.
     The first keeps, per region, the lowest positions of its span that can
     hold its claim (`_Spans`), and the count, min and max of the untouched
     values; the second sums each block's np.histogram counts of the
@@ -439,7 +439,7 @@ def train(
     their class. The prior defaults to the empirical fraction of snippet
     positions that claimed a region; pass ClassSpec.prior to override.
     `train_series` is a loaded series or an open `data.SeriesFile`, whose
-    snapshot is read once per medoid and twice to profile, one block at a
+    snapshot is read once per medoid and twice to profile, one slice at a
     time.
     """
     m = _check_models(class_specs)
@@ -493,8 +493,9 @@ def score_blocks(
     """The one scoring pass over the test series: the class ids of each
     `keep` predicate's table, and an iterator of (lo, [run table per keep])
     per run of at most `LOOKUP` columns. `test` is a series or a
-    `data.SeriesFile`, read once by the iterator; a series shorter than m
-    is a ModelError at once, from `len(test)`.
+    `data.SeriesFile`, whose `read` fills each slice as the iterator asks
+    for it; a series shorter than m is a ModelError at once, from
+    `len(test)`.
 
     The pass holds only the columns a sweep at `cfg.stride` can visit,
     those at positions that are multiples of g = `_visit_step`. A run table

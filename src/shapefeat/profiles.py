@@ -8,7 +8,8 @@ optional state that the profiles of one series (or of one block of it)
 share: `stats`, its `sliding_stats(ts, m)`, and `spectrum`, its
 `series_spectrum(ts)`. Absent state is computed from the series.
 `profile_blocks` is the one cut that training and scoring share: it yields
-overlapping slices of the series and computes nothing. `slice_profiles`
+overlapping slices of the series, views of a loaded one or reads of an
+open `data.SeriesFile`, and computes nothing. `slice_profiles`
 yields a slice's profiles one feature at a time from one `sliding_stats`
 and one `series_spectrum`, and `feature_profiles` writes them into the
 caller's rows. So the stats and FFT buffers are one block long, as in the
@@ -293,32 +294,16 @@ def profile_blocks(source, m: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     has hi <= lo.
 
     `source` is the series (a `TimeSeries` or an array), whose slices are
-    views of it, or an iterable of its consecutive sample arrays (an open
-    `data.SeriesFile`, which each `iter` reads from its start). That is
-    read as far as the next slice needs into one buffer of S samples: each
-    slice after the first begins with the last m - 1 samples of the one
-    before, moved to the buffer's front. So a streamed slice is valid until
-    the next one is asked for. Either source gives the same slices."""
+    views of it, or an open `data.SeriesFile`, whose `read` fills one
+    buffer of S samples per slice. So a read slice is valid until the next
+    one is asked for. Either source gives the same slices."""
     size = max(BLOCK, 1 << (4 * m - 1).bit_length())
-    step = size - m + 1
-    lo = 0
+    n = len(source)
     if isinstance(source, (TimeSeries, np.ndarray)):
         x = _as_values(source)
-        while x.size - lo >= size:
-            yield lo, lo + step, x[lo : lo + size]
-            lo += step
-        if x.size - lo >= m or lo == 0:
-            yield lo, x.size - m + 1, x[lo:]
-        return
-    buf, held = np.empty(size), 0
-    for part in source:
-        while part.size:
-            take = min(size - held, part.size)
-            buf[held : held + take] = part[:take]
-            held, part = held + take, part[take:]
-            if held == size:
-                yield lo, lo + step, buf
-                buf[: m - 1] = buf[step:]
-                lo, held = lo + step, m - 1
-    if held >= m or lo == 0:  # an empty source gives a zero-length series' one slice
-        yield lo, lo + held - m + 1, buf[:held]
+        read = lambda lo, end: x[lo:end]
+    else:
+        buf = np.empty(min(size, n))
+        read = lambda lo, end: source.read(lo, buf[: end - lo])
+    for lo in range(0, max(n - m + 1, 1), size - m + 1):
+        yield lo, min(lo + size - m + 1, n - m + 1), read(lo, min(lo + size, n))

@@ -588,22 +588,26 @@ class TestProfileBlocks:
         assert (lo, hi) == (0, BLOCK - 99)
         assert xs.tobytes() == x.tobytes()
 
-    @settings(max_examples=60)
-    @given(st.integers(2, BLOCK // 2), st.integers(1, 3 * BLOCK),
-           st.lists(st.integers(1, 2 * BLOCK), max_size=12))
-    def test_any_cut_into_parts_gives_the_same_slices(self, m, n, cuts):
-        # An iterator of consecutive parts, as a streamed file gives them.
-        x = np.arange(n, dtype=np.float64)
-        edges = [0, *sorted({c for c in cuts if c < n}), n]
-        parts = iter([x[a:b] for a, b in zip(edges, edges[1:])])
-        assert [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(parts, m)] == \
-            [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(x, m)]
+    @pytest.mark.parametrize("m", [2, 100, BLOCK // 4 + 1])
+    @pytest.mark.parametrize("at", ["S-1", "S", "S+1", "2S-m+2"])
+    def test_a_series_file_gives_the_loaded_slices(self, tmp_path, m, at):
+        # Read slices, one buffer of S samples refilled per slice, are the
+        # loaded series' views: on both sides of the one-slice limit, and
+        # where a third slice holds one window.
+        size = max(BLOCK, 1 << (4 * m - 1).bit_length())
+        n = {"S-1": size - 1, "S": size, "S+1": size + 1, "2S-m+2": 2 * size - m + 2}[at]
+        path = tmp_path / "series.txt"
+        path.write_text("".join(f"{k % 1000 - 500}.25\n" for k in range(n)))
+        loaded = load_series(str(path))
+        expected = [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(loaded, m)]
+        assert len(expected) == (1 if n <= size else 2 if at == "S+1" else 3)
+        with SeriesFile(str(path)) as series:
+            assert [(lo, hi, xs.tobytes()) for lo, hi, xs in profile_blocks(series, m)] == expected
 
-    def test_an_empty_iterator_is_a_zero_length_series(self):
+    def test_a_zero_length_series_has_one_empty_slice(self):
         # One empty slice without a window, which scoring refuses from the
         # series' length before it asks for a slice.
-        slices = [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(iter([]), 4)]
-        assert slices == [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(np.empty(0), 4)]
+        slices = [(lo, hi, xs.size) for lo, hi, xs in profile_blocks(np.empty(0), 4)]
         assert slices == [(0, -3, 0)]
         hist = Histogram(edges=[0.0, 1.0], counts=[1])
         models = [ClassModel("c", 4, 0, ((FeatureSpec(kind=SLIDING_MEAN), hist, hist),), 0.5)]

@@ -115,8 +115,8 @@ def _parse_feature(obj) -> FeatureSpec:
     return FeatureSpec(kind=kind, id=obj.get("id", "") or "", query=query)
 
 
-def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
-    """Parse the YAML run config into (ClassifierConfig, [ClassSpec], seed)."""
+def _read_config(path: str) -> dict:
+    """The YAML mapping at `path`, its top-level keys checked."""
     try:
         doc = yaml.safe_load(dataio.read_file(path))
     except yaml.YAMLError as exc:
@@ -124,10 +124,15 @@ def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
     if not isinstance(doc, dict):
         raise DataError(f"config {path} must be a mapping")
     _check_keys(doc, _TOP_KEYS, "config")
+    return doc
+
+
+def _settings(doc: dict) -> ClassifierConfig:
+    """The classifier settings of a config mapping; defaults for those it lacks."""
     thresholds = doc.get("thresholds") or {}
     if not isinstance(thresholds, dict):
         raise DataError("thresholds must map class names to weights")
-    cfg = ClassifierConfig(
+    return ClassifierConfig(
         thresholds={
             str(k): _convert(float, v, f"threshold for {k!r}") for k, v in thresholds.items()
         },
@@ -136,6 +141,13 @@ def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
         nb_denominator=str(doc.get("nb_denominator", NB_STANDARD)),
         small_value_mode=str(doc.get("small_value_mode", FLOOR_UNION)),
     )
+
+
+def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
+    """Parse the YAML run config into (ClassifierConfig, [ClassSpec], seed),
+    loading each `prototype:`; `sample_rate_hz` converts an `exclusion_zone` in seconds."""
+    doc = _read_config(path)
+    cfg = _settings(doc)
     classes = doc.get("classes") or []
     if not isinstance(classes, list):
         raise DataError("classes must be a list of class entries")
@@ -169,9 +181,10 @@ def load_run_config(path: str, sample_rate_hz: Optional[float] = None):
     return cfg, specs, (None if seed is None else _convert(int, seed, "seed"))
 
 
-def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> ClassifierConfig:
-    """The run config's classifier settings (defaults without --config), then the flags."""
-    cfg = load_run_config(args.config, sample_rate_hz)[0] if args.config else ClassifierConfig()
+def _classifier_config(args) -> ClassifierConfig:
+    """The classifier settings of --config (defaults without it), then the
+    flags; scoring takes its classes from the model, not the config."""
+    cfg = _settings(_read_config(args.config) if args.config else {})
     thresholds = dict(cfg.thresholds)
     for item in args.threshold or []:
         name, _, value = item.partition("=")
@@ -181,6 +194,14 @@ def _classifier_config(args, sample_rate_hz: Optional[float] = None) -> Classifi
     flags = ("decision_floor", "stride", "nb_denominator")
     given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     return dataclasses.replace(cfg, thresholds=thresholds, **given)
+
+
+def _check_thresholds(cfg: ClassifierConfig, models) -> None:
+    """A ModelError for a threshold that names no model's class."""
+    class_ids = {mo.class_id for mo in models}
+    for class_id in cfg.thresholds:
+        if class_id not in class_ids:
+            raise ModelError(f"no model for class {class_id!r}")
 
 
 def _fmt(x: float) -> str:
@@ -263,7 +284,8 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     models = dataio.load_model(args.model)
     with dataio.SeriesFile(args.series) as series:
-        cfg = _classifier_config(args, series.sample_rate_hz)
+        cfg = _classifier_config(args)
+        _check_thresholds(cfg, models)
         track = classify(models, series, cfg)
     dataio.save_predictions(track, args.out)
     print(
@@ -303,7 +325,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     models = dataio.load_model(args.model)
     with dataio.SeriesFile(args.series) as series:
-        cfg = _classifier_config(args, series.sample_rate_hz)
+        cfg = _classifier_config(args)
+        _check_thresholds(cfg, models)
         bags = dataio.load_labels(args.labels, len(series))
         rows = compare_variants(models, series, bags, cfg)
     lines = ["variant,class,tp,fp,fn,tn,precision,recall,accuracy"]
@@ -321,7 +344,8 @@ def cmd_compare(args) -> int:
 def cmd_roc(args) -> int:
     models = dataio.load_model(args.model)
     with dataio.SeriesFile(args.series) as series:
-        cfg = _classifier_config(args, series.sample_rate_hz)
+        cfg = _classifier_config(args)
+        _check_thresholds(cfg, models)
         weights = [
             _convert(float, w, "--weights entry") for w in args.weights.split(",") if w.strip()
         ]
@@ -355,22 +379,23 @@ def cmd_freq(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="YAML run config")
-    p.add_argument("--stride", type=int, default=None, help="snippet step override")
-    p.add_argument(
-        "--decision-floor", type=float, default=None, dest="decision_floor",
-        help="minimum weighted probability for a detection",
-    )
-    p.add_argument(
-        "--threshold", action="append", metavar="CLASS=WEIGHT",
-        help="per-class threshold weight override (repeatable)",
-    )
-    p.add_argument(
-        "--nb-denominator", choices=[NB_STANDARD, NB_PAPER_LITERAL],
-        default=None, dest="nb_denominator",
-        help="Naive-Bayes prior denominator mode",
-    )
+def _add_scoring_parser(sub, name: str, about: str, func) -> argparse.ArgumentParser:
+    """The subcommand `name` with the flags that classify, compare and roc share."""
+    p = sub.add_parser(name, help=about)
+    p.add_argument("--model", required=True)
+    p.add_argument("--series", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--config", help="YAML run config, for its classifier settings only; "
+                                    "the classes come from --model")
+    p.add_argument("--stride", type=int, help="snippet step override")
+    p.add_argument("--decision-floor", type=float,
+                   help="minimum weighted probability for a detection")
+    p.add_argument("--threshold", action="append", metavar="CLASS=WEIGHT",
+                   help="per-class threshold weight override (repeatable)")
+    p.add_argument("--nb-denominator", choices=[NB_STANDARD, NB_PAPER_LITERAL],
+                   help="Naive-Bayes prior denominator mode")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,12 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("classify", help="label a series with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--series", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_classify)
+    _add_scoring_parser(sub, "classify", "label a series with a trained model", cmd_classify)
 
     p = sub.add_parser("eval", help="bag-level confusion matrix and metrics")
     p.add_argument("--predictions", required=True)
@@ -441,27 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "compare", help="shape-only / feature-only / combined metrics grid"
+    p = _add_scoring_parser(
+        sub, "compare", "shape-only / feature-only / combined metrics grid", cmd_compare
     )
-    p.add_argument("--model", required=True)
-    p.add_argument("--series", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("roc", help="threshold-weight sweep for one class")
-    p.add_argument("--model", required=True)
-    p.add_argument("--series", required=True)
+    p = _add_scoring_parser(sub, "roc", "threshold-weight sweep for one class", cmd_roc)
     p.add_argument("--labels", required=True)
     p.add_argument("--class", required=True, dest="class_id", metavar="CLASS")
     p.add_argument(
         "--weights", required=True, help="comma-separated ascending positive weights"
     )
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("freq", help="detection counts per sliding window")
     p.add_argument("--predictions", required=True)

@@ -766,10 +766,12 @@ def save_labels(track: LabelTrack, path: str) -> None:
 
 
 def load_labels(path: str, series_len: int) -> LabelTrack:
-    """Parse CSV region lines; LabelTrack checks order, overlap and bounds."""
+    """Parse CSV region lines. A ``# series_length:`` header, as `save_labels`
+    writes, must be `series_len`; LabelTrack then checks order, overlap and bounds."""
+    meta: dict = {}
     regions: List[Region] = []
     region_lines: List[int] = []
-    for lineno, text in _stripped_lines(path, {}):
+    for lineno, text in _stripped_lines(path, meta):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
             raise DataError(f"expected start,end,class, got {text!r}", line=lineno)
@@ -782,6 +784,10 @@ def load_labels(path: str, series_len: int) -> LabelTrack:
             raise DataError("empty class name", line=lineno)
         regions.append(Region(start=start, end=end, class_id=parts[2]))
         region_lines.append(lineno)
+    written = meta.get("series_length")
+    if written is not None and not (written.isdecimal() and int(written) == series_len):
+        raise DataError(f"{path}: the labels' series_length {written!r} is not the "
+                        f"series length {series_len}")
     try:
         return LabelTrack(series_length=series_len, regions=tuple(regions))
     except DataError as exc:

@@ -446,6 +446,58 @@ class TestStreamedSeries:
         assert "after the first value changes the rate in effect, 100.0" in err
 
 
+class TestScoringConfig:
+    """classify, compare and roc take only the config's classifier settings:
+    the classes come from the model, so the config's class entries are not
+    read. A moved prototype, or a zone in seconds over a series with no
+    rate, changes nothing, and no prototype is opened."""
+
+    COMMANDS = {
+        "classify": ["classify"],
+        "classify-stride-3": ["classify", "--stride", "3"],
+        "compare": ["compare", "--labels", "@labels"],
+        "roc": ["roc", "--labels", "@labels", "--class", "sine", "--weights", "0.5,1,2"],
+    }
+
+    @pytest.fixture(scope="class")
+    def configs(self, workspace, tmp_path_factory):
+        """settings.yaml (CONFIG without its classes), stale.yaml (those
+        settings, one prototype that exists and one that is gone, zones in
+        seconds) and no-rate.txt (the test series without its rate)."""
+        root = tmp_path_factory.mktemp("scoring-config")
+        settings = CONFIG[: CONFIG.index("classes:")]
+        (root / "settings.yaml").write_text(settings)
+        values = load_series(str(workspace / "train.txt")).values[:64].tolist()
+        (root / "proto.txt").write_text("".join(f"{v!r}\n" for v in values))
+        (root / "stale.yaml").write_text(settings + "classes:\n" + "".join(
+            f"  - {{name: {name}, m: 64, exclusion_zone: '0.5s',"
+            f" features: [{{kind: shape, prototype: '{root / proto}'}}, sliding_std]}}\n"
+            for name, proto in (("sine", "proto.txt"), ("flat", "gone.txt"))))
+        lines = (workspace / "test.txt").read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("# sample_rate_hz:")]
+        assert len(kept) == len(lines) - 1
+        (root / "no-rate.txt").write_text("".join(kept))
+        return root
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_outputs_do_not_depend_on_the_classes(self, workspace, configs, tmp_path, capsys,
+                                                  command):
+        argv = [str(workspace / "test-labels.csv") if a == "@labels" else a
+                for a in self.COMMANDS[command]]
+
+        def run(config, series):
+            out = tmp_path / f"{config.stem}-{series.stem}.csv"
+            code = main([*argv, "--model", str(workspace / "model.sfcm"), "--series", str(series),
+                         "--config", str(config), "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+            return out.read_bytes()
+
+        test, no_rate = workspace / "test.txt", configs / "no-rate.txt"
+        assert run(workspace / "config.yaml", test) == run(configs / "settings.yaml", test)
+        assert run(configs / "stale.yaml", no_rate) == run(configs / "settings.yaml", no_rate)
+        assert not (configs / ".proto.txt.sfsc").exists()
+
+
 class TestEval:
     def test_hand_built_fixture(self, tmp_path):
         pred = tmp_path / "pred.csv"
@@ -788,6 +840,8 @@ BAD_INPUT_FILES = {
     "shape-only.yaml": SHAPE_ONLY_CONFIG,
     "short.txt": "".join(f"{np.sin(i / 3):.6f}\n" for i in range(40)),
     "short-labels.csv": "0,40,sine\n",
+    "length-7-labels.csv": "# series_length: 7\n0,5,sine\n",
+    "sien-threshold.yaml": "thresholds: {sine: 1.0, sien: 2.0}\n",
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -800,6 +854,23 @@ BAD_INPUT_CASES = {
     "threshold-flag": (
         [*_CLASSIFY, "--threshold", "sine=abc"], 2, "--threshold sine must be a number"
     ),
+    "threshold-flag-without-model": (
+        [*_CLASSIFY, "--threshold", "sien=5"], 3, "no model for class 'sien'"
+    ),
+    # Checked with the config, so before the labels' own fault.
+    "threshold-config-without-model": (
+        ["compare", "--model", "@model.sfcm", "--series", "@test.txt",
+         "--labels", "@length-7-labels.csv", "--config", "@sien-threshold.yaml"],
+        3, "no model for class 'sien'",
+    ),
+    **{f"labels-length-{command}": (
+        [*argv, "--labels", "@length-7-labels.csv"], 2,
+        "length-7-labels.csv: the labels' series_length '7' is not the series length",
+    ) for command, argv in (
+        ("train", [*_TRAIN[:3], "--config", "@config.yaml"]),
+        ("compare", ["compare", "--model", "@model.sfcm", "--series", "@test.txt"]),
+        ("eval", ["eval", "--class", "a", "--predictions", "@rate-10.csv"]),
+    )},
     "roc-weights": (
         ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
          "--labels", "@test-labels.csv", "--class", "sine", "--weights", "1,abc"],

@@ -1114,6 +1114,18 @@ class TestLabelIo:
             load_labels(str(tmp_path / "l.csv"), 500)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("written", ["499", "501", "5e2", "-500", "abc", ""])
+    def test_labels_written_for_another_length(self, tmp_path, written):
+        # The header may come anywhere, so the length is checked with the
+        # whole-file checks, before the region that leaves the series.
+        (tmp_path / "l.csv").write_text(f"0,10,a\n# series_length: {written}\n0,600,b\n")
+        with pytest.raises(DataError) as err:
+            load_labels(str(tmp_path / "l.csv"), 500)
+        assert str(err.value) == (
+            f"{tmp_path / 'l.csv'}: the labels' series_length {written!r} is not the "
+            "series length 500"
+        )
+
 
 def small_models():
     bundle = gen_two_modality_dataset(

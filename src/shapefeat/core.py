@@ -111,6 +111,10 @@ class TimeSeries:
         object.__setattr__(self, "values", frozen_array(self.values, copy=None if owned else True))
         if self.values.ndim != 1:
             raise DataError(f"series values must be 1-D, got {self.values.ndim} dimensions")
+        # min or max is NaN or infinite when any value is: no series-long mask.
+        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.values))[0])
+            raise DataError(f"non-finite value at index {bad}", index=bad)
         if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
             raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if len(self.name.splitlines()) > 1 or self.name.strip() != self.name:
@@ -369,8 +373,8 @@ class ClassifierConfig:
     def __post_init__(self):
         object.__setattr__(self, "thresholds", dict(self.thresholds))
         for cls, thr in self.thresholds.items():
-            if not thr > 0:
-                raise DataError(f"threshold for {cls!r} must be > 0, got {thr}")
+            if not 0 < thr < np.inf:
+                raise DataError(f"threshold for {cls!r} must be > 0 and finite, got {thr}")
         if not (0.0 <= self.decision_floor <= 1.0):
             raise DataError(f"decision_floor must be in [0,1], got {self.decision_floor}")
         if self.stride < 1:

@@ -141,6 +141,8 @@ def roc_sweep(
     for prev, w in zip([-np.inf, *weights], weights):
         if not w > 0:
             raise DataError(f"weights must be positive, got {w}")
+        if w == np.inf:
+            raise DataError(f"weights must be finite, got {w}")
         if w < prev:
             raise DataError("weights must be sorted ascending")
     if not any(mo.class_id == class_id for mo in models):

@@ -5,16 +5,16 @@ Training and scoring build their profiles in passes over the slices of
 (`compute_distributions`) takes each slice's profiles one feature at a
 time, in two passes: the first settles each region's claim and the range
 of the values no region touches, the second counts those values into the
-non-class histogram's bins. Scoring (`score_blocks`) keeps one block of
-profiles at a time (`feature_profiles`) and scores it in runs of `LOOKUP`
-columns: it turns a run into (class, feature) local probabilities,
-combines each class's locals with a Naive Bayes product, weights it by
-the class's threshold, and yields the run's columns of a [class,
-position] table per feature predicate, so the variant grid scores the
-series once. At stride k it scores only the columns a sweep can visit,
-those at multiples of gcd(k, every class's jump). A `Sweep` reads only
-those runs, in order, and goes left to right with exclusion-zone
-suppression, so no full-length table is ever built.
+non-class histogram's bins. Scoring (`score_blocks`) copies one block of
+profiles at a time, only the columns a sweep at stride k can visit (those
+at multiples of gcd(k, every class's jump)), and scores it in runs of
+`LOOKUP` columns: it turns a run into (class, feature) local
+probabilities, combines each class's locals with a Naive Bayes product,
+weights it by the class's threshold, and yields the run's columns of a
+[class, position] table per feature predicate, so the variant grid scores
+the series once. A `Sweep` reads only those runs, in order, and goes left
+to right with exclusion-zone suppression, so no full-length table is ever
+built.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .core import (
     check_class,
     union_width,
 )
-from .profiles import feature_profiles, profile_blocks, slice_profiles, znormalize
+from .profiles import profile_blocks, slice_profiles, znormalize
 
 #: Probability floor applied to local models before multiplying.
 EPS_PROB = 1e-12
@@ -504,10 +504,10 @@ def score_blocks(
     whose spec passes `keep` (all when None), times its threshold weight;
     a class with no kept local drops out.
 
-    Each `profile_blocks` block's profiles fill one block buffer (the
-    block sets the FFT size, and so the output bits). A run turns its
-    columns into local probabilities, in place at g = 1 and in a run buffer
-    read at step g otherwise, from which every table takes its rows. The
+    Each `profile_blocks` block's profiles (the block sets the FFT size,
+    and so the output bits) are copied at step g into one block buffer,
+    so every run is a contiguous slice: its lookups write the local
+    probabilities in place, and every table takes its rows from them. The
     tables are buffers one run long, which the next run overwrites.
     """
     m = _check_models(models)
@@ -527,29 +527,30 @@ def score_blocks(
         plans.append(groups)
 
     def blocks():
-        probs = tables = None
+        block = tables = None
         for lo, hi, xs in profile_blocks(test, m):
-            if probs is None:  # the first block is the longest
-                probs = np.empty((len(locals_), hi - lo))
+            if block is None:  # the first block is the longest
+                # One block wide at every stride: sized to the visit width,
+                # the heap trimmed and faulted it back on every call.
+                block = np.empty((len(locals_), hi - lo))
                 cols = min(LOOKUP, -(-(hi - lo) // step))  # of the longest run
-                gathered = np.empty((len(locals_), cols)) if step > 1 else None
                 tables = [np.empty((len(groups), cols)) for groups in plans]
-            block = feature_profiles(xs, [f for f, _, _ in locals_], m, probs[:, : hi - lo])
-            for a in range(-lo % step, hi - lo, LOOKUP * step):
-                run = block[:, a : a + LOOKUP * step : step]
-                width = run.shape[1]
-                if step > 1:  # the lookups read contiguous rows
-                    gathered[:, :width] = run
-                    run = gathered[:, :width]
+            start = -lo % step  # the block's first visit column
+            visits = block[:, : -(-(hi - lo - start) // step)]
+            for row, profile in zip(visits, slice_profiles(xs, [f for f, _, _ in locals_], m)):
+                row[:] = profile[start::step]
+            del profile  # not held through the lookups and the next block
+            for a in range(0, visits.shape[1], LOOKUP):
+                run = visits[:, a : a + LOOKUP]
                 for (_, pos_h, neg_h), row in zip(locals_, run):
                     compute_probability(pos_h, neg_h, row, cfg.small_value_mode, out=row)
-                out = [table[:, :width] for table in tables]
+                out = [table[:, : run.shape[1]] for table in tables]
                 for groups, table in zip(plans, out):
                     for row, (mo, rows) in zip(table, groups):
                         combine_naive_bayes([run[i] for i in rows], mo.prior,
                                             cfg.nb_denominator, out=row)
                         row *= cfg.threshold_for(mo.class_id)
-                yield lo + a, out
+                yield lo + start + a * step, out
 
     return [tuple(mo.class_id for mo, _ in groups) for groups in plans], blocks()
 

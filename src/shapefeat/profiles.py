@@ -11,11 +11,10 @@ share: `stats`, its `sliding_stats(ts, m)`, and `spectrum`, its
 overlapping slices of the series, views of a loaded one or reads of an
 open `data.SeriesFile`, and computes nothing. `slice_profiles`
 yields a slice's profiles one feature at a time from one `sliding_stats`
-and one `series_spectrum`, and `feature_profiles` writes them into the
-caller's rows. So the stats and FFT buffers are one block long, as in the
-blocked MASS of Mueen et al. and the blocked running sums of Chan, Golub
-and LeVeque. Training takes each profile as it comes; scoring writes a
-block's into one block buffer.
+and one `series_spectrum`. So the stats and FFT buffers are one block
+long, as in the blocked MASS of Mueen et al. and the blocked running sums
+of Chan, Golub and LeVeque. Training takes each profile as it comes;
+scoring copies a block's columns at its visit step into one block buffer.
 """
 from __future__ import annotations
 
@@ -268,14 +267,6 @@ def slice_profiles(ts, features: Sequence[FeatureSpec], m: int) -> Iterator[np.n
     spectrum = series_spectrum(ts) if any(f.kind == SHAPE for f in features) else None
     for feature in features:
         yield generate_profile(ts, feature, m, stats, spectrum)
-
-
-def feature_profiles(ts, features: Sequence[FeatureSpec], m: int, out: np.ndarray) -> np.ndarray:
-    """Write each feature's profile (`slice_profiles`) into its row of
-    `out` [feature, window], in the order given, and return `out`."""
-    for row, profile in zip(out, slice_profiles(ts, features, m)):
-        row[:] = profile
-    return out
 
 
 #: The one cut of a pass: samples per block of `profile_blocks` (more when

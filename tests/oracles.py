@@ -12,8 +12,8 @@ from shapefeat.profiles import (
     _as_values,
     _check_query,
     _znormalize_rows,
-    feature_profiles,
     profile_blocks,
+    slice_profiles,
     znormalize,
 )
 
@@ -36,7 +36,8 @@ def profile_table(ts, features: Sequence[FeatureSpec], m: int) -> np.ndarray:
     x = _as_values(ts)
     table = np.empty((len(features), max(x.size - m + 1, 0)))
     for lo, hi, xs in profile_blocks(x, m):
-        feature_profiles(xs, features, m, table[:, lo:hi])
+        for row, profile in zip(table[:, lo:hi], slice_profiles(xs, features, m)):
+            row[:] = profile
     return table
 
 

@@ -842,6 +842,8 @@ BAD_INPUT_FILES = {
     "short-labels.csv": "0,40,sine\n",
     "length-7-labels.csv": "# series_length: 7\n0,5,sine\n",
     "sien-threshold.yaml": "thresholds: {sine: 1.0, sien: 2.0}\n",
+    "inf-threshold.yaml": "thresholds: {sine: .inf}\n",
+    "1e999-threshold.yaml": "thresholds: {sine: 1e999}\n",
 }
 
 _CLASSIFY = ["classify", "--model", "@model.sfcm", "--series", "@test.txt"]
@@ -854,6 +856,14 @@ BAD_INPUT_CASES = {
     "threshold-flag": (
         [*_CLASSIFY, "--threshold", "sine=abc"], 2, "--threshold sine must be a number"
     ),
+    "threshold-flag-inf": (
+        [*_CLASSIFY, "--threshold", "sine=1e999"], 2,
+        "threshold for 'sine' must be > 0 and finite, got inf",
+    ),
+    **{f"threshold-config-{name}": (
+        [*_CLASSIFY, "--config", f"@{name}-threshold.yaml"], 2,
+        "threshold for 'sine' must be > 0 and finite, got inf",
+    ) for name in ("inf", "1e999")},
     "threshold-flag-without-model": (
         [*_CLASSIFY, "--threshold", "sien=5"], 3, "no model for class 'sien'"
     ),
@@ -875,6 +885,11 @@ BAD_INPUT_CASES = {
         ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
          "--labels", "@test-labels.csv", "--class", "sine", "--weights", "1,abc"],
         2, "--weights entry must be a number, got 'abc'",
+    ),
+    "roc-weights-inf": (
+        ["roc", "--model", "@model.sfcm", "--series", "@test.txt",
+         "--labels", "@test-labels.csv", "--class", "sine", "--weights", "1,inf"],
+        2, "weights must be finite, got inf",
     ),
     "roc-class-without-model": (
         ["roc", "--model", "@model.sfcm", "--series", "@test.txt",

@@ -104,6 +104,19 @@ def test_timeseries_values_must_be_one_dimensional(values):
         TimeSeries(values=values)
 
 
+@pytest.mark.parametrize("owned", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_timeseries_values_must_be_finite(bad, owned):
+    # As in a parsed text: a NaN would otherwise score silently, its
+    # windows' profiles NaN.
+    values = np.arange(2275.0)
+    values[100] = bad
+    with pytest.raises(DataError, match="non-finite value at index 100") as info:
+        TimeSeries(values=values, owned=owned)
+    assert info.value.index == 100
+    assert len(TimeSeries(values=np.empty(0))) == 0
+
+
 @pytest.mark.parametrize("value, expected", [(64, 64), (64.0, 64), (-3.0, -3), (2**70, 2**70)])
 def test_whole_number_accepts_whole_values(value, expected):
     number = whole_number(value)
@@ -237,6 +250,10 @@ def test_classifier_config_validation():
     assert cfg.threshold_for("missing") == 1.0
     with pytest.raises(DataError, match="threshold for 'a' must be > 0"):
         ClassifierConfig(thresholds={"a": 0.0})
+    for weight in (np.inf, float("1e999"), np.nan, -np.inf):
+        # An infinite weight would score every detection inf.
+        with pytest.raises(DataError, match=f"'a' must be > 0 and finite, got {weight}"):
+            ClassifierConfig(thresholds={"a": weight})
     with pytest.raises(DataError, match=r"decision_floor must be in \[0,1\]"):
         ClassifierConfig(decision_floor=1.5)
     with pytest.raises(DataError, match="stride must be >= 1"):

@@ -221,6 +221,9 @@ class TestRocSweep:
             roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine", [2.0, 1.0])
         with pytest.raises(DataError, match="weights must be positive, got -1.0"):
             roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine", [-1.0])
+        with pytest.raises(DataError, match="weights must be finite, got inf"):
+            roc_sweep(models, bundle.series, bundle.labels, ClassifierConfig(), "sine",
+                      [1.0, np.inf])
 
     def test_class_without_a_model(self, monkeypatch):
         bundle, models = self.setup_models()
@@ -287,7 +290,6 @@ class TestCompareVariants:
 COUNTED = (
     "model.score_blocks",
     "profiles.profile_blocks",
-    "profiles.feature_profiles",
     "profiles.slice_profiles",
     "profiles.sliding_stats",
     "profiles.series_spectrum",
@@ -401,8 +403,8 @@ class TestScoreOnce:
                               "model.select_prototype": 3, "model.compute_distributions": 1}
         else:
             # One lookup per local and run of a block.
-            assert counts == {**one_pass, "profiles.feature_profiles": blocks,
-                              "model.score_blocks": 1, "model.compute_probability": 10 * runs}
+            assert counts == {**one_pass, "model.score_blocks": 1,
+                              "model.compute_probability": 10 * runs}
 
     @pytest.mark.parametrize("series", ["test.txt", "long.txt"])
     def test_no_spectrum_without_shape_features(self, files, monkeypatch, tmp_path, series):
@@ -413,8 +415,7 @@ class TestScoreOnce:
         blocks, runs = self.pass_cuts(str(files / series))
         # The 7 non-shape locals of the 4 classes share each block's stats.
         assert counts == {"model._check_models": 1, "profiles.profile_blocks": 1,
-                          "profiles.feature_profiles": blocks, "profiles.slice_profiles": blocks,
-                          "profiles.sliding_stats": blocks,
+                          "profiles.slice_profiles": blocks, "profiles.sliding_stats": blocks,
                           "model.score_blocks": 1, "model.compute_probability": 7 * runs}
 
     @pytest.mark.parametrize("cfg", [

@@ -7,7 +7,10 @@ in the benchmark's rescore layout), stride-1 and stride-3 predictions, the
 compare grid under the default config and under `nb_denominator:
 paper-literal` with `small_value_mode: own`, a roc sweep of one class while
 another carries a threshold weight other than 1, and a compare on a
-shape-only model (whose feature-only variant is empty).
+shape-only model (whose feature-only variant is empty). The shape-only
+model (zone 47, so every jump is 48) also classifies and compares at
+stride 4, so its passes score every fourth position (visit step 4); the
+other runs score every position.
 
 The digests were recorded with numpy 2.4.6. Another numpy may round the
 FFT differently and change score bits; a mismatch there is not, by itself,
@@ -74,9 +77,11 @@ GOLDEN = {
     "compare": "02b3746101dbccdb24ef18ced972a1e01cf690a80ddcf9ca5d78c35538b12ead",
     "compare_literal_own": "63f8f4344de13a358ab1abd3cf5ca8dacf03b745fbe9e28f84c73d5909d23179",
     "compare_shape_only": "f2c73e8270d6a4580a7c1d91cc0ba44e12a5da9f712c1b4ff60559ff8b96d36d",
+    "compare_shape_only_stride4": "dc7646a3114c941971ccafeb80c6b5fc282ff936cefd47fea8688a2e0a8cca12",
     "model": "c32c32d0ef9cfceef9f27d7c6404fedcda7859624864e984690953b86b50123c",
     "model_shape_only": "12d7a607f81bbbcb617f11eebde603b4fa860ff867d7ebaf5698fefbe98c6c62",
     "predictions_stride1": "3265d6bfaef9f5695883184976c845995afec038340daed67658bd30550e3365",
+    "predictions_shape_only_stride4": "c2fd3405397d77fcf368ffc8d25ccecd28c4b361d9f2de95529801ecddd8ad6c",
     "predictions_stride3": "fd99c1bfde5f8fcd8d72ac28ee86fe6df5ca7df988462bbda746424f8e3ba71d",
     "roc": "544d950c528ecaee55a70f45e5d1811db69c9661856b11a4ac405dd99c59868a",
 }
@@ -102,9 +107,11 @@ def outputs(tmp_path_factory):
         "model_shape_only": root / "shape-only.sfcm",
         "predictions_stride1": root / "pred-1.csv",
         "predictions_stride3": root / "pred-3.csv",
+        "predictions_shape_only_stride4": root / "pred-shape-only-4.csv",
         "compare": root / "grid.csv",
         "compare_literal_own": root / "grid-literal.csv",
         "compare_shape_only": root / "grid-shape-only.csv",
+        "compare_shape_only_stride4": root / "grid-shape-only-4.csv",
         "roc": root / "roc.csv",
     }
     _run("train", "--config", root / "config.yaml", *train, "--out", files["model"])
@@ -120,6 +127,10 @@ def outputs(tmp_path_factory):
          "--config", root / "literal.yaml", "--out", files["compare_literal_own"])
     _run("compare", "--model", files["model_shape_only"], *test,
          "--config", root / "shape_only.yaml", "--out", files["compare_shape_only"])
+    _run("classify", "--model", files["model_shape_only"], "--series", root / "test.txt",
+         "--stride", 4, "--out", files["predictions_shape_only_stride4"])
+    _run("compare", "--model", files["model_shape_only"], *test, "--stride", 4,
+         "--out", files["compare_shape_only_stride4"])
     _run("roc", "--model", files["model"], *test, "--config", root / "config.yaml",
          "--class", "sine", "--weights", "0.25,0.5,1,1.5,2,4", "--out", files["roc"])
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}

@@ -40,11 +40,11 @@ from shapefeat.profiles import (
     BLOCK,
     complexity_profile,
     distance_profile_mass,
-    feature_profiles,
     generate_profile,
     profile_blocks,
     series_spectrum,
     sliding_feature_profile,
+    slice_profiles,
     sliding_stats,
     znormalize,
 )
@@ -625,9 +625,8 @@ def mixed_features(m):
 
 
 class TestFeatureOrder:
-    """`feature_profiles` writes one profile per feature into its row of
-    `out`, in the order given, wherever the shape features sit, and
-    `profile_table` writes them so."""
+    """`slice_profiles` yields one profile per feature, in the order given,
+    wherever the shape features sit, and `profile_table` writes them so."""
 
     @pytest.mark.parametrize("order", [
         (0, 1, 3, 4), (1, 0, 3, 4), (1, 3, 4, 0), (3, 0, 4, 2, 1),
@@ -646,8 +645,8 @@ class TestFeatureOrder:
             return series_spectrum(ts)
 
         monkeypatch.setattr(profiles, "series_spectrum", counted)
-        out = np.empty((len(features), x.size - m + 1))
-        assert feature_profiles(x, features, m, out) is out
+        out = list(slice_profiles(x, features, m))
+        assert len(out) == len(features)
         for f, prof in zip(features, out):
             assert prof.tobytes() == generate_profile(x, f, m, stats, spectrum).tobytes()
         # One spectrum when any feature is a shape feature, none otherwise.

@@ -90,6 +90,17 @@ def whole_number(value) -> int:
     return number
 
 
+def valid_sample_rate(rate: float) -> bool:
+    """Whether `rate` can be a series' sample rate in Hz: finite and > 0."""
+    return 0 < rate < np.inf
+
+
+def valid_series_name(name: str) -> bool:
+    """Whether `name` can name a series: it fits one header line and does
+    not start or end with whitespace."""
+    return len(name.splitlines()) <= 1 and name.strip() == name
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A 1-D real-valued sequence, optionally with a physical sample rate
@@ -115,9 +126,9 @@ class TimeSeries:
         if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
             bad = int(np.flatnonzero(~np.isfinite(self.values))[0])
             raise DataError(f"non-finite value at index {bad}", index=bad)
-        if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
+        if self.sample_rate_hz is not None and not valid_sample_rate(self.sample_rate_hz):
             raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
-        if len(self.name.splitlines()) > 1 or self.name.strip() != self.name:
+        if not valid_series_name(self.name):
             raise DataError(f"series name {self.name!r} must not contain a line break "
                             "or start or end with whitespace")
 
@@ -198,6 +209,8 @@ class FeatureSpec:
             if self.kind != SHAPE:
                 raise DataError(f"feature kind {self.kind!r} takes no query")
             q = frozen_array(self.query)
+            if q.ndim != 1:
+                raise DataError(f"shape query must be 1-D, got {q.ndim} dimensions")
             if not np.all(np.isfinite(q)):
                 bad = int(np.flatnonzero(~np.isfinite(q))[0])
                 raise DataError(f"non-finite value at index {bad}", index=bad)

@@ -18,9 +18,11 @@ File formats:
   its last clean parse: 4-byte magic ``SFSC`` + 1 version byte, the values
   as little-endian float64, then a trailer (see `_FOOTER`). It is used only
   while its key, a hash of the text's bytes, matches the text. A
-  `SeriesFile` holds it open as its snapshot of the series, and each
-  `read` seeks straight to the values it asks for; a pipe's snapshot is an
-  anonymous temp file of the same layout;
+  `SeriesFile` holds one snapshot of the series open, from one of two
+  functions of one return shape: `_open_sidecar`, the checked sidecar, or
+  else `_parse_snapshot`, the file a parse of the text writes, which
+  becomes the sidecar (a pipe's is an anonymous temp file of the same
+  layout). Each `read` seeks straight to the values it asks for;
 * labels: CSV lines ``start,end,class`` with end exclusive, 0-based;
 * models: 4-byte magic ``SFCM`` + 1 version byte + JSON payload;
 * predictions: header comments + CSV rows ``position,class,score`` for
@@ -52,6 +54,8 @@ from .core import (
     PredictionTrack,
     Region,
     TimeSeries,
+    valid_sample_rate,
+    valid_series_name,
     whole_number,
 )
 
@@ -437,7 +441,7 @@ def _header(path: str, text: str, lineno: int, meta: dict, fixed: bool = False) 
             rate = float(value)
         except ValueError:
             rate = 0.0
-        if not (math.isfinite(rate) and rate > 0):
+        if not valid_sample_rate(rate):
             raise DataError(f"{path} has missing or bad metadata: sample_rate_hz must be "
                             f"a finite number > 0, got {value!r}", line=lineno)
         if fixed and rate != meta.get(key):
@@ -502,26 +506,18 @@ class SeriesFile:
     run of its values.
 
     Opening it takes a snapshot of the values and holds it open until
-    `close` (or the end of a `with` block): the text's sidecar when it
-    holds the text's values, else the file a parse of the text writes,
-    which becomes the sidecar. Where there can be no sidecar (a pipe, a
-    device, a directory that refuses it) that file is an anonymous temp
-    file. A sidecar is only ever replaced by a rename, so every read gets
-    the values of the one open, whatever happens to the text meanwhile."""
+    `close` (or the end of a `with` block): `_open_sidecar`, the text's
+    sidecar when it holds the text's values, else `_parse_snapshot`, the
+    file a parse of the text writes, which becomes the sidecar. Where
+    there can be no sidecar (a pipe, a device, a directory that refuses
+    it) that file is an anonymous temp file. A sidecar is only ever
+    replaced by a rename, so every read gets the values of the one open,
+    whatever happens to the text meanwhile."""
 
     def __init__(self, path: str):
         self.path = path
-        meta: dict = {}
-        found = _open_sidecar(path)
-        if found is None:
-            with _SidecarWriter(path) as sidecar:
-                _series_blocks(path, meta, sidecar)
-                if not sidecar.count:
-                    raise DataError(f"{path} holds no values")
-                self._fh, self._count = sidecar.commit(meta), sidecar.count
-        else:
-            self._fh, self._count, meta["name"], meta["sample_rate_hz"] = found
-        self.name, self.sample_rate_hz = meta.get("name", ""), meta.get("sample_rate_hz")
+        self._fh, self._count, self.name, self.sample_rate_hz = \
+            _open_sidecar(path) or _parse_snapshot(path)
 
     def __len__(self) -> int:
         return self._count
@@ -553,11 +549,11 @@ class SeriesFile:
         self.close()
 
 
-def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter) -> None:
-    """Parse the series file at `path` block by block into `sidecar`; its
-    headers go to `meta`."""
+def _series_blocks(path: str, meta: dict, key: _Key):
+    """Parse the series file at `path` block by block, each block read also
+    going to `key`, and yield each block's values; its headers go to `meta`."""
     index = 0
-    for first, lines in _read_lines(path, sidecar.key):
+    for first, lines in _read_lines(path, key):
         # Leading headers and blank lines (every file that save_series
         # writes starts with some) go to `meta`, so the fast path takes
         # the rest of the block.
@@ -573,7 +569,7 @@ def _series_blocks(path: str, meta: dict, sidecar: _SidecarWriter) -> None:
             values = _walk_block(path, lines, first, index, meta)
         del lines  # before the reader takes the next block
         index += values.size
-        sidecar.write(values)
+        yield values
 
 
 # The sidecar of a series text: its magic and version (bump the version
@@ -643,12 +639,12 @@ def _open_sidecar(path: str):
         digest, text_size, count, rate, name_size = _FOOTER.unpack(fh.read(_FOOTER.size))
         if not count or size != len(_SIDECAR_HEAD) + 8 * count + name_size + _FOOTER.size:
             return None
-        if not (rate == 0.0 or 0.0 < rate < math.inf):
+        if rate != 0.0 and not valid_sample_rate(rate):
             return None
         fh.seek(size - _FOOTER.size - name_size)
         name = fh.read(name_size).decode("utf-8")
-        if len(name.splitlines()) > 1 or name.strip() != name:
-            return None  # a name that TimeSeries would refuse
+        if not valid_series_name(name):
+            return None
         key = _text_key(path)
         if (key.hash, key.size) != (digest, text_size):
             return None
@@ -680,69 +676,48 @@ def _read_values(fh, lo: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SidecarWriter:
-    """The snapshot of a series text as a parse reads it. The values go to
-    a temp file beside the text as they come, or to an anonymous temp file
+def _parse_snapshot(path: str):
+    """(snapshot open for reading, value count, name, sample rate) of the
+    series file at `path`, from a parse of its text. The values go to a
+    temp file beside the text as they come, or to an anonymous temp file
     where there is no sidecar path (a pipe, a device) or the directory
-    refuses the file. `commit` adds the trailer, renames a file beside the
-    text into place as its sidecar, and hands over the open file. The end
-    of a `with` block that did not commit drops the file. A write that
-    fails is a DataError."""
-
-    def __init__(self, path: str):
-        self.path, self.key, self.count = path, _Key(), 0
-        self._target, self._tmp = _sidecar_path(path), None
-        if self._target is not None:
-            with suppress(OSError):
-                fd, self._tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(self._target) or ".", prefix=".tmp-", suffix="~")
-        try:
-            self._fh = tempfile.TemporaryFile() if self._tmp is None else os.fdopen(fd, "w+b")
-        except OSError as exc:
-            raise DataError(f"cannot write the snapshot of {path}: {exc}") from exc
-        self._write(_SIDECAR_HEAD)
-
-    def _write(self, data, flush: bool = False) -> None:
-        try:
-            self._fh.write(data)
-            if flush:
-                self._fh.flush()
-        except OSError as exc:
-            raise DataError(f"cannot write the snapshot of {self.path}: {exc}") from exc
-
-    def write(self, values: np.ndarray) -> None:
-        self.count += values.size
-        self._write(values.astype("<f8", copy=False))
-
-    def commit(self, meta: dict):
-        """Finish the file with the series' `meta` (name, sample_rate_hz),
-        move a file beside the text into place, and return the open file.
-        Where the rename fails, the file's name goes and the open file
-        stays, anonymous."""
+    refuses the file. A parse that reaches the end with values and no fault
+    adds the trailer and renames the file into place as the sidecar; where
+    the rename fails, the file's name goes and the open file stays,
+    anonymous. A fault drops the file; a write that fails is a DataError."""
+    target, tmp, fh, key, meta, count = _sidecar_path(path), None, None, _Key(), {}, 0
+    if target is not None:
+        with suppress(OSError):
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target) or ".", prefix=".tmp-", suffix="~")
+    try:
+        fh = tempfile.TemporaryFile() if tmp is None else os.fdopen(fd, "w+b")
+        fh.write(_SIDECAR_HEAD)
+        for values in _series_blocks(path, meta, key):
+            count += values.size
+            fh.write(values.astype("<f8", copy=False))
+        if not count:
+            raise DataError(f"{path} holds no values")
         name = meta.get("name", "").encode("utf-8")
         rate = meta.get("sample_rate_hz") or 0.0
-        self._write(name + _FOOTER.pack(self.key.hash, self.key.size, self.count, rate, len(name)),
-                    flush=True)
-        fh, tmp, self._fh, self._tmp = self._fh, self._tmp, None, None
-        if tmp is not None:
-            try:
-                os.replace(tmp, self._target)
-            except OSError:
-                with suppress(OSError):
-                    os.unlink(tmp)
-        return fh
-
-    def __enter__(self) -> "_SidecarWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Drop a file that was not committed."""
-        if self._fh is not None:
+        fh.write(name + _FOOTER.pack(key.hash, key.size, count, rate, len(name)))
+        fh.flush()
+    except BaseException as exc:
+        with suppress(OSError):
+            if fh is not None:
+                fh.close()
+        with suppress(OSError):
+            if tmp is not None:
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write the snapshot of {path}: {exc}") from exc
+        raise
+    if tmp is not None:
+        try:
+            os.replace(tmp, target)
+        except OSError:
             with suppress(OSError):
-                self._fh.close()
-        if self._tmp is not None:
-            with suppress(OSError):
-                os.unlink(self._tmp)
+                os.unlink(tmp)
+    return fh, count, meta.get("name", ""), meta.get("sample_rate_hz")
 
 
 def _walk_block(path: str, lines: List[str], first: int, index: int, meta: dict) -> np.ndarray:

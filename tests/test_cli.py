@@ -955,6 +955,10 @@ BAD_INPUT_CASES = {
         [*_TRAIN, "--config", "@comma-class.yaml"], 2,
         "class id 'sine,x' must not contain a comma or a line break",
     ),
+    "model-query-2d": (
+        ["classify", "--model", "@query-2d.sfcm", "--series", "@test.txt"], 2,
+        "shape query must be 1-D, got 2 dimensions",
+    ),
     "model-class-line-break": (
         ["classify", "--model", "@line-break-class.sfcm", "--series", "@test.txt"], 2,
         "class id 'sine\\nx' must not contain a comma or a line break",
@@ -1090,8 +1094,8 @@ def _replace_item(blob: bytes, key: bytes, index: int, value: bytes) -> bytes:
 def bad_inputs(workspace):
     """The workspace plus every malformed input, a config whose prototype
     is too short, a model with a bogus kind, one with a histogram of zero
-    counts, one whose class id holds a line break, and models with
-    out-of-range numbers."""
+    counts, one whose class id holds a line break, one whose shape query is
+    nested, and models with out-of-range numbers."""
     for name, text in BAD_INPUT_FILES.items():
         (workspace / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     (workspace / "proto-length.yaml").write_text(CONFIG.replace(
@@ -1115,6 +1119,8 @@ def bad_inputs(workspace):
         model.replace(b'"class_id":"sine"', b'"class_id":"Other"')
     )
     assert b'"m":64' in model and b'"exclusion_zone":64' in model
+    query = model.index(b'"query":[') + len(b'"query":')
+    query_end = model.index(b"]", query) + 1
     bad_models = {
         "m-1e999.sfcm": model.replace(b'"m":64', b'"m":1e999'),
         "zone-1e999.sfcm": model.replace(b'"exclusion_zone":64', b'"exclusion_zone":1e999'),
@@ -1140,6 +1146,9 @@ def bad_inputs(workspace):
         ),
         # The histogram spans ~1e308 on its own; times its pair's counts, inf.
         "union-floor.sfcm": _replace_item(model, b"edges", 0, b"-1e308"),
+        # The first shape query, nested in a list: its size is still m.
+        "query-2d.sfcm": model[:query] + b"[" + model[query:query_end] + b"]"
+        + model[query_end:],
     }
     for name, blob in bad_models.items():
         (workspace / name).write_bytes(blob)

@@ -194,6 +194,11 @@ def test_feature_spec_defaults_and_validation():
         FeatureSpec(kind="sliding_std", query=np.ones(4))
     shape = FeatureSpec(kind="shape", query=[1.0, 2.0, 3.0])
     assert shape.query.shape == (3,)
+    # A nested query of m values would pass the model's length check, then
+    # fail to broadcast against the series in the distance profile.
+    for query in ([[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]], 1.0):
+        with pytest.raises(DataError, match=f"shape query must be 1-D, got {np.ndim(query)} "):
+            FeatureSpec(kind="shape", query=query)
 
 
 def test_histogram_invariants():

@@ -961,6 +961,22 @@ class TestSnapshot:
                 load_series(str(path))
             assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
 
+    def test_a_failed_write_beside_the_text_leaves_nothing(self, tmp_path):
+        # The directory takes the temp file, then the disk fills after the
+        # head: the temp file goes, and no sidecar takes its place.
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if self.tell():  # after the 5-byte head
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        path = tmp_path / "series.txt"
+        save_series(TimeSeries(values=normals(4, 100)), str(path))
+        with mock.patch.object(data.os, "fdopen", FullDisk), \
+                pytest.raises(DataError, match="cannot write the snapshot of"):
+            load_series(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+
 
 #: Values per 256 KiB chunk of the sidecar check.
 CHUNK = (1 << 18) // 8
